@@ -10,41 +10,43 @@ Run:  python3 demos/01_weighting_walkthrough.py
 import numpy as np
 
 from dghm import (
+    MODE_PARTITIONS,
     HarmonizerConfig,
     Mode,
-    Partition,
+    build_histograms,
     gradient_density,
     harmonize_weights,
 )
-from dghm.harmonizer import build_histograms
 
 
 def main():
     # Four examples: three clean (two easy, one medium) and one noisy outlier.
-    # g = |p - p*| is the magnitude of the cross-entropy gradient.
+    # g = |p - p*| is the magnitude of the cross-entropy gradient.  Partitions
+    # are integer codes indexing MODE_PARTITIONS[mode]: under DGHM, 0 is clean
+    # and 1 is noisy.
     g = np.array([0.05, 0.05, 0.55, 0.95])
-    parts = np.array([Partition.CLEAN, Partition.CLEAN, Partition.CLEAN,
-                      Partition.NOISY], dtype=object)
+    codes = np.array([0, 0, 0, 1])
+    names = [MODE_PARTITIONS[Mode.DGHM][c].value for c in codes]
 
     cfg = HarmonizerConfig(mode=Mode.DGHM, bin_count=10)
-    hists = build_histograms(g, parts, cfg)
+    hists = build_histograms(g, codes, cfg)
 
     print("per-partition histograms (10 unit regions over [0, 1]):")
-    for part, h in hists.items():
-        print(f"  {part.value:6s} counts = {h.counts.astype(int)}")
+    for part, counts in zip(MODE_PARTITIONS[Mode.DGHM], hists):
+        print(f"  {part.value:6s} counts = {counts.astype(int)}")
 
     print("\ngradient densities (count in bin / clipped region length):")
-    for gi, part in zip(g, parts):
-        print(f"  g = {gi:4.2f} [{part.value:6s}]  GD = "
-              f"{gradient_density(hists[part], gi):6.2f}")
+    for gi, code, name in zip(g, codes, names):
+        print(f"  g = {gi:4.2f} [{name:6s}]  GD = "
+              f"{gradient_density(hists, gi, code):6.2f}")
 
     for mu_n, mu_c, label in [(1.0, 1.0, "plain inverse density (GHM-style)"),
                               (2.0, 0.5, "decoupled outlier exponents")]:
         cfg = HarmonizerConfig(mode=Mode.DGHM, mu_n=mu_n, mu_c=mu_c)
-        batch = harmonize_weights(g, parts, cfg)
+        batch = harmonize_weights(g, codes, cfg)
         print(f"\nbeta with mu_n={mu_n}, mu_c={mu_c} ({label}):")
-        for gi, part, b, gamma in zip(g, parts, batch.beta, batch.gamma_applied):
-            print(f"  g = {gi:4.2f} [{part.value:6s}]  gamma = {gamma:3.1f}  "
+        for gi, name, b, gamma in zip(g, names, batch.beta, batch.gamma_applied):
+            print(f"  g = {gi:4.2f} [{name:6s}]  gamma = {gamma:3.1f}  "
                   f"beta = {b:6.3f}")
 
     print("\nThe noisy outlier at g = 0.95 keeps weight 0.4 under unit "

@@ -11,6 +11,7 @@ Run:  python3 demos/03_train_and_inspect.py
 """
 
 from dghm.experiments import ExperimentConfig, run_single
+from dghm.harmonizer import MODE_PARTITIONS, Mode
 
 
 def main():
@@ -31,13 +32,12 @@ def main():
           "(counts per bin):")
     for loss, (_, log) in results.items():
         print(f"\n  {loss}:")
-        for part, hist in log.final_histograms_two_way.items():
-            print(f"    {part.value:6s} {hist.counts.astype(int)}")
+        for part, counts in zip(MODE_PARTITIONS[Mode.DGHM], log.final_histograms_two_way):
+            print(f"    {part.value:6s} {counts.astype(int)}")
 
-    ce_hists = results["ce"][1].final_histograms_two_way
-    noisy = next(h for p, h in ce_hists.items() if p.value == "noisy")
+    _, noisy = results["ce"][1].final_histograms_two_way  # rows: clean, noisy
     print(f"\nCE noisy-partition mass in the top bin (g >= 0.9): "
-          f"{int(noisy.counts[-1])} anchors.")
+          f"{int(noisy[-1])} anchors.")
     print("Those are real objects whose annotation was dropped: the model "
           "recognizes\nthem, the label contradicts it, and plain CE keeps "
           "hammering them toward 0.\nThe decoupled loss squashes exactly that "

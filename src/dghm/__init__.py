@@ -11,14 +11,13 @@ Subpackages:
 """
 
 from .harmonizer import (
-    GradientHistogram,
+    MODE_PARTITIONS,
     HarmonizerConfig,
     LossSpec,
     Mode,
     Partition,
     build_histograms,
-    dghm_c_loss,
-    ghm_c_loss,
+    classification_loss_and_grad,
     gradient_density,
     harmonize_weights,
     partition_of,
@@ -39,14 +38,15 @@ from .model import Predictor, TrainConfig, finite_difference_check, train
 from .simdata import Box, CorruptionSpec, Scene, SceneSpec, corrupt_annotations, iou
 
 __all__ = [
-    "Box", "CorruptionSpec", "FocalParams", "GradientHistogram",
+    "MODE_PARTITIONS", "Box", "CorruptionSpec", "FocalParams",
     "HarmonizerConfig", "LossSpec", "MetricsReport", "Mode", "Partition",
     "Predictor", "SceParams", "Scene", "SceneSpec", "TrainConfig",
-    "build_histograms", "ce_grad_logit", "ce_loss", "corrupt_annotations",
-    "dghm_c_loss", "finite_difference_check", "focal_loss", "froc",
-    "ghm_c_loss", "gradient_density", "gradient_norm", "harmonize_weights",
-    "iou", "match_detections", "nfps", "operating_point", "partition_of",
-    "sce_loss", "sigmoid", "smooth_l1", "train",
+    "build_histograms", "ce_grad_logit", "ce_loss",
+    "classification_loss_and_grad", "corrupt_annotations",
+    "finite_difference_check", "focal_loss", "froc", "gradient_density",
+    "gradient_norm", "harmonize_weights", "iou", "match_detections", "nfps",
+    "operating_point", "partition_of", "sce_loss", "sigmoid", "smooth_l1",
+    "train",
 ]
 
 __version__ = "0.1.0"

@@ -21,11 +21,9 @@ import numpy as np
 
 from . import metrics as M
 from .harmonizer import (
-    GradientHistogram,
     HarmonizerConfig,
     LossSpec,
     Mode,
-    Partition,
     export_curves_csv,
     export_histograms_csv,
     load_histograms_csv,
@@ -421,9 +419,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     base = cfg.harmonizer
     mu_tasks = []
     for mu_n, mu_c in cfg.mu_grid:
-        h = HarmonizerConfig(mode=Mode.DGHM, bin_count=base.bin_count, mu_n=mu_n,
-                             mu_c=mu_c, outlier_threshold=base.outlier_threshold,
-                             n_convention=base.n_convention)
+        h = dataclasses.replace(base, mode=Mode.DGHM, mu_n=mu_n, mu_c=mu_c)
         mu_tasks += [(cfg, "dghm_c", cfg.eta, 0, seed, h) for seed in cfg.seeds]
     mu_records = run_many(mu_tasks, jobs=jobs)
     write_run_rows(out_dir / "ablate_mu_runs.csv", mu_records)
@@ -440,9 +436,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 
     lam_tasks = []
     for lam in cfg.lambda_grid:
-        h = HarmonizerConfig(mode=Mode.DGHM, bin_count=base.bin_count,
-                             mu_n=base.mu_n, mu_c=base.mu_c,
-                             outlier_threshold=lam, n_convention=base.n_convention)
+        h = dataclasses.replace(base, mode=Mode.DGHM, outlier_threshold=lam)
         lam_tasks += [(cfg, "dghm_c", cfg.eta, 0, seed, h) for seed in cfg.seeds]
     lam_records = run_many(lam_tasks, jobs=jobs)
     write_run_rows(out_dir / "ablate_lambda_runs.csv", lam_records)
@@ -482,16 +476,14 @@ def cmd_export_figures(run_dir, out_dir, harmonizer: HarmonizerConfig | None = N
     curves = {}
     curves["ce"] = reformulated_gradient_curve(LossSpec(kind="ce"))
     curves["focal"] = reformulated_gradient_curve(LossSpec(kind="focal"))
-    ghm_spec = LossSpec(kind="ghm_c")
-    pooled_counts = sum(h.counts for h in hists2.values())
-    pooled = {Partition.POOLED: GradientHistogram(harmonizer.bin_count, pooled_counts)}
-    curves["ghm_c"] = reformulated_gradient_curve(ghm_spec, histograms=pooled,
-                                                  partition=Partition.POOLED)
+    curves["ghm_c"] = reformulated_gradient_curve(LossSpec(kind="ghm_c"),
+                                                  histograms=hists2.sum(axis=0))
+    # rows of a two-way histogram set: code 0 is clean, code 1 noisy
     dghm_spec = LossSpec(kind="dghm_c", harmonizer=harmonizer)
     curves["dghm_c_clean"] = reformulated_gradient_curve(
-        dghm_spec, histograms=hists2, partition=Partition.CLEAN)
+        dghm_spec, histograms=hists2, partition=0)
     curves["dghm_c_noisy"] = reformulated_gradient_curve(
-        dghm_spec, histograms=hists2, partition=Partition.NOISY)
+        dghm_spec, histograms=hists2, partition=1)
     export_curves_csv(out_dir / "reformulated_gradient_curves.csv", curves)
     hist3_path = run_dir / "gradient_hist_three_way.csv"
     if hist3_path.exists():

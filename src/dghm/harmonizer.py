@@ -14,6 +14,9 @@ outliers) and is 1 otherwise.  Three modes are supported:
 * DGHM_STAR -- three histograms: abnormal-positive, abnormal-negative,
                normal-negative.
 
+An example's partition is an integer code indexing MODE_PARTITIONS[mode], and
+a mode's histograms are one (M, B) array of bin counts whose rows follow the
+same order, so the three modes share one weighted-CE kernel with M = 1, 2 or 3.
 Weights are constants of the current batch: no gradient ever flows through
 the histogram or beta.
 """
@@ -21,7 +24,7 @@ the histogram or beta.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -56,15 +59,18 @@ class Partition(str, Enum):
     NP_NEG = "np_neg"
 
 
-#: Partitions a mode can produce, in canonical order.
+#: Partitions a mode can produce, in canonical order: partition codes and
+#: histogram rows index this tuple.
 MODE_PARTITIONS = {
     Mode.GHM: (Partition.POOLED,),
     Mode.DGHM: (Partition.CLEAN, Partition.NOISY),
     Mode.DGHM_STAR: (Partition.AP_POS, Partition.AP_NEG, Partition.NP_NEG),
 }
 
-#: Partitions whose labels may be wrong (negatives in abnormal scenes).
-NOISY_PARTITIONS = frozenset({Partition.NOISY, Partition.AP_NEG})
+#: Per mode, a boolean mask over its partitions: the rows whose labels may be
+#: wrong (negatives in abnormal scenes).
+NOISY_ROWS = {mode: np.array([part in (Partition.NOISY, Partition.AP_NEG) for part in parts])
+              for mode, parts in MODE_PARTITIONS.items()}
 
 
 @dataclass(frozen=True)
@@ -91,40 +97,6 @@ class HarmonizerConfig:
         object.__setattr__(self, "mode", Mode(self.mode))
 
 
-@dataclass
-class GradientHistogram:
-    """Binned counts of gradient norms over [0, 1].
-
-    Bins are half-open [k*eps, (k+1)*eps) except the last, which is closed
-    at 1.  Counts may be fractional when EMA smoothing is active.
-    """
-
-    bin_count: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.float64)
-        if self.counts.shape != (self.bin_count,):
-            raise ValueError("counts must have one entry per bin")
-
-    @property
-    def bin_width(self) -> float:
-        return 1.0 / self.bin_count
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-    @classmethod
-    def from_values(cls, g, bin_count: int) -> "GradientHistogram":
-        g = np.asarray(g, dtype=np.float64)
-        if g.size and (g.min() < 0.0 or g.max() > 1.0):
-            raise ValueError("gradient norms must lie in [0, 1]")
-        idx = bin_index(g, bin_count)
-        counts = np.bincount(idx, minlength=bin_count).astype(np.float64)
-        return cls(bin_count=bin_count, counts=counts)
-
-
 def bin_index(g, bin_count: int):
     """Bin of g under the half-open convention; g = 1 falls in the last bin."""
     g = np.asarray(g, dtype=np.float64)
@@ -138,191 +110,140 @@ def valid_length(g, bin_count: int):
     return np.minimum(g + half, 1.0) - np.maximum(g - half, 0.0)
 
 
-def gradient_density(hist: GradientHistogram, g):
-    """GD(g) = count of the bin containing g divided by the clipped region length.
-
-    An empty bin counts as 1 so the density is always positive; that floor can
-    only fire for curve sampling, never for a g that was itself binned.
-    """
-    g = np.asarray(g, dtype=np.float64)
+def _check_unit_range(g):
     if g.size and (g.min() < 0.0 or g.max() > 1.0):
         raise ValueError("gradient norms must lie in [0, 1]")
-    count = np.maximum(hist.counts[bin_index(g, hist.bin_count)], 1.0)
-    return count / valid_length(g, hist.bin_count)
 
 
-def partition_of(p_star, a, mode: Mode):
-    """Map (given label, scene attribute) to the partition for this mode.
+def histogram_counts(g, codes, n_partitions: int, bin_count: int):
+    """(M, B) integer bin counts: row m counts the gradient norms with code m.
 
-    Vectorized; returns an object array of Partition members for array input
-    or a single Partition for scalars.
+    Bins are half-open [k/B, (k+1)/B) except the last, which is closed at 1.
     """
-    mode = Mode(mode)
-    p_star = np.asarray(p_star)
-    a = np.asarray(a)
-    scalar = p_star.ndim == 0
-    p_star = np.atleast_1d(p_star).astype(np.int64)
-    a = np.atleast_1d(a).astype(np.int64)
-    n = p_star.size
-    # np.full would coerce the str-backed enum members to plain strings
-    if mode is Mode.GHM:
-        out = np.array([Partition.POOLED] * n, dtype=object)
-    elif mode is Mode.DGHM:
-        out = np.array([Partition.CLEAN] * n, dtype=object)
-        out[(p_star == 0) & (a == 1)] = Partition.NOISY
-    else:
-        if np.any((p_star == 1) & (a == 0)):
-            raise ValueError("a positive label in a normal scene is inconsistent")
-        out = np.array([Partition.NP_NEG] * n, dtype=object)
-        out[(p_star == 1) & (a == 1)] = Partition.AP_POS
-        out[(p_star == 0) & (a == 1)] = Partition.AP_NEG
-    return out[0] if scalar else out
+    flat = np.asarray(codes, dtype=np.int64) * bin_count + bin_index(g, bin_count)
+    counts = np.bincount(flat, minlength=n_partitions * bin_count)
+    return counts.reshape(n_partitions, bin_count)
 
 
-def partition_mask(parts, part: Partition):
-    """Boolean mask of entries equal to the given partition.
+def build_histograms(g, codes, cfg: HarmonizerConfig):
+    """One row of bin counts per partition of cfg.mode, as an (M, B) float array.
 
-    Numpy's broadcast `==` stringifies the enum scalar, so compare explicitly.
+    Rows follow MODE_PARTITIONS[cfg.mode]; an empty partition gets a zero row.
+    Counts are floats because EMA smoothing makes them fractional.
     """
-    parts = np.asarray(parts, dtype=object)
-    return np.fromiter((x is part for x in parts), dtype=bool, count=parts.size)
-
-
-def build_histograms(g, parts, cfg: HarmonizerConfig):
-    """One histogram per partition of cfg.mode (empty partitions get zero counts)."""
     g = np.asarray(g, dtype=np.float64)
-    parts = np.asarray(parts, dtype=object)
-    if g.shape != parts.shape:
-        raise ValueError("g and parts must have equal length")
-    hists = {}
-    for part in MODE_PARTITIONS[cfg.mode]:
-        mask = partition_mask(parts, part)
-        hists[part] = GradientHistogram.from_values(g[mask], cfg.bin_count)
-    return hists
+    if g.shape != np.shape(codes):
+        raise ValueError("g and codes must have equal length")
+    _check_unit_range(g)
+    counts = histogram_counts(g, codes, len(MODE_PARTITIONS[cfg.mode]), cfg.bin_count)
+    return counts.astype(np.float64)
 
 
 class EmaHistograms:
-    """Optional cross-iteration exponential moving average of bin counts.
+    """Cross-iteration exponential moving average of (M, B) bin counts.
 
     With momentum m, smoothed counts are m * previous + (1 - m) * current.
-    Disabled (pass-through) when cfg.momentum == 0.
+    The first batch and m = 0 pass the counts through.
     """
 
     def __init__(self, cfg: HarmonizerConfig):
-        self.cfg = cfg
-        self._state: dict[Partition, np.ndarray] = {}
+        self.momentum = cfg.momentum
+        self.counts = None  # the last smoothed counts
 
-    def update(self, hists):
-        if self.cfg.momentum == 0.0:
-            return hists
-        m = self.cfg.momentum
-        smoothed = {}
-        for part, hist in hists.items():
-            prev = self._state.get(part)
-            counts = hist.counts if prev is None else m * prev + (1.0 - m) * hist.counts
-            self._state[part] = counts
-            smoothed[part] = GradientHistogram(hist.bin_count, counts.copy())
-        return smoothed
+    def update(self, counts):
+        if self.counts is not None and self.momentum != 0.0:
+            counts = self.momentum * self.counts + (1.0 - self.momentum) * counts
+        self.counts = counts
+        return counts
+
+
+def gradient_density(counts, g, codes=0):
+    """GD(g) = count of g's bin in row `codes` of the counts / clipped region length.
+
+    counts is an (M, B) histogram set or a single (B,) row; codes picks the
+    row of each g.  An empty bin counts as 1 so the density is always
+    positive; that floor can only fire for curve sampling, never for a g that
+    was itself binned.
+    """
+    counts = np.atleast_2d(counts)
+    g = np.asarray(g, dtype=np.float64)
+    _check_unit_range(g)
+    bin_count = counts.shape[1]
+    count = np.maximum(counts[codes, bin_index(g, bin_count)], 1.0)
+    return count / valid_length(g, bin_count)
+
+
+def partition_of(p_star, a, mode: Mode):
+    """Partition code of each (given label, scene attribute) pair.
+
+    Codes are int64 indices into MODE_PARTITIONS[mode]: GHM gives 0 (pooled);
+    DGHM gives 0 (clean) or 1 (noisy: a negative in an abnormal scene); DGHM*
+    gives 0 (abnormal positive), 1 (abnormal negative) or 2 (normal negative).
+    """
+    mode = Mode(mode)
+    p_star = np.asarray(p_star).astype(np.int64)
+    a = np.asarray(a).astype(np.int64)
+    if mode is Mode.GHM:
+        return np.zeros(p_star.shape, dtype=np.int64)
+    abnormal_neg = (p_star == 0) & (a == 1)
+    if mode is Mode.DGHM:
+        return abnormal_neg.astype(np.int64)
+    if np.any((p_star == 1) & (a == 0)):
+        raise ValueError("a positive label in a normal scene is inconsistent")
+    return np.where(p_star == 1, 0, np.where(abnormal_neg, 1, 2)).astype(np.int64)
 
 
 @dataclass
 class HarmonizedBatch:
-    """Per-example harmonizer outputs plus the batch bookkeeping constants."""
+    """Per-example outputs of the classification kernel plus the batch constants.
+
+    g is set for every loss kind.  beta, and M for the normalizer, are set for
+    harmonized kinds; codes, gamma_applied and histograms (the (M, B) counts
+    beta was computed from) only when the weights were harmonized here rather
+    than fixed by the caller.
+    """
 
     g: np.ndarray
-    partitions: np.ndarray
-    beta: np.ndarray
-    gamma_applied: np.ndarray
-    histograms: dict
-    M: int  # number of gradient-norm distributions (1, 2 or 3 by mode)
     N: int  # batch size
+    M: int = 1  # number of gradient-norm distributions (1, 2 or 3 by mode)
+    codes: np.ndarray | None = None
+    beta: np.ndarray | None = None
+    gamma_applied: np.ndarray | None = None
+    histograms: np.ndarray | None = None
 
 
-def harmonize_weights(g, parts, cfg: HarmonizerConfig, histograms=None) -> HarmonizedBatch:
+def harmonize_weights(g, codes, cfg: HarmonizerConfig, histograms=None) -> HarmonizedBatch:
     """Compute beta_i = N' / GD(g_i)^{gamma_i} for every example.
 
-    N' is the total batch size under the "total" convention or the example's
-    partition size under "partition".  GD is evaluated on the example's own
-    partition histogram (the pooled histogram in GHM mode).  In GHM mode the
+    N' is the total batch size under the "total" convention or the size of the
+    example's partition in this batch under "partition".  GD is evaluated on
+    the example's own histogram row (the pooled row in GHM mode), taken from
+    `histograms` when given and from this batch otherwise.  In GHM mode the
     exponent is always 1.
     """
     g = np.asarray(g, dtype=np.float64)
-    parts = np.asarray(parts, dtype=object)
-    if g.shape != parts.shape:
-        raise ValueError("g and parts must have equal length")
+    codes = np.asarray(codes, dtype=np.int64)
+    if g.shape != codes.shape:
+        raise ValueError("g and codes must have equal length")
     if histograms is None:
-        histograms = build_histograms(g, parts, cfg)
-    n_total = g.size
-    beta = np.empty(n_total, dtype=np.float64)
-    gamma = np.ones(n_total, dtype=np.float64)
-    for part, hist in histograms.items():
-        mask = partition_mask(parts, part)
-        if not np.any(mask):
-            continue
-        gp = g[mask]
-        gd = gradient_density(hist, gp)
-        gp_gamma = np.ones(gp.size, dtype=np.float64)
-        if cfg.mode is not Mode.GHM:
-            outlier = gp >= cfg.outlier_threshold
-            gp_gamma[outlier] = cfg.mu_n if part in NOISY_PARTITIONS else cfg.mu_c
-        n_prime = n_total if cfg.n_convention == "total" else int(np.count_nonzero(mask))
-        beta[mask] = n_prime / gd**gp_gamma
-        gamma[mask] = gp_gamma
-    return HarmonizedBatch(
-        g=g,
-        partitions=parts,
-        beta=beta,
-        gamma_applied=gamma,
-        histograms=histograms,
-        M=len(MODE_PARTITIONS[cfg.mode]),
-        N=n_total,
-    )
-
-
-def ghm_c_loss(logits, p_star, cfg: HarmonizerConfig = None, histograms=None):
-    """Pooled-histogram harmonized CE: (1/N) sum beta_i * CE_i.
-
-    Returns (scalar loss, beta weights).
-    """
-    if cfg is None:
-        cfg = HarmonizerConfig(mode=Mode.GHM)
+        histograms = build_histograms(g, codes, cfg)
+    m, n = len(MODE_PARTITIONS[cfg.mode]), g.size
+    gd = gradient_density(histograms, g, codes)
+    gamma = np.ones(n, dtype=np.float64)
     if cfg.mode is not Mode.GHM:
-        raise ValueError("ghm_c_loss requires GHM mode")
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.size == 0:
-        raise ValueError("empty batch")
-    p = sigmoid(logits)
-    p_star = np.asarray(p_star, dtype=np.float64)
-    g = gradient_norm(p, p_star)
-    parts = partition_of(p_star, np.zeros_like(p_star), cfg.mode)
-    batch = harmonize_weights(g, parts, cfg, histograms=histograms)
-    loss = float(np.sum(batch.beta * ce_loss(p, p_star)) / batch.N)
-    return loss, batch.beta
-
-
-def dghm_c_loss(logits, p_star, a, cfg: HarmonizerConfig, histograms=None):
-    """Decoupled harmonized CE: (1/(M*N)) sum beta_i * CE_i.
-
-    Returns (scalar loss, HarmonizedBatch).  M is fixed by the mode (2 or 3)
-    even when a partition is empty in this batch.
-    """
-    if cfg.mode is Mode.GHM:
-        raise ValueError("dghm_c_loss requires DGHM or DGHM_STAR mode")
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.size == 0:
-        raise ValueError("empty batch")
-    p = sigmoid(logits)
-    p_star = np.asarray(p_star, dtype=np.float64)
-    g = gradient_norm(p, p_star)
-    parts = partition_of(p_star, a, cfg.mode)
-    batch = harmonize_weights(g, parts, cfg, histograms=histograms)
-    loss = float(np.sum(batch.beta * ce_loss(p, p_star)) / (batch.M * batch.N))
-    return loss, batch
+        outlier = g >= cfg.outlier_threshold
+        gamma[outlier] = np.where(NOISY_ROWS[cfg.mode][codes[outlier]], cfg.mu_n, cfg.mu_c)
+    n_prime = n if cfg.n_convention == "total" else np.bincount(codes, minlength=m)[codes]
+    return HarmonizedBatch(g=g, N=n, M=m, codes=codes, beta=n_prime / gd**gamma,
+                           gamma_applied=gamma, histograms=histograms)
 
 
 # ---------------------------------------------------------------------------
 # Loss selection used by the trainer and the experiment runner.
 # ---------------------------------------------------------------------------
+
+#: Harmonized loss kinds and the mode each one forces.
+HARMONIZED_MODES = {"ghm_c": Mode.GHM, "dghm_c": Mode.DGHM, "dghm_c_star": Mode.DGHM_STAR}
 
 
 @dataclass(frozen=True)
@@ -340,77 +261,57 @@ class LossSpec:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         # force the harmonizer mode to agree with the tag
-        if self.kind == "ghm_c" and self.harmonizer.mode is not Mode.GHM:
-            object.__setattr__(self, "harmonizer", HarmonizerConfig(
-                mode=Mode.GHM, bin_count=self.harmonizer.bin_count,
-                momentum=self.harmonizer.momentum))
-        if self.kind == "dghm_c" and self.harmonizer.mode is not Mode.DGHM:
-            object.__setattr__(self, "harmonizer", _with_mode(self.harmonizer, Mode.DGHM))
-        if self.kind == "dghm_c_star" and self.harmonizer.mode is not Mode.DGHM_STAR:
-            object.__setattr__(self, "harmonizer", _with_mode(self.harmonizer, Mode.DGHM_STAR))
+        if self.is_harmonized:
+            object.__setattr__(self, "harmonizer", replace(
+                self.harmonizer, mode=HARMONIZED_MODES[self.kind]))
 
     @property
     def is_harmonized(self) -> bool:
-        return self.kind in ("ghm_c", "dghm_c", "dghm_c_star")
+        return self.kind in HARMONIZED_MODES
 
 
-def _with_mode(cfg: HarmonizerConfig, mode: Mode) -> HarmonizerConfig:
-    return HarmonizerConfig(
-        mode=mode, bin_count=cfg.bin_count, mu_n=cfg.mu_n, mu_c=cfg.mu_c,
-        outlier_threshold=cfg.outlier_threshold, n_convention=cfg.n_convention,
-        momentum=cfg.momentum)
+def classification_loss_and_grad(logits, p_star, a, spec: LossSpec, ema=None, beta=None):
+    """Batch classification loss, per-example d(loss)/d(logit) and batch record.
 
+    Returns (loss, dlogit, HarmonizedBatch).  Un-harmonized kinds take the
+    batch mean of their per-example loss.  Harmonized kinds (GHM, DGHM and
+    DGHM* alike) take (1/(M*N)) sum beta_i * CE_i, with beta computed from the
+    current logits and then frozen: the returned gradient treats it as
+    constant.  GHM is the one-partition case, M = 1.
 
-def classification_loss_and_grad(logits, p_star, a, spec: LossSpec, histograms=None):
-    """Batch-mean classification loss plus per-example d(loss)/d(logit).
-
-    Harmonizer weights (beta) are computed from the current logits and then
-    frozen: the returned gradient treats them as constants.
+    ema, an EmaHistograms carried across batches, smooths this batch's counts
+    before the weights are computed.  A fixed beta skips harmonizing: the
+    kernel only applies the given weights.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    p = sigmoid(logits)
-    p_star = np.asarray(p_star, dtype=np.float64)
     n = logits.size
     if n == 0:
         raise ValueError("empty batch")
-    if spec.kind == "ce":
-        loss = float(np.mean(ce_loss(p, p_star)))
-        dlogit = ce_grad_logit(p, p_star) / n
-    elif spec.kind == "focal":
-        loss = float(np.mean(focal_loss(p, p_star, spec.focal)))
-        dlogit = focal_grad_logit(p, p_star, spec.focal) / n
-    elif spec.kind == "sce":
-        loss = float(np.mean(sce_loss(p, p_star, spec.sce)))
-        dlogit = sce_grad_logit(p, p_star, spec.sce) / n
-    elif spec.kind == "ghm_c":
-        loss, beta = ghm_c_loss(logits, p_star, spec.harmonizer,
-                                histograms=histograms)
-        dlogit = beta * ce_grad_logit(p, p_star) / n
-    else:
-        loss, batch = dghm_c_loss(logits, p_star, a, spec.harmonizer, histograms=histograms)
-        dlogit = batch.beta * ce_grad_logit(p, p_star) / (batch.M * batch.N)
-    return loss, dlogit
-
-
-def frozen_classification_loss(logits, p_star, spec: LossSpec, beta=None, m: int = 1):
-    """Loss value with externally fixed harmonizer weights.
-
-    Used by the finite-difference harness: beta is computed once at the
-    unperturbed point and kept constant while parameters move.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
     p = sigmoid(logits)
     p_star = np.asarray(p_star, dtype=np.float64)
-    n = logits.size
-    if spec.kind == "ce":
-        return float(np.mean(ce_loss(p, p_star)))
-    if spec.kind == "focal":
-        return float(np.mean(focal_loss(p, p_star, spec.focal)))
-    if spec.kind == "sce":
-        return float(np.mean(sce_loss(p, p_star, spec.sce)))
+    g = gradient_norm(p, p_star)
+    if not spec.is_harmonized:
+        if spec.kind == "ce":
+            per, grad = ce_loss(p, p_star), ce_grad_logit(p, p_star)
+        elif spec.kind == "focal":
+            per = focal_loss(p, p_star, spec.focal)
+            grad = focal_grad_logit(p, p_star, spec.focal)
+        else:
+            per, grad = sce_loss(p, p_star, spec.sce), sce_grad_logit(p, p_star, spec.sce)
+        return float(np.mean(per)), grad / n, HarmonizedBatch(g=g, N=n)
+    cfg = spec.harmonizer
     if beta is None:
-        raise ValueError("harmonized losses need frozen beta weights")
-    return float(np.sum(beta * ce_loss(p, p_star)) / (m * n))
+        codes = partition_of(p_star, a, cfg.mode)
+        counts = build_histograms(g, codes, cfg)
+        if ema is not None:
+            counts = ema.update(counts)
+        batch = harmonize_weights(g, codes, cfg, histograms=counts)
+    else:
+        batch = HarmonizedBatch(g=g, N=n, M=len(MODE_PARTITIONS[cfg.mode]),
+                                beta=np.asarray(beta, dtype=np.float64))
+    loss = float(np.sum(batch.beta * ce_loss(p, p_star)) / (batch.M * n))
+    dlogit = batch.beta * ce_grad_logit(p, p_star) / (batch.M * n)
+    return loss, dlogit, batch
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +319,14 @@ def frozen_classification_loss(logits, p_star, spec: LossSpec, beta=None, m: int
 # ---------------------------------------------------------------------------
 
 
-def reformulated_gradient_curve(spec: LossSpec, histograms=None, partition=None,
+def reformulated_gradient_curve(spec: LossSpec, histograms=None, partition: int = 0,
                                 samples: int = 201):
     """Sampled (g, effective gradient contribution) curve over [0, 1].
 
     CE gives the identity curve; focal gives the analytic modulated gradient
     magnitude for a foreground example at p = 1 - g; harmonized losses emit
-    beta(g) * g evaluated on the supplied histogram for the requested
-    partition.
+    beta(g) * g evaluated on row `partition` (a partition code) of the
+    supplied (M, B) histograms.
     """
     g = np.linspace(0.0, 1.0, samples)
     if spec.kind == "ce":
@@ -443,52 +344,48 @@ def reformulated_gradient_curve(spec: LossSpec, histograms=None, partition=None,
     if histograms is None:
         raise ValueError("harmonized curves need a fitted histogram")
     cfg = spec.harmonizer
-    if partition is None:
-        partition = next(iter(histograms))
-    hist = histograms[partition]
-    gd = gradient_density(hist, g)
+    counts = np.atleast_2d(histograms)
+    gd = gradient_density(counts, g, partition)
     gamma = np.ones_like(g)
     if cfg.mode is not Mode.GHM:
         outlier = g >= cfg.outlier_threshold
-        gamma[outlier] = cfg.mu_n if partition in NOISY_PARTITIONS else cfg.mu_c
-    n_prime = sum(h.total for h in histograms.values()) if cfg.n_convention == "total" else hist.total
+        gamma[outlier] = cfg.mu_n if NOISY_ROWS[cfg.mode][partition] else cfg.mu_c
+    n_prime = counts.sum() if cfg.n_convention == "total" else counts[partition].sum()
     beta = n_prime / gd**gamma
     return g, beta * g
 
 
 def export_histograms_csv(path, mode: Mode, histograms):
-    """Write (mode, partition, bin_index, bin_low, bin_high, count) rows."""
+    """Write (mode, partition, bin_index, bin_low, bin_high, count) rows.
+
+    histograms is the (M, B) counts array, rows following MODE_PARTITIONS[mode].
+    """
     mode = Mode(mode)
+    counts = np.asarray(histograms, dtype=np.float64)
+    eps = 1.0 / counts.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "partition", "bin_index", "bin_low", "bin_high", "count"])
-        for part in MODE_PARTITIONS[mode]:
-            hist = histograms[part]
-            eps = hist.bin_width
-            for k in range(hist.bin_count):
+        for part, row in zip(MODE_PARTITIONS[mode], counts):
+            for k, count in enumerate(row):
                 writer.writerow([mode.value, part.value, k,
                                  f"{k * eps:.10g}", f"{(k + 1) * eps:.10g}",
-                                 f"{hist.counts[k]:.10g}"])
+                                 f"{count:.10g}"])
 
 
 def load_histograms_csv(path):
-    """Inverse of export_histograms_csv; returns (mode, {partition: histogram})."""
-    rows = []
+    """Inverse of export_histograms_csv; returns (mode, (M, B) counts array)."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(row)
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"no histogram rows in {path}")
     mode = Mode(rows[0]["mode"])
-    hists = {}
-    by_part: dict[str, list] = {}
+    parts = MODE_PARTITIONS[mode]
+    counts = np.zeros((len(parts), 1 + max(int(r["bin_index"]) for r in rows)))
     for row in rows:
-        by_part.setdefault(row["partition"], []).append(row)
-    for part_name, part_rows in by_part.items():
-        part_rows.sort(key=lambda r: int(r["bin_index"]))
-        counts = np.array([float(r["count"]) for r in part_rows])
-        hists[Partition(part_name)] = GradientHistogram(len(part_rows), counts)
-    return mode, hists
+        counts[parts.index(Partition(row["partition"])), int(row["bin_index"])] = \
+            float(row["count"])
+    return mode, counts
 
 
 def export_curves_csv(path, curves):

@@ -22,17 +22,15 @@ from .harmonizer import (
     Mode,
     build_histograms,
     classification_loss_and_grad,
-    frozen_classification_loss,
-    harmonize_weights,
-    partition_mask,
+    histogram_counts,
     partition_of,
 )
-from .losses import ce_grad_logit, gradient_norm, sigmoid, smooth_l1, smooth_l1_grad
+from .losses import gradient_norm, sigmoid, smooth_l1, smooth_l1_grad
 from .simdata import AnchorPool, sample_minibatch
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss becomes non-finite during training."""
+    """Raised when the loss, a gradient or a parameter becomes non-finite."""
 
 
 @dataclass
@@ -128,11 +126,17 @@ class Batch:
 
 
 def batch_loss_and_grads(model: Predictor, batch: Batch, spec: LossSpec,
-                         reg_weight: float = 1.0, histograms=None):
-    """Total loss of the selected spec plus analytic parameter gradients."""
+                         reg_weight: float = 1.0, ema=None, beta=None):
+    """Total loss of the selected spec plus analytic parameter gradients.
+
+    Returns (loss, weight grads, bias grads, HarmonizedBatch): the last is the
+    classification kernel's record of the batch (gradient norms for every
+    kind; beta and the harmonizer counts for harmonized kinds).  ema and beta
+    go to classification_loss_and_grad.
+    """
     logits, offsets, cache = forward(model, batch.features)
-    cls_loss, dlogit = classification_loss_and_grad(
-        logits, batch.p_star, batch.a, spec, histograms=histograms)
+    cls_loss, dlogit, harmonized = classification_loss_and_grad(
+        logits, batch.p_star, batch.a, spec, ema=ema, beta=beta)
     n_pos = int(np.count_nonzero(batch.is_positive))
     doffsets = np.zeros_like(offsets)
     reg_loss = 0.0
@@ -141,7 +145,7 @@ def batch_loss_and_grads(model: Predictor, batch: Batch, spec: LossSpec,
         reg_loss = float(np.sum(smooth_l1(diff)) / n_pos)
         doffsets[batch.is_positive] = reg_weight * smooth_l1_grad(diff) / n_pos
     grads_w, grads_b = backward(model, cache, dlogit, doffsets)
-    return cls_loss + reg_weight * reg_loss, grads_w, grads_b
+    return cls_loss + reg_weight * reg_loss, grads_w, grads_b, harmonized
 
 
 def finite_difference_check(model: Predictor, batch: Batch, spec: LossSpec,
@@ -164,38 +168,12 @@ def finite_difference_check(model: Predictor, batch: Batch, spec: LossSpec,
             t[near_kink] += 0.01
             batch.targets[batch.is_positive] = t
 
-    beta = None
-    m = 1
-    if spec.is_harmonized:
-        p = sigmoid(logits0)
-        g = gradient_norm(p, batch.p_star)
-        parts = partition_of(batch.p_star, batch.a, spec.harmonizer.mode)
-        hb = harmonize_weights(g, parts, spec.harmonizer)
-        beta, m = hb.beta, hb.M if spec.kind != "ghm_c" else 1
+    beta = classification_loss_and_grad(logits0, batch.p_star, batch.a, spec)[2].beta
 
-    def loss_at(params_model):
-        logits, offsets, _ = forward(params_model, batch.features)
-        cls = frozen_classification_loss(logits, batch.p_star, spec, beta=beta, m=m)
-        reg = 0.0
-        n_pos = int(np.count_nonzero(batch.is_positive))
-        if n_pos:
-            d = offsets[batch.is_positive] - batch.targets[batch.is_positive]
-            reg = float(np.sum(smooth_l1(d)) / n_pos)
-        return cls + reg_weight * reg
+    def loss_and_grads(params_model):
+        return batch_loss_and_grads(params_model, batch, spec, reg_weight, beta=beta)
 
-    # analytic gradients with the same frozen weights
-    logits, offsets, cache = forward(model, batch.features)
-    if spec.is_harmonized:
-        p = sigmoid(logits)
-        dlogit = beta * ce_grad_logit(p, batch.p_star) / (m * logits.size)
-    else:
-        _, dlogit = classification_loss_and_grad(logits, batch.p_star, batch.a, spec)
-    doffsets = np.zeros_like(offsets)
-    n_pos = int(np.count_nonzero(batch.is_positive))
-    if n_pos:
-        d = offsets[batch.is_positive] - batch.targets[batch.is_positive]
-        doffsets[batch.is_positive] = reg_weight * smooth_l1_grad(d) / n_pos
-    grads_w, grads_b = backward(model, cache, dlogit, doffsets)
+    _, grads_w, grads_b, _ = loss_and_grads(model)
     analytic = grads_w + grads_b
     params = model.weights + model.biases
 
@@ -212,9 +190,9 @@ def finite_difference_check(model: Predictor, batch: Batch, spec: LossSpec,
     for pi, idx in coords:
         orig = work_params[pi][idx]
         work_params[pi][idx] = orig + step
-        up = loss_at(work)
+        up = loss_and_grads(work)[0]
         work_params[pi][idx] = orig - step
-        down = loss_at(work)
+        down = loss_and_grads(work)[0]
         work_params[pi][idx] = orig
         fd = (up - down) / (2.0 * step)
         an = analytic[pi][idx]
@@ -288,64 +266,59 @@ class EpochRecord:
 @dataclass
 class TrainLog:
     epochs: list
-    final_histograms_two_way: dict
-    final_histograms_three_way: dict
-    epoch_histograms: list  # per epoch: {partition: counts over training batches}
+    final_histograms_two_way: np.ndarray  # (2, 10) pool counts, rows clean/noisy
+    final_histograms_three_way: np.ndarray  # (3, 10) rows ap_pos/ap_neg/np_neg
+    epoch_histograms: list  # per epoch: (2, 10) clean/noisy counts over training batches
 
 
 def pool_gradient_histograms(model: Predictor, pool: AnchorPool, mode: Mode,
                              bin_count: int = 10):
-    """Gradient-norm histograms of the current model over the whole pool."""
+    """(M, B) gradient-norm histograms of the current model over the whole pool."""
     logits, _, _ = forward(model, pool.features)
     g = gradient_norm(sigmoid(logits), pool.p_star)
-    parts = partition_of(pool.p_star, pool.a, mode)
-    cfg = HarmonizerConfig(mode=mode, bin_count=bin_count)
-    return build_histograms(g, parts, cfg)
+    codes = partition_of(pool.p_star, pool.a, mode)
+    return build_histograms(g, codes, HarmonizerConfig(mode=mode, bin_count=bin_count))
+
+
+def _check_finite(what: str, arrays, epoch: int, step: int):
+    if not all(np.all(np.isfinite(arr)) for arr in arrays):
+        raise TrainingDiverged(f"non-finite {what} at epoch {epoch}, step {step}")
 
 
 def train(pool: AnchorPool, cfg: TrainConfig):
     """Seeded training loop: sample -> forward -> harmonize -> backward -> Adam.
 
-    Returns (trained model, TrainLog).  Raises TrainingDiverged on non-finite
-    loss.
+    Returns (trained model, TrainLog).  Raises TrainingDiverged on a non-finite
+    loss or gradient before the update and on a non-finite parameter after it,
+    naming the epoch and the 0-based step.
     """
     model = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     state = AdamState.for_model(model)
     rng = np.random.default_rng([cfg.seed, 0xD64])
     lr = cfg.learning_rate
-    spec = cfg.loss_spec
-    ema = EmaHistograms(spec.harmonizer) if spec.is_harmonized else None
+    ema = EmaHistograms(cfg.loss_spec.harmonizer)
     records = []
     epoch_hists = []
     for epoch in range(cfg.epochs):
         if epoch in cfg.decay_epochs:
             lr *= cfg.decay_factor
         losses = []
-        hist_acc: dict = {}
+        hist_acc = np.zeros((2, 10), dtype=np.int64)
         for _ in range(cfg.steps_per_epoch):
+            step = state.step
             idx = sample_minibatch(pool, cfg.batch_size, rng)
             batch = Batch.from_pool(pool, idx)
-            histograms = None
-            if spec.is_harmonized and spec.harmonizer.momentum > 0.0:
-                logits, _, _ = forward(model, batch.features)
-                g = gradient_norm(sigmoid(logits), batch.p_star)
-                parts = partition_of(batch.p_star, batch.a, spec.harmonizer.mode)
-                histograms = ema.update(build_histograms(g, parts, spec.harmonizer))
-            loss, grads_w, grads_b = batch_loss_and_grads(
-                model, batch, spec, reg_weight=cfg.reg_weight, histograms=histograms)
+            loss, grads_w, grads_b, harmonized = batch_loss_and_grads(
+                model, batch, cfg.loss_spec, reg_weight=cfg.reg_weight, ema=ema)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
-                    f"non-finite loss {loss!r} at epoch {epoch}, step {state.step}")
-            # batch gradient-norm bookkeeping for the per-epoch export
-            logits_now, _, _ = forward(model, batch.features)
-            g_now = gradient_norm(sigmoid(logits_now), batch.p_star)
-            parts_now = partition_of(batch.p_star, batch.a, Mode.DGHM)
-            for part in set(parts_now.tolist()):
-                mask = partition_mask(parts_now, part)
-                counts = np.bincount(
-                    np.minimum((g_now[mask] * 10).astype(int), 9), minlength=10)
-                hist_acc[part] = hist_acc.get(part, np.zeros(10, dtype=np.int64)) + counts
+                    f"non-finite loss {loss!r} at epoch {epoch}, step {step}")
+            _check_finite("gradient", grads_w + grads_b, epoch, step)
+            # clean/noisy gradient-norm bookkeeping for the per-epoch log
+            hist_acc += histogram_counts(
+                harmonized.g, partition_of(batch.p_star, batch.a, Mode.DGHM), 2, 10)
             adam_step(model, state, grads_w, grads_b, lr)
+            _check_finite("parameter", model.weights + model.biases, epoch, step)
             losses.append(loss)
         records.append(EpochRecord(epoch=epoch, mean_loss=float(np.mean(losses)), lr=lr))
         epoch_hists.append(hist_acc)

@@ -13,11 +13,8 @@ from dghm.harmonizer import (
     HarmonizerConfig,
     LossSpec,
     Mode,
-    Partition,
     bin_index,
     build_histograms,
-    dghm_c_loss,
-    ghm_c_loss,
     gradient_density,
     harmonize_weights,
     reformulated_gradient_curve,
@@ -113,8 +110,8 @@ def test_criterion_2_gradient_density_oracle():
     ok = True
     for _ in range(100):
         g = rng.random(1000)
-        parts = np.array([Partition.POOLED] * 1000, dtype=object)
-        hist = build_histograms(g, parts, cfg)[Partition.POOLED]
+        parts = np.zeros(1000, dtype=np.int64)  # one pooled partition
+        hist = build_histograms(g, parts, cfg)[0]
         # direct summation: count of examples sharing each example's bin
         bins = np.array([bin_index(gi, cfg.bin_count) for gi in g])
         shared = (bins[:, None] == bins[None, :]).sum(axis=1).astype(float)
@@ -143,8 +140,8 @@ def test_criterion_3_reductions():
         # (a) single-partition DGHM with unit exponents reproduces GHM-C
         # weights (all examples in one partition sees the pooled histogram)
         g = np.abs(p - p_star)
-        pooled = np.array([Partition.POOLED] * n, dtype=object)
-        one = np.array([Partition.CLEAN] * n, dtype=object)
+        pooled = np.zeros(n, dtype=np.int64)  # code 0: pooled under GHM
+        one = np.zeros(n, dtype=np.int64)  # code 0: clean under DGHM
         w_ghm = harmonize_weights(g, pooled, HarmonizerConfig(mode=Mode.GHM)).beta
         w_dghm = harmonize_weights(
             g, one, HarmonizerConfig(mode=Mode.DGHM, mu_n=1.0, mu_c=1.0)).beta
@@ -173,13 +170,12 @@ def test_criterion_4_outlier_modulation():
     for _ in range(1000):
         n = int(rng.integers(20, 200))
         g = rng.random(n)
-        parts = np.array([Partition.NOISY if u < 0.5 else Partition.CLEAN
-                          for u in rng.random(n)], dtype=object)
+        parts = (rng.random(n) < 0.5).astype(np.int64)  # 1 noisy, 0 clean
         beta = harmonize_weights(g, parts, cfg).beta
         beta1 = harmonize_weights(g, parts, unit).beta
         out = g >= cfg.outlier_threshold
-        noisy = out & (parts == Partition.NOISY)
-        clean = out & (parts == Partition.CLEAN)
+        noisy = out & (parts == 1)
+        clean = out & (parts == 0)
         violations += int(np.sum(beta[noisy] > beta1[noisy] + 0.0))
         violations += int(np.sum(beta[clean] < beta1[clean] - 0.0))
     _verdict(4, "outlier weights: noisy crushed / clean kept, 1000 batches",
@@ -349,17 +345,16 @@ def test_criterion_8_figure_reproduction():
     _, model, log, pool = run_single(cfg, "ce", 0.7, fold=0, seed=0,
                                      return_model=True)
     hists = log.final_histograms_two_way
-    noisy = hists[Partition.NOISY]
-    clean = hists[Partition.CLEAN]
-    top_mass = noisy.counts[-1] > 0
-    shape_n = noisy.counts / max(noisy.total, 1.0)
-    shape_c = clean.counts / max(clean.total, 1.0)
+    clean, noisy = hists  # rows follow MODE_PARTITIONS[Mode.DGHM]
+    top_mass = noisy[-1] > 0
+    shape_n = noisy / max(noisy.sum(), 1.0)
+    shape_c = clean / max(clean.sum(), 1.0)
     shapes_differ = not np.allclose(shape_n, shape_c, atol=1e-3)
     # discontinuity of the noisy-branch reformulated gradient at g = lambda
     spec = LossSpec(kind="dghm_c")
     lam = spec.harmonizer.outlier_threshold
     g, eff = reformulated_gradient_curve(spec, histograms=hists,
-                                         partition=Partition.NOISY,
+                                         partition=1,  # noisy
                                          samples=2001)
     below = eff[np.searchsorted(g, lam) - 1]
     at = eff[np.searchsorted(g, lam)]
@@ -369,7 +364,7 @@ def test_criterion_8_figure_reproduction():
     _verdict(8, "CE noisy top-bin mass nonzero, histogram shapes differ, "
                 "DGHM noisy curve discontinuous at lambda",
              bool(top_mass and shapes_differ and discontinuous),
-             f"top bin {int(noisy.counts[-1])}, jump {jump:.3g} "
+             f"top bin {int(noisy[-1])}, jump {jump:.3g} "
              f"vs step {typical:.3g}")
 
 

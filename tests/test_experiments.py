@@ -30,6 +30,7 @@ from dghm.experiments import (
     validate_config_dict,
     write_run_rows,
 )
+from dghm.harmonizer import HarmonizerConfig
 from dghm.metrics import MetricsReport
 from dghm.simdata import SceneSpec, generate_corpus
 
@@ -255,6 +256,20 @@ def test_cmd_ablate_tables(tmp_path):
     with open(tmp_path / "ablate_mu_summary.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["group"] for r in rows] == ["mu_n=1,mu_c=1", "mu_n=2,mu_c=0.5"]
+
+
+def test_ablate_base_cell_reproduces_the_compare_row(tmp_path):
+    # an ablation cell differs from the base harmonizer only in the swept
+    # field, so the cell equal to the base (momentum included) is compare's row
+    cfg = tiny_config(losses=("dghm_c",), mu_grid=((2.0, 0.5),),
+                      harmonizer=HarmonizerConfig(momentum=0.7))
+    cmd_ablate(cfg, tmp_path / "ablate")
+    cmd_compare_losses(cfg, tmp_path / "compare")
+    cell = (tmp_path / "ablate" / "ablate_mu_runs.csv").read_text().splitlines()
+    compare = (tmp_path / "compare" / "compare_runs.csv").read_text().splitlines()
+    fold0 = [line for line in compare[1:] if line.split(",")[3:5] == ["0", "0"]]
+    assert len(cell) == 2 and len(fold0) == 1
+    assert cell[1] == fold0[0]
 
 
 def test_cmd_sweep_eta(tmp_path):

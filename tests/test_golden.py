@@ -1,0 +1,117 @@
+"""Golden digests: the byte-compared CSVs must not change across code versions.
+
+Criterion 9 compares two runs of the same code; these SHA-256 digests were
+recorded once and pin the comparison, training-export and figure CSVs of a
+tiny config, so a refactor that moves a single float or row shows here.
+"""
+
+import hashlib
+
+import pytest
+
+from dghm.experiments import (
+    CorpusConfig,
+    ExperimentConfig,
+    cmd_compare_losses,
+    cmd_export_figures,
+    cmd_train,
+)
+from dghm.harmonizer import HarmonizerConfig
+from dghm.simdata import SceneSpec
+
+
+def golden_config(**overrides):
+    """The criterion-9 shape, with every harmonized loss in the grid."""
+    spec = SceneSpec(extent=(24.0, 24.0), objects_per_ap_scene=(1, 2),
+                     feature_dim=4)
+    defaults = dict(
+        corpus=CorpusConfig(scene_spec=spec, n_ap=8, n_np=8),
+        losses=("ce", "ghm_c", "dghm_c", "dghm_c_star"), folds=2, seeds=(0, 1),
+        epochs=2, steps_per_epoch=5, batch_size=16)
+    defaults.update(overrides)
+    return ExperimentConfig(**defaults)
+
+
+def digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+COMPARE = {
+    "compare_runs.csv":
+        "a5813aefab4afda54d572dd29d41934036ebd3d1ada8da5a6fc3d50143a7ffc7",
+    "compare_summary.csv":
+        "fcb0345e8fdf7b0c822ddfcb212b143ba2f51660e4db129e7dd12309db955468",
+}
+
+#: harmonizer settings a training case runs under
+HARMONIZERS = {
+    "default": HarmonizerConfig(momentum=0.7),
+    "partition": HarmonizerConfig(momentum=0.7, n_convention="partition"),
+    "no_momentum": HarmonizerConfig(),
+}
+
+#: "<loss>/<harmonizer>" -> digests of the cmd_train exports
+TRAIN = {
+    "ghm_c/default": {
+        "gradient_hist_two_way.csv":
+            "8a89b65eeeeb20ad80f5aed3eed497d18424a9a3a30ea2621f67b769fbbb374d",
+        "gradient_hist_three_way.csv":
+            "92f9a8e1b5521aec49b4a1a51d5f90d96f373c103dd8b87e409d355e9a6e3162",
+        "training_log.csv":
+            "774cccec433b2407295b7936b47a6c79caaae731abe1b5de30263dc2f8b8688b",
+    },
+    "dghm_c/default": {
+        "gradient_hist_two_way.csv":
+            "e78996bd3014cfbae52d8e97ccb39afa20d261f469e43a7aba2d3a1612b6ade4",
+        "gradient_hist_three_way.csv":
+            "b5e1973e6c0a72f5581a5b4b1393d44d6ec169ede8dfaa0471a1f73dca9a960a",
+        "training_log.csv":
+            "2dba3e4b6da728a7582d3270035afea9c6e0b866fe93f47452943f1101dee9ea",
+    },
+    "dghm_c/no_momentum": {
+        "gradient_hist_two_way.csv":
+            "a38d6a02f9a6a576213399c90e582f0e50b47dd03d23726be843043daef947c4",
+        "gradient_hist_three_way.csv":
+            "4c0b44152c85d4bad242d3053dab955fa8ece1b64b7b89970319f1b3f3621c8c",
+        "training_log.csv":
+            "8da96dfb0005c69db5d02a79634de76bc780eeff55d298c6158b37a0c940b239",
+    },
+    "dghm_c_star/default": {
+        "gradient_hist_two_way.csv":
+            "df2eee56518a8ef0f4c67a025eee1c0aef8c315a77d9122364713f91d9efd961",
+        "gradient_hist_three_way.csv":
+            "c038830035b499cdcb738b078902759780fb76624dbacedce5e92853864379f4",
+        "training_log.csv":
+            "80a392f2c1579d4db0a9b8ff3ef3cb57a52cdddb15951dbf3ad9cd76b58c67d5",
+    },
+    "dghm_c_star/partition": {
+        "gradient_hist_two_way.csv":
+            "346135bfb32870feb5b8ec2f47bcf36eb4741cd7679e72fd2e105bb19d4579e9",
+        "gradient_hist_three_way.csv":
+            "4259ef2b04f1bee2f9c8f6233846b744a9bed0b4c366295770f912e17c7f5630",
+        "training_log.csv":
+            "f8094666563147950b4942a91131f2b95ad7f638643d73da4bb843d0c143b061",
+    },
+}
+
+CURVES = (
+    "4358ed2f4c8e45040cc1b946d0e5c5fa264ff40374c06ac3bb0a67b544250bc5")
+
+
+def test_compare_csvs_match_golden(tmp_path):
+    cmd_compare_losses(golden_config(), tmp_path)
+    assert {name: digest(tmp_path / name) for name in COMPARE} == COMPARE
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN))
+def test_train_exports_match_golden(tmp_path, case):
+    loss, harmonizer = case.split("/")
+    cmd_train(golden_config(harmonizer=HARMONIZERS[harmonizer]), tmp_path,
+              loss_name=loss)
+    assert {name: digest(tmp_path / name) for name in TRAIN[case]} == TRAIN[case]
+
+
+def test_figure_curves_match_golden(tmp_path):
+    cmd_train(golden_config(), tmp_path / "run", loss_name="dghm_c")
+    out = cmd_export_figures(tmp_path / "run", tmp_path / "figs")
+    assert digest(out) == CURVES

@@ -6,7 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dghm.harmonizer import FocalParams, HarmonizerConfig, LossSpec, Mode, Partition
+from dghm import model as model_module
+from dghm.harmonizer import FocalParams, HarmonizerConfig, LossSpec, Mode
 from dghm.losses import SceParams
 from dghm.model import (
     AdamState,
@@ -98,10 +99,10 @@ def test_no_positives_zero_regression_gradient():
     model = Predictor.create(5, hidden=(6,), seed=4)
     model.weights[-1] += rng.normal(size=model.weights[-1].shape) * 0.1
     batch = random_batch(rng, 12, 5, all_negative=True)
-    loss_with, gw, _ = batch_loss_and_grads(model, batch, LossSpec(kind="ce"),
-                                            reg_weight=1.0)
-    loss_without, gw0, _ = batch_loss_and_grads(model, batch, LossSpec(kind="ce"),
-                                                reg_weight=0.0)
+    loss_with, gw, _, _ = batch_loss_and_grads(model, batch, LossSpec(kind="ce"),
+                                               reg_weight=1.0)
+    loss_without, gw0, _, _ = batch_loss_and_grads(model, batch, LossSpec(kind="ce"),
+                                                   reg_weight=0.0)
     assert loss_with == pytest.approx(loss_without)
     for a, b in zip(gw, gw0):
         np.testing.assert_allclose(a, b, atol=1e-15)
@@ -262,7 +263,7 @@ def test_epoch_histogram_counts_sum_to_examples_seen():
     cfg = TrainConfig(epochs=1, steps_per_epoch=4, batch_size=16,
                       learning_rate=1e-3, seed=2)
     _, log = train(pool, cfg)
-    counts = sum(int(c.sum()) for c in log.epoch_histograms[0].values())
+    counts = int(log.epoch_histograms[0].sum())
     assert counts == 4 * 16
 
 
@@ -272,6 +273,48 @@ def test_divergence_detected():
     cfg = TrainConfig(epochs=2, steps_per_epoch=10, learning_rate=1e-3, seed=0)
     with pytest.raises(TrainingDiverged):
         train(pool, cfg)
+
+
+def test_divergence_names_the_step_of_a_non_finite_gradient(monkeypatch):
+    # a NaN in one gradient must stop training before Adam spreads it into
+    # the parameters, and the error must name that step
+    pool = tiny_pool(eta=0.5)
+    cfg = TrainConfig(epochs=2, steps_per_epoch=3, batch_size=16,
+                      learning_rate=1e-3, seed=0)
+    real_backward = model_module.backward
+    calls = []
+
+    def poisoned_backward(*args):
+        grads_w, grads_b = real_backward(*args)
+        calls.append(None)
+        if len(calls) == 5:  # epoch 1, step 4
+            grads_b[0][0] = np.nan
+        return grads_w, grads_b
+
+    monkeypatch.setattr(model_module, "backward", poisoned_backward)
+    with pytest.raises(TrainingDiverged, match="gradient at epoch 1, step 4$"):
+        train(pool, cfg)
+
+
+@pytest.mark.parametrize("spec", [
+    LossSpec(kind="ce"),
+    LossSpec(kind="dghm_c", harmonizer=HarmonizerConfig(momentum=0.7)),
+], ids=lambda s: s.kind)
+def test_train_runs_one_forward_per_step(monkeypatch, spec):
+    pool = tiny_pool(eta=0.5)
+    cfg = TrainConfig(loss_spec=spec, epochs=2, steps_per_epoch=3, batch_size=16,
+                      learning_rate=1e-3, seed=1)
+    real_forward = model_module.forward
+    calls = []
+
+    def counted_forward(*args):
+        calls.append(None)
+        return real_forward(*args)
+
+    monkeypatch.setattr(model_module, "forward", counted_forward)
+    train(pool, cfg)
+    # one per step, plus the two final pool histograms (two- and three-way)
+    assert len(calls) == cfg.epochs * cfg.steps_per_epoch + 2
 
 
 def test_sanity_recall_on_separable_corpus():
@@ -295,10 +338,10 @@ def test_pool_histograms_partition_counts():
     pool = tiny_pool(eta=0.5)
     model = Predictor.create(pool.features.shape[1], seed=0)
     hists = pool_gradient_histograms(model, pool, Mode.DGHM)
-    total = sum(h.total for h in hists.values())
+    total = hists.sum()
     assert total == pool.size
     noisy = int(np.count_nonzero((pool.p_star == 0) & (pool.a == 1)))
-    assert hists[Partition.NOISY].total == noisy
+    assert hists[1].sum() == noisy  # row 1 is the noisy partition
 
 
 def test_train_config_validation():
