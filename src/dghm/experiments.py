@@ -39,10 +39,8 @@ from .model import (
     train,
 )
 from .simdata import (
-    AnchorPool,
     CorruptionSpec,
     SceneSpec,
-    build_anchor_grid,
     build_pool,
     corrupt_annotations,
     generate_corpus,
@@ -185,22 +183,22 @@ def kfold_split(scenes, k: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def predict_scenes(model, scenes, spec: SceneSpec, corpus_seed: int):
-    """Detections for a scene list: forward every anchor, decode, suppress."""
-    pool = build_pool(scenes, spec, corpus_seed)
+def predict_scenes(model, pool):
+    """Detections for a pool's scenes: forward every anchor, decode, suppress."""
     logits, offsets, _ = forward(model, pool.features)
     scores = sigmoid(logits)
     return M.decode_and_suppress(pool.boxes, pool.scene_id, scores, offsets)
 
 
-def evaluate_model(model, train_scenes_corrupted, test_scenes, removed,
+def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes, removed,
                    spec: SceneSpec, corpus_seed: int) -> M.MetricsReport:
     """Full metric suite: test-fold detection metrics plus training T/R-recall.
 
     The operating threshold is chosen on the test fold (precision >= 0.2) and
-    reused for the training-scene recalls.
+    reused for the training-scene recalls, predicted from the pool the model
+    was trained on: its features and boxes do not depend on the annotations.
     """
-    test_dets = predict_scenes(model, test_scenes, spec, corpus_seed)
+    test_dets = predict_scenes(model, build_pool(test_scenes, spec, corpus_seed))
     gt_by_scene = {s.scene_id: list(s.gt_boxes) for s in test_scenes if s.is_abnormal}
     np_ids = [s.scene_id for s in test_scenes if not s.is_abnormal]
     flags = []
@@ -221,7 +219,7 @@ def evaluate_model(model, train_scenes_corrupted, test_scenes, removed,
     nfps_value = M.nfps(test_dets, np_ids, thr) if np_ids else 0.0
     froc_value = M.froc(test_dets, gt_by_scene, np_ids) if np_ids else 0.0
 
-    train_dets = predict_scenes(model, train_scenes_corrupted, spec, corpus_seed)
+    train_dets = predict_scenes(model, train_pool)
     kept_by_scene = {}
     removed_by_scene = {}
     removed_set = set(removed)
@@ -260,7 +258,7 @@ def run_single(cfg: ExperimentConfig, loss_name: str, eta: float, fold: int,
                             steps_per_epoch=cfg.steps_per_epoch, hidden=cfg.hidden,
                             reg_weight=cfg.reg_weight, seed=seed)
     model, log = train(pool, train_cfg)
-    report = evaluate_model(model, corrupted, test_scenes, removed,
+    report = evaluate_model(model, pool, corrupted, test_scenes, removed,
                             cfg.corpus.scene_spec, cfg.corpus.seed)
     record = RunRecord(config_hash=cfg.config_hash(), loss=loss_name, eta=eta,
                        fold=fold, seed=seed, report=report,

@@ -103,48 +103,57 @@ def decode_and_suppress(anchor_boxes, scene_ids, scores, offsets,
     return detections
 
 
-def match_detections(dets, gt_boxes, iou_thr: float = EVAL_IOU) -> MatchReport:
-    """Greedy one-to-one matching of one scene's detections against its gts.
+def _greedy_claims(dets, gt_by_scene, iou_thr, scene_of=lambda det: det.scene_id):
+    """Greedy one-to-one matching behind every match count and curve sweep.
 
-    Detections are processed by descending score; each claims the unmatched gt
-    with the highest IoU >= iou_thr.
+    Detections are visited by descending score, ties in input order; each
+    claims the unclaimed gt of its scene (``gt_by_scene[scene_of(det)]``) with
+    the highest IoU >= iou_thr.  Returns (order, is_tp): the visiting order as
+    indices into dets, and per rank whether that detection claimed a gt.
     """
-    dets = sorted(dets, key=lambda d: -d.score)
-    claimed = [False] * len(gt_boxes)
-    tp = fp = 0
-    for det in dets:
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    claimed = {sid: [False] * len(gts) for sid, gts in gt_by_scene.items()}
+    is_tp = np.zeros(len(dets), dtype=bool)
+    for rank, i in enumerate(order):
+        det = dets[i]
+        sid = scene_of(det)
+        gts = gt_by_scene.get(sid)
+        if not gts:
+            continue
+        taken = claimed[sid]
         best_j, best_iou = -1, iou_thr
-        for j, gt in enumerate(gt_boxes):
-            if claimed[j]:
+        for j, gt in enumerate(gts):
+            if taken[j]:
                 continue
             v = iou(det.box, gt)
             if v >= best_iou and v > 0:
                 if v > best_iou or best_j == -1:
                     best_j, best_iou = j, v
         if best_j >= 0:
-            claimed[best_j] = True
-            tp += 1
-        else:
-            fp += 1
-    fn = len(gt_boxes) - tp
-    return MatchReport(tp=tp, fp=fp, fn=fn)
+            taken[best_j] = True
+            is_tp[rank] = True
+    return order, is_tp
+
+
+def _report(n_dets: int, n_gts: int, is_tp) -> MatchReport:
+    tp = int(np.count_nonzero(is_tp))
+    return MatchReport(tp=tp, fp=n_dets - tp, fn=n_gts - tp)
+
+
+def match_detections(dets, gt_boxes, iou_thr: float = EVAL_IOU) -> MatchReport:
+    """Greedy one-to-one matching of one scene's detections against its gts.
+
+    Detections are processed by descending score; each claims the unmatched gt
+    with the highest IoU >= iou_thr.
+    """
+    _, is_tp = _greedy_claims(dets, {0: gt_boxes}, iou_thr, scene_of=lambda det: 0)
+    return _report(len(dets), len(gt_boxes), is_tp)
 
 
 def aggregate_match(dets, gt_by_scene, iou_thr: float = EVAL_IOU) -> MatchReport:
     """Match per scene and sum counts; detections in scenes without gt are FP."""
-    by_scene: dict = {}
-    for det in dets:
-        by_scene.setdefault(det.scene_id, []).append(det)
-    tp = fp = fn = 0
-    for sid, gts in gt_by_scene.items():
-        rep = match_detections(by_scene.get(sid, []), gts, iou_thr)
-        tp += rep.tp
-        fp += rep.fp
-        fn += rep.fn
-    for sid, scene_dets in by_scene.items():
-        if sid not in gt_by_scene:
-            fp += len(scene_dets)
-    return MatchReport(tp=tp, fp=fp, fn=fn)
+    _, is_tp = _greedy_claims(dets, gt_by_scene, iou_thr)
+    return _report(len(dets), sum(len(g) for g in gt_by_scene.values()), is_tp)
 
 
 def recall(report: MatchReport):
@@ -193,28 +202,8 @@ def _sweep_curves(dets, gt_by_scene, np_scene_ids=()):
     detections with score >= thresholds[k].
     """
     np_scene_ids = set(np_scene_ids)
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    claimed = {sid: [False] * len(gts) for sid, gts in gt_by_scene.items()}
-    is_tp = np.zeros(len(dets), dtype=bool)
-    in_np = np.zeros(len(dets), dtype=bool)
-    for rank, i in enumerate(order):
-        det = dets[i]
-        in_np[rank] = det.scene_id in np_scene_ids
-        gts = gt_by_scene.get(det.scene_id)
-        if not gts:
-            continue
-        taken = claimed[det.scene_id]
-        best_j, best_iou = -1, EVAL_IOU
-        for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            v = iou(det.box, gt)
-            if v >= best_iou and v > 0:
-                if v > best_iou or best_j == -1:
-                    best_j, best_iou = j, v
-        if best_j >= 0:
-            taken[best_j] = True
-            is_tp[rank] = True
+    order, is_tp = _greedy_claims(dets, gt_by_scene, EVAL_IOU)
+    in_np = np.array([dets[i].scene_id in np_scene_ids for i in order], dtype=bool)
     scores = np.array([dets[i].score for i in order])
     cum_tp = np.cumsum(is_tp)
     cum_np = np.cumsum(in_np)

@@ -289,8 +289,8 @@ def train(pool: AnchorPool, cfg: TrainConfig):
     """Seeded training loop: sample -> forward -> harmonize -> backward -> Adam.
 
     Returns (trained model, TrainLog).  Raises TrainingDiverged on a non-finite
-    loss or gradient before the update and on a non-finite parameter after it,
-    naming the epoch and the 0-based step.
+    batch feature, loss or gradient before the update and on a non-finite
+    parameter after it, naming the epoch and the 0-based step.
     """
     model = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     state = AdamState.for_model(model)
@@ -308,6 +308,8 @@ def train(pool: AnchorPool, cfg: TrainConfig):
             step = state.step
             idx = sample_minibatch(pool, cfg.batch_size, rng)
             batch = Batch.from_pool(pool, idx)
+            # a NaN feature would reach the harmonizer's histogram bins first
+            _check_finite("feature", [batch.features], epoch, step)
             loss, grads_w, grads_b, harmonized = batch_loss_and_grads(
                 model, batch, cfg.loss_spec, reg_weight=cfg.reg_weight, ema=ema)
             if not np.isfinite(loss):

@@ -154,18 +154,6 @@ class CorruptionSpec:
             raise ValueError("eta must be in [0, 1]")
 
 
-@dataclass
-class LabeledAnchor:
-    anchor_box: Box
-    features: np.ndarray
-    p_star: int
-    a: int
-    ideal_p_star: int
-    scene_id: int
-    anchor_index: int
-    target: np.ndarray | None = None  # (dx, dy, dw, dh) for positives
-
-
 def generate_scene(spec: SceneSpec, image_class: str, rng) -> Scene:
     """Sample one scene; deterministic given the rng state."""
     width, height = spec.extent
@@ -235,8 +223,7 @@ def build_anchor_grid(scene: Scene, spec: SceneSpec):
     return anchors
 
 
-def extract_features(scene: Scene, anchor_index: int, best_iou: float,
-                     spec: SceneSpec, rng) -> np.ndarray:
+def extract_features(best_iou: float, spec: SceneSpec, rng) -> np.ndarray:
     """Feature vector: attenuated IoU signal on channels 0-1 plus noise.
 
     A fraction of anchors is "hard": their signal is multiplied by a factor
@@ -263,33 +250,9 @@ def regression_target(anchor: Box, gt: Box) -> np.ndarray:
     ])
 
 
-def assign_labels(anchors, scene: Scene, spec: SceneSpec, corpus_seed: int = 0):
-    """Label every anchor against the scene's annotated and full box sets."""
-    full = scene.gt_boxes
-    kept = scene.annotated_boxes()
-    iou_full = iou_matrix(anchors, full)
-    iou_kept = iou_matrix(anchors, kept)
-    a = 1 if scene.is_abnormal else 0
-    out = []
-    for idx, anchor in enumerate(anchors):
-        best_full = float(iou_full[idx].max()) if full else 0.0
-        best_kept = float(iou_kept[idx].max()) if kept else 0.0
-        p_star = int(best_kept >= IOU_POSITIVE)
-        ideal = int(best_full >= IOU_POSITIVE)
-        rng = np.random.default_rng([corpus_seed, scene.scene_id, idx])
-        feats = extract_features(scene, idx, best_full, spec, rng)
-        target = None
-        if p_star:
-            target = regression_target(anchor, kept[int(iou_kept[idx].argmax())])
-        out.append(LabeledAnchor(anchor_box=anchor, features=feats, p_star=p_star,
-                                 a=a, ideal_p_star=ideal, scene_id=scene.scene_id,
-                                 anchor_index=idx, target=target))
-    return out
-
-
 @dataclass
 class AnchorPool:
-    """Structure-of-arrays view over a list of labeled anchors."""
+    """Labeled anchors as parallel columns, one row per anchor."""
 
     features: np.ndarray  # (n, d)
     p_star: np.ndarray  # (n,)
@@ -300,42 +263,48 @@ class AnchorPool:
     targets: np.ndarray  # (n, 4), zeros where absent
     boxes: np.ndarray  # (n, 4) as (cx, cy, w, h)
 
-    @classmethod
-    def from_anchors(cls, labeled) -> "AnchorPool":
-        n = len(labeled)
-        d = labeled[0].features.size if n else 0
-        feats = np.zeros((n, d))
-        targets = np.zeros((n, 4))
-        boxes = np.zeros((n, 4))
-        p_star = np.zeros(n, dtype=np.int64)
-        a = np.zeros(n, dtype=np.int64)
-        ideal = np.zeros(n, dtype=np.int64)
-        sid = np.zeros(n, dtype=np.int64)
-        aidx = np.zeros(n, dtype=np.int64)
-        for i, la in enumerate(labeled):
-            feats[i] = la.features
-            p_star[i] = la.p_star
-            a[i] = la.a
-            ideal[i] = la.ideal_p_star
-            sid[i] = la.scene_id
-            aidx[i] = la.anchor_index
-            boxes[i] = (la.anchor_box.cx, la.anchor_box.cy, la.anchor_box.w, la.anchor_box.h)
-            if la.target is not None:
-                targets[i] = la.target
-        return cls(features=feats, p_star=p_star, a=a, ideal_p_star=ideal,
-                   scene_id=sid, anchor_index=aidx, targets=targets, boxes=boxes)
-
     @property
     def size(self) -> int:
         return self.p_star.size
 
 
+def _scene_block(scene: Scene, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
+    """One scene's anchors, labeled against its annotated and full box sets."""
+    anchors = build_anchor_grid(scene, spec)
+    n = len(anchors)
+    kept = scene.annotated_boxes()
+    iou_kept = iou_matrix(anchors, kept)
+    # IoU is never negative, so an initial 0 only matters for a scene without boxes
+    best_full = np.max(iou_matrix(anchors, scene.gt_boxes), axis=1, initial=0.0)
+    p_star = (np.max(iou_kept, axis=1, initial=0.0) >= IOU_POSITIVE).astype(np.int64)
+    features = np.empty((n, spec.feature_dim))
+    for idx, best in enumerate(best_full.tolist()):
+        # per anchor: every feature byte comes from the anchor's own rng stream
+        rng = np.random.default_rng([corpus_seed, scene.scene_id, idx])
+        features[idx] = extract_features(best, spec, rng)
+    targets = np.zeros((n, 4))
+    for idx in np.flatnonzero(p_star):
+        targets[idx] = regression_target(anchors[idx], kept[int(iou_kept[idx].argmax())])
+    return AnchorPool(
+        features=features, p_star=p_star,
+        a=np.full(n, int(scene.is_abnormal), dtype=np.int64),
+        ideal_p_star=(best_full >= IOU_POSITIVE).astype(np.int64),
+        scene_id=np.full(n, scene.scene_id, dtype=np.int64),
+        anchor_index=np.arange(n, dtype=np.int64), targets=targets,
+        boxes=np.array([(b.cx, b.cy, b.w, b.h) for b in anchors]))
+
+
 def build_pool(scenes, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
-    labeled = []
-    for scene in scenes:
-        anchors = build_anchor_grid(scene, spec)
-        labeled.extend(assign_labels(anchors, scene, spec, corpus_seed))
-    return AnchorPool.from_anchors(labeled)
+    """Every anchor of a non-empty scene list, the scenes' blocks in order.
+
+    p_star is labeled against each scene's annotated boxes; ideal_p_star and
+    the features against all of its boxes, so only p_star and the regression
+    targets depend on the annotation mask.
+    """
+    blocks = [_scene_block(scene, spec, corpus_seed) for scene in scenes]
+    return AnchorPool(**{
+        f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+        for f in dataclasses.fields(AnchorPool)})
 
 
 _warned_quotas: set = set()

@@ -291,6 +291,7 @@ TREND_LOSSES = ("ce", "focal", "ghm_c", "dghm_c")
 
 @pytest.fixture(scope="module")
 def trend_runs():
+    """Per-seed (FROC, R-recall) lists keyed by (loss, eta), and the elapsed time."""
     cfg = ExperimentConfig()
     start = time.perf_counter()
     tasks = [(cfg, loss, 0.7, 0, seed)
@@ -299,41 +300,51 @@ def trend_runs():
               for loss in ("ce", "dghm_c") for seed in cfg.seeds]
     records = run_many(tasks, jobs=1)
     elapsed = time.perf_counter() - start
-    means = {}
-    for loss in TREND_LOSSES:
-        for eta in (0.2, 0.7):
-            sel = [r for r in records if r.loss == loss and r.eta == eta]
-            if sel:
-                means[loss, eta] = (
-                    float(np.mean([r.report.froc for r in sel])),
-                    float(np.mean([r.report.r_recall for r in sel])),
-                )
-    return means, elapsed
+    per_seed = {}
+    for r in records:
+        per_seed.setdefault((r.loss, r.eta), []).append(
+            (r.report.froc, r.report.r_recall))
+    return per_seed, elapsed
+
+
+def _mean(per_seed, loss, eta, column):
+    return float(np.mean([v[column] for v in per_seed[loss, eta]]))
 
 
 def test_criterion_6_trend_reproduction(trend_runs):
-    means, elapsed = trend_runs
-    froc_of = {loss: means[loss, 0.7][0] for loss in TREND_LOSSES}
-    rrec_of = {loss: means[loss, 0.7][1] for loss in TREND_LOSSES}
-    order = (froc_of["dghm_c"] > froc_of["ghm_c"]
-             > froc_of["ce"] > froc_of["focal"])
+    per_seed, elapsed = trend_runs
+    froc_of = {loss: _mean(per_seed, loss, 0.7, 0) for loss in TREND_LOSSES}
+    rrec_of = {loss: _mean(per_seed, loss, 0.7, 1) for loss in TREND_LOSSES}
+    froc_std = {loss: float(np.std([v[0] for v in per_seed[loss, 0.7]]))
+                for loss in TREND_LOSSES}
+    ranked = ("dghm_c", "ghm_c", "ce", "focal")
+    gaps = {f"{hi}-{lo}": froc_of[hi] - froc_of[lo]
+            for hi, lo in zip(ranked, ranked[1:])}
+    order = all(gap > 0 for gap in gaps.values())
     d_froc = froc_of["dghm_c"] - froc_of["ce"]
     d_rrec = rrec_of["dghm_c"] - rrec_of["ce"]
     ok = order and d_froc >= 0.10 and d_rrec >= 0.15 and elapsed < 900.0
+    # margins: how far each value clears its gate; a thin one shows here
     _verdict(6, "eta=0.7 FROC order DGHM>GHM>CE>focal with gaps "
                 ">=0.10 FROC / >=0.15 R-recall in < 15 min",
              ok,
-             "froc " + " ".join(f"{l}={froc_of[l]:.3f}" for l in TREND_LOSSES)
-             + f"; dFROC={d_froc:+.3f} dRrec={d_rrec:+.3f} {elapsed:.0f}s")
+             "froc " + " ".join(f"{l}={froc_of[l]:.3f}(sd {froc_std[l]:.3f})"
+                                for l in TREND_LOSSES)
+             + f"; dFROC={d_froc:+.3f} dRrec={d_rrec:+.3f} {elapsed:.0f}s"
+             + f"; margins dFROC-0.10={d_froc - 0.10:+.3f}"
+             + f" dRrec-0.15={d_rrec - 0.15:+.3f} "
+             + " ".join(f"{k}={v:+.3f}" for k, v in gaps.items())
+             + f" 900s-elapsed={900.0 - elapsed:+.0f}s")
 
 
 def test_criterion_7_noise_degradation(trend_runs):
-    means, _ = trend_runs
-    drop_ce = means["ce", 0.2][0] - means["ce", 0.7][0]
-    drop_dghm = means["dghm_c", 0.2][0] - means["dghm_c", 0.7][0]
+    per_seed, _ = trend_runs
+    drop_ce = _mean(per_seed, "ce", 0.2, 0) - _mean(per_seed, "ce", 0.7, 0)
+    drop_dghm = _mean(per_seed, "dghm_c", 0.2, 0) - _mean(per_seed, "dghm_c", 0.7, 0)
     _verdict(7, "FROC drop 0.2->0.7 smaller for DGHM-C than CE",
              drop_dghm < drop_ce,
-             f"drops dghm={drop_dghm:+.3f} ce={drop_ce:+.3f}")
+             f"drops dghm={drop_dghm:+.3f} ce={drop_ce:+.3f}"
+             f"; margin {drop_ce - drop_dghm:+.3f}")
 
 
 # ---------------------------------------------------------------------------

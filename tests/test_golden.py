@@ -5,10 +5,13 @@ recorded once and pin the comparison, training-export and figure CSVs of a
 tiny config, so a refactor that moves a single float or row shows here.
 """
 
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
+from dghm import experiments
 from dghm.experiments import (
     CorpusConfig,
     ExperimentConfig,
@@ -17,7 +20,13 @@ from dghm.experiments import (
     cmd_train,
 )
 from dghm.harmonizer import HarmonizerConfig
-from dghm.simdata import SceneSpec
+from dghm.simdata import (
+    CorruptionSpec,
+    SceneSpec,
+    build_pool,
+    corrupt_annotations,
+    generate_corpus,
+)
 
 
 def golden_config(**overrides):
@@ -94,6 +103,9 @@ TRAIN = {
     },
 }
 
+#: every AnchorPool column (name, dtype, shape, bytes) of a small pool at eta > 0
+POOL = "846e2270a1d581fba25e332495c9751ad2d25390958984c2a50d7f7b10591f5f"
+
 CURVES = (
     "4358ed2f4c8e45040cc1b946d0e5c5fa264ff40374c06ac3bb0a67b544250bc5")
 
@@ -115,3 +127,30 @@ def test_figure_curves_match_golden(tmp_path):
     cmd_train(golden_config(), tmp_path / "run", loss_name="dghm_c")
     out = cmd_export_figures(tmp_path / "run", tmp_path / "figs")
     assert digest(out) == CURVES
+
+
+def test_anchor_pool_matches_golden():
+    spec = SceneSpec(extent=(24.0, 24.0), objects_per_ap_scene=(1, 3), feature_dim=4)
+    scenes = generate_corpus(spec, 4, 2, seed=3)
+    corrupted, removed = corrupt_annotations(scenes, CorruptionSpec(eta=0.5, seed=1))
+    pool = build_pool(corrupted, spec, corpus_seed=3)
+    assert removed  # some anchors must carry a noisy label
+    h = hashlib.sha256()
+    for f in dataclasses.fields(pool):
+        col = getattr(pool, f.name)
+        h.update(f"{f.name} {col.dtype} {col.shape}".encode())
+        h.update(np.ascontiguousarray(col).tobytes())
+    assert h.hexdigest() == POOL
+
+
+def test_run_single_builds_one_pool_per_scene_set(monkeypatch):
+    # the training scenes' pool serves both training and their T-/R-recall
+    calls = []
+
+    def counted_build_pool(*args, **kwargs):
+        calls.append(None)
+        return build_pool(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_pool", counted_build_pool)
+    experiments.run_single(golden_config(), "ce", 0.7, fold=0, seed=0)
+    assert len(calls) == 2

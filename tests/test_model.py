@@ -267,11 +267,15 @@ def test_epoch_histogram_counts_sum_to_examples_seen():
     assert counts == 4 * 16
 
 
-def test_divergence_detected():
+@pytest.mark.parametrize("kind", ["ce", "ghm_c", "dghm_c", "dghm_c_star"])
+def test_divergence_detected(kind):
+    # poisoned inputs stop training at the first step under every loss; the
+    # harmonized ones would otherwise fail binning NaN gradient norms
     pool = tiny_pool()
-    pool.features[:, 0] = np.nan  # poisoned inputs produce a non-finite loss
-    cfg = TrainConfig(epochs=2, steps_per_epoch=10, learning_rate=1e-3, seed=0)
-    with pytest.raises(TrainingDiverged):
+    pool.features[:, 0] = np.nan
+    cfg = TrainConfig(loss_spec=LossSpec(kind=kind), epochs=2, steps_per_epoch=10,
+                      learning_rate=1e-3, seed=0)
+    with pytest.raises(TrainingDiverged, match="epoch 0, step 0$"):
         train(pool, cfg)
 
 

@@ -17,7 +17,6 @@ from dghm.simdata import (
     CorruptionSpec,
     Scene,
     SceneSpec,
-    assign_labels,
     build_anchor_grid,
     build_pool,
     corrupt_annotations,
@@ -218,22 +217,21 @@ def test_label_assignment_cases():
     # one annotated box centered on an anchor site, one removed box elsewhere
     boxes = [Box(10.0, 10.0, 8.0, 8.0), Box(26.0, 26.0, 8.0, 8.0)]
     scene = Scene(0, AP, boxes, np.array([True, False]), (32.0, 32.0))
-    labeled = assign_labels(build_anchor_grid(scene, spec), scene, spec)
-    by_center = {(la.anchor_box.cx, la.anchor_box.cy): la for la in labeled}
-    on_kept = by_center[(10.0, 10.0)]
-    on_removed = by_center[(26.0, 26.0)]
-    assert on_kept.p_star == 1 and on_kept.ideal_p_star == 1
-    assert on_removed.p_star == 0 and on_removed.ideal_p_star == 1  # noisy
-    assert all(la.a == 1 for la in labeled)
-    assert on_kept.target is not None and on_removed.target is None
+    pool = build_pool([scene], spec, corpus_seed=0)
+    row = {(cx, cy): i for i, (cx, cy) in enumerate(pool.boxes[:, :2].tolist())}
+    on_kept = row[(10.0, 10.0)]
+    on_removed = row[(26.0, 26.0)]
+    assert pool.p_star[on_kept] == 1 and pool.ideal_p_star[on_kept] == 1
+    assert pool.p_star[on_removed] == 0 and pool.ideal_p_star[on_removed] == 1  # noisy
+    assert np.all(pool.a == 1)
+    assert pool.p_star[on_kept] == 1 and not pool.targets[on_removed].any()
 
 
 def test_np_scene_labels_all_negative():
     spec = SceneSpec(extent=(16.0, 16.0), object_size=(4.0, 6.0))
     scene = Scene(5, NP_CLASS, [], np.zeros(0, dtype=bool), (16.0, 16.0))
-    labeled = assign_labels(build_anchor_grid(scene, spec), scene, spec)
-    assert all(la.p_star == 0 and la.a == 0 and la.ideal_p_star == 0
-               for la in labeled)
+    pool = build_pool([scene], spec, corpus_seed=0)
+    assert np.all((pool.p_star == 0) & (pool.a == 0) & (pool.ideal_p_star == 0))
 
 
 def test_pool_invariants_and_determinism():
