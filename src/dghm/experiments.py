@@ -33,7 +33,6 @@ from .losses import sigmoid
 from .model import (
     TrainConfig,
     forward,
-    pool_gradient_histograms,
     save_checkpoint,
     save_training_log_csv,
     train,
@@ -46,7 +45,6 @@ from .simdata import (
     generate_corpus,
     save_corpus,
     scene_spec_from_dict,
-    scene_spec_to_dict,
 )
 
 DEFAULT_LOSSES = ("ce", "focal", "ghm_c", "sce", "dghm_c")
@@ -131,13 +129,18 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def validate_config_dict(d: dict):
-    """Schema check: unknown keys or malformed values raise ValueError."""
+    """Raise ValueError on unknown keys, malformed values or values every run rejects."""
     allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(d) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     try:
         cfg = experiment_config_from_dict(d)
+        # the checks a run makes, made once up front
+        for eta in (cfg.eta, *cfg.eta_grid):
+            CorruptionSpec(eta=eta, seed=0)
+        _train_config(cfg, LossSpec(), seed=0)
+        _check_fold_count(cfg.folds, cfg.corpus.n_ap + cfg.corpus.n_np)
     except TypeError as exc:
         raise ValueError(str(exc)) from exc
     if not cfg.losses:
@@ -153,9 +156,21 @@ def loss_spec_for(name: str, harmonizer: HarmonizerConfig) -> LossSpec:
     return LossSpec(kind=name)
 
 
+def _train_config(cfg: ExperimentConfig, spec: LossSpec, seed: int) -> TrainConfig:
+    return TrainConfig(loss_spec=spec, learning_rate=cfg.learning_rate,
+                       epochs=cfg.epochs, batch_size=cfg.batch_size,
+                       steps_per_epoch=cfg.steps_per_epoch, hidden=cfg.hidden,
+                       reg_weight=cfg.reg_weight, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # Folds.
 # ---------------------------------------------------------------------------
+
+
+def _check_fold_count(k: int, n_scenes: int):
+    if k < 2 or k > n_scenes:
+        raise ValueError(f"fold count {k} must be in [2, {n_scenes}]")
 
 
 def kfold_split(scenes, k: int, seed: int):
@@ -163,8 +178,7 @@ def kfold_split(scenes, k: int, seed: int):
 
     Returns a list of k sorted scene-id lists forming a disjoint cover.
     """
-    if k < 2 or k > len(scenes):
-        raise ValueError(f"fold count {k} must be in [2, {len(scenes)}]")
+    _check_fold_count(k, len(scenes))
     rng = np.random.default_rng(seed)
     ap_ids = [s.scene_id for s in scenes if s.is_abnormal]
     np_ids = [s.scene_id for s in scenes if not s.is_abnormal]
@@ -253,11 +267,7 @@ def run_single(cfg: ExperimentConfig, loss_name: str, eta: float, fold: int,
         train_scenes, CorruptionSpec(eta=eta, seed=seed))
     pool = build_pool(corrupted, cfg.corpus.scene_spec, cfg.corpus.seed)
     spec = loss_spec_for(loss_name, harmonizer or cfg.harmonizer)
-    train_cfg = TrainConfig(loss_spec=spec, learning_rate=cfg.learning_rate,
-                            epochs=cfg.epochs, batch_size=cfg.batch_size,
-                            steps_per_epoch=cfg.steps_per_epoch, hidden=cfg.hidden,
-                            reg_weight=cfg.reg_weight, seed=seed)
-    model, log = train(pool, train_cfg)
+    model, log = train(pool, _train_config(cfg, spec, seed))
     report = evaluate_model(model, pool, corrupted, test_scenes, removed,
                             cfg.corpus.scene_spec, cfg.corpus.seed)
     record = RunRecord(config_hash=cfg.config_hash(), loss=loss_name, eta=eta,
@@ -411,41 +421,36 @@ def cmd_compare_losses(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     return records, rows
 
 
+def _ablation_grid(cfg: ExperimentConfig, out_dir, name: str, cells, jobs: int):
+    """Run dghm_c for each (label, harmonizer) cell and seed; write the grid's CSVs.
+
+    The summary has one row per distinct label, in grid order.
+    """
+    tasks = [(cfg, "dghm_c", cfg.eta, 0, seed, h) for _, h in cells for seed in cfg.seeds]
+    labels = [label for label, _ in cells for _ in cfg.seeds]
+    records = run_many(tasks, jobs=jobs)
+    write_run_rows(out_dir / f"ablate_{name}_runs.csv", records)
+    by_label: dict = {}
+    for label, rec in zip(labels, records):
+        by_label.setdefault(label, []).append(rec)
+    rows = []
+    for label, recs in by_label.items():
+        rows += summarize(recs, lambda r, lab=label: lab)
+    write_summary_rows(out_dir / f"ablate_{name}_summary.csv", rows)
+    return records
+
+
 def cmd_ablate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     """Two grids: (mu_n, mu_c) at fixed lambda, and lambda at fixed (mu_n, mu_c)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     base = cfg.harmonizer
-    mu_tasks = []
-    for mu_n, mu_c in cfg.mu_grid:
-        h = dataclasses.replace(base, mode=Mode.DGHM, mu_n=mu_n, mu_c=mu_c)
-        mu_tasks += [(cfg, "dghm_c", cfg.eta, 0, seed, h) for seed in cfg.seeds]
-    mu_records = run_many(mu_tasks, jobs=jobs)
-    write_run_rows(out_dir / "ablate_mu_runs.csv", mu_records)
-    # seed order matches task order: reconstruct the grid labels
-    labels = [f"mu_n={mu_n:g},mu_c={mu_c:g}" for mu_n, mu_c in cfg.mu_grid
-              for _ in cfg.seeds]
-    by_label: dict = {}
-    for label, rec in zip(labels, mu_records):
-        by_label.setdefault(label, []).append(rec)
-    mu_rows = []
-    for label in dict.fromkeys(labels):
-        mu_rows += summarize(by_label[label], lambda r, lab=label: lab)
-    write_summary_rows(out_dir / "ablate_mu_summary.csv", mu_rows)
-
-    lam_tasks = []
-    for lam in cfg.lambda_grid:
-        h = dataclasses.replace(base, mode=Mode.DGHM, outlier_threshold=lam)
-        lam_tasks += [(cfg, "dghm_c", cfg.eta, 0, seed, h) for seed in cfg.seeds]
-    lam_records = run_many(lam_tasks, jobs=jobs)
-    write_run_rows(out_dir / "ablate_lambda_runs.csv", lam_records)
-    lam_labels = [f"lambda={lam:g}" for lam in cfg.lambda_grid for _ in cfg.seeds]
-    by_label = {}
-    for label, rec in zip(lam_labels, lam_records):
-        by_label.setdefault(label, []).append(rec)
-    lam_rows = []
-    for label in dict.fromkeys(lam_labels):
-        lam_rows += summarize(by_label[label], lambda r, lab=label: lab)
-    write_summary_rows(out_dir / "ablate_lambda_summary.csv", lam_rows)
+    mu_records = _ablation_grid(cfg, out_dir, "mu", [
+        (f"mu_n={mu_n:g},mu_c={mu_c:g}",
+         dataclasses.replace(base, mode=Mode.DGHM, mu_n=mu_n, mu_c=mu_c))
+        for mu_n, mu_c in cfg.mu_grid], jobs)
+    lam_records = _ablation_grid(cfg, out_dir, "lambda", [
+        (f"lambda={lam:g}", dataclasses.replace(base, mode=Mode.DGHM, outlier_threshold=lam))
+        for lam in cfg.lambda_grid], jobs)
     return mu_records, lam_records
 
 

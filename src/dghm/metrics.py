@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simdata import Box, iou
+from .simdata import Box, iou, iou_matrix
 
 EVAL_IOU = 0.3
 NMS_IOU = 0.5
@@ -63,44 +63,30 @@ def decode_boxes(anchor_boxes, offsets, max_log_scale: float = 4.0):
     return np.stack([cx, cy, w, h], axis=1)
 
 
-def decode_and_suppress(anchor_boxes, scene_ids, scores, offsets,
-                        score_threshold: float = 0.0, nms_iou: float = NMS_IOU):
-    """Thresholded, greedily deduplicated detections per scene.
+def decode_and_suppress(anchor_boxes, scene_ids, scores, offsets):
+    """Greedily deduplicated detections per scene, by descending score.
 
-    Detections above the score threshold are sorted by descending score and a
-    detection is dropped when it overlaps an already-kept one at IoU >= nms_iou
-    within the same scene.  Ties break on (scene_id, original index) so the
-    output is deterministic.
+    A detection is dropped when it overlaps an already-kept one of its scene at
+    IoU >= NMS_IOU.  Ties break on (scene_id, original index), and detections
+    are returned in that order, so the output is deterministic.
     """
     scores = np.asarray(scores, dtype=np.float64)
     scene_ids = np.asarray(scene_ids)
     boxes = decode_boxes(anchor_boxes, offsets)
-    keep_mask = scores >= score_threshold
     order = np.lexsort((np.arange(scores.size), scene_ids, -scores))
-    x1 = boxes[:, 0] - boxes[:, 2] / 2
-    y1 = boxes[:, 1] - boxes[:, 3] / 2
-    x2 = boxes[:, 0] + boxes[:, 2] / 2
-    y2 = boxes[:, 1] + boxes[:, 3] / 2
-    area = boxes[:, 2] * boxes[:, 3]
-    detections = []
-    kept_by_scene: dict = {}
-    for i in order:
-        if not keep_mask[i]:
-            continue
-        sid = int(scene_ids[i])
-        kept = kept_by_scene.setdefault(sid, [])
-        if kept:
-            k = np.array(kept)
-            ix = np.minimum(x2[i], x2[k]) - np.maximum(x1[i], x1[k])
-            iy = np.minimum(y2[i], y2[k]) - np.maximum(y1[i], y1[k])
-            inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-            if np.any(inter / (area[i] + area[k] - inter) >= nms_iou):
-                continue
-        kept.append(i)
-        detections.append(DetectionResult(scene_id=sid, box=Box(*boxes[i]),
-                                          score=float(scores[i])))
-    detections.sort(key=lambda d: (-d.score, d.scene_id))
-    return detections
+    sorted_sids = scene_ids[order]
+    keep = np.zeros(order.size, dtype=bool)
+    for sid in np.unique(sorted_sids):
+        ranks = np.flatnonzero(sorted_sids == sid)
+        scene_boxes = boxes[order[ranks]]
+        overlaps = iou_matrix(scene_boxes, scene_boxes) >= NMS_IOU
+        alive = np.ones(ranks.size, dtype=bool)
+        for r in range(ranks.size):
+            if alive[r]:
+                alive[r + 1:] &= ~overlaps[r, r + 1:]
+        keep[ranks] = alive
+    return [DetectionResult(scene_id=int(scene_ids[i]), box=Box(*boxes[i]),
+                            score=float(scores[i])) for i in order[keep]]
 
 
 def _greedy_claims(dets, gt_by_scene, iou_thr, scene_of=lambda det: det.scene_id):

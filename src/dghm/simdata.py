@@ -71,24 +71,25 @@ def iou(a: Box, b: Box) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def box_array(boxes) -> np.ndarray:
+    """A Box list as (n, 4) rows of (cx, cy, w, h)."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 def iou_matrix(boxes_a, boxes_b):
-    """Pairwise IoU, shape (len(a), len(b))."""
-    if not boxes_a or not boxes_b:
-        return np.zeros((len(boxes_a), len(boxes_b)))
-    ax1 = np.array([b.x1 for b in boxes_a])[:, None]
-    ay1 = np.array([b.y1 for b in boxes_a])[:, None]
-    ax2 = np.array([b.x2 for b in boxes_a])[:, None]
-    ay2 = np.array([b.y2 for b in boxes_a])[:, None]
-    bx1 = np.array([b.x1 for b in boxes_b])[None, :]
-    by1 = np.array([b.y1 for b in boxes_b])[None, :]
-    bx2 = np.array([b.x2 for b in boxes_b])[None, :]
-    by2 = np.array([b.y2 for b in boxes_b])[None, :]
-    ix = np.clip(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0, None)
-    iy = np.clip(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0, None)
-    inter = ix * iy
-    area_a = np.array([b.area for b in boxes_a])[:, None]
-    area_b = np.array([b.area for b in boxes_b])[None, :]
-    return inter / (area_a + area_b - inter)
+    """Pairwise IoU of (n, 4) and (m, 4) (cx, cy, w, h) arrays, shape (n, m).
+
+    Each entry is ``iou``'s float expression, so the two agree bit for bit.
+    """
+    acx, acy, aw, ah = (col[:, None] for col in boxes_a.T)
+    bcx, bcy, bw, bh = boxes_b.T
+    # x overlap times y overlap, in place: NMS calls this on 256x256 pairs,
+    # and each (n, m) temporary adds to the peak RSS
+    inter = np.clip(np.minimum(acx + aw / 2, bcx + bw / 2)
+                    - np.maximum(acx - aw / 2, bcx - bw / 2), 0.0, None)
+    inter *= np.clip(np.minimum(acy + ah / 2, bcy + bh / 2)
+                     - np.maximum(acy - ah / 2, bcy - bh / 2), 0.0, None)
+    return inter / (aw * ah + bw * bh - inter)
 
 
 @dataclass
@@ -209,18 +210,18 @@ def corrupt_annotations(scenes, spec: CorruptionSpec):
     return out, removed
 
 
-def build_anchor_grid(scene: Scene, spec: SceneSpec):
-    """Regular grid of square anchors covering the extent, one per size entry."""
+def build_anchor_grid(scene: Scene, spec: SceneSpec) -> np.ndarray:
+    """Regular grid of square anchors covering the extent, one per size entry.
+
+    Returns (n, 4) rows of (cx, cy, w, h), ordered by size, then row, then column.
+    """
     width, height = scene.extent
     stride = spec.anchor_stride
     nx = max(int(np.ceil(width / stride)), 1)
     ny = max(int(np.ceil(height / stride)), 1)
-    anchors = []
-    for size in spec.anchor_sizes:
-        for iy in range(ny):
-            for ix in range(nx):
-                anchors.append(Box((ix + 0.5) * stride, (iy + 0.5) * stride, size, size))
-    return anchors
+    size, cy, cx = np.meshgrid(spec.anchor_sizes, (np.arange(ny) + 0.5) * stride,
+                               (np.arange(nx) + 0.5) * stride, indexing="ij")
+    return np.stack([cx, cy, size, size], axis=-1).reshape(-1, 4)
 
 
 def extract_features(best_iou: float, spec: SceneSpec, rng) -> np.ndarray:
@@ -240,14 +241,14 @@ def extract_features(best_iou: float, spec: SceneSpec, rng) -> np.ndarray:
     return feats
 
 
-def regression_target(anchor: Box, gt: Box) -> np.ndarray:
-    """Center offsets normalized by anchor size plus log size ratios."""
-    return np.array([
-        (gt.cx - anchor.cx) / anchor.w,
-        (gt.cy - anchor.cy) / anchor.h,
-        np.log(gt.w / anchor.w),
-        np.log(gt.h / anchor.h),
-    ])
+def regression_target(anchors: np.ndarray, gts: np.ndarray) -> np.ndarray:
+    """Per row pair: center offsets normalized by anchor size plus log size ratios."""
+    return np.stack([
+        (gts[:, 0] - anchors[:, 0]) / anchors[:, 2],
+        (gts[:, 1] - anchors[:, 1]) / anchors[:, 3],
+        np.log(gts[:, 2] / anchors[:, 2]),
+        np.log(gts[:, 3] / anchors[:, 3]),
+    ], axis=1)
 
 
 @dataclass
@@ -272,10 +273,10 @@ def _scene_block(scene: Scene, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
     """One scene's anchors, labeled against its annotated and full box sets."""
     anchors = build_anchor_grid(scene, spec)
     n = len(anchors)
-    kept = scene.annotated_boxes()
+    kept = box_array(scene.annotated_boxes())
     iou_kept = iou_matrix(anchors, kept)
     # IoU is never negative, so an initial 0 only matters for a scene without boxes
-    best_full = np.max(iou_matrix(anchors, scene.gt_boxes), axis=1, initial=0.0)
+    best_full = np.max(iou_matrix(anchors, box_array(scene.gt_boxes)), axis=1, initial=0.0)
     p_star = (np.max(iou_kept, axis=1, initial=0.0) >= IOU_POSITIVE).astype(np.int64)
     features = np.empty((n, spec.feature_dim))
     for idx, best in enumerate(best_full.tolist()):
@@ -283,15 +284,15 @@ def _scene_block(scene: Scene, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
         rng = np.random.default_rng([corpus_seed, scene.scene_id, idx])
         features[idx] = extract_features(best, spec, rng)
     targets = np.zeros((n, 4))
-    for idx in np.flatnonzero(p_star):
-        targets[idx] = regression_target(anchors[idx], kept[int(iou_kept[idx].argmax())])
+    pos = np.flatnonzero(p_star)
+    if pos.size:  # without positives, kept may have no column for argmax
+        targets[pos] = regression_target(anchors[pos], kept[iou_kept[pos].argmax(axis=1)])
     return AnchorPool(
         features=features, p_star=p_star,
         a=np.full(n, int(scene.is_abnormal), dtype=np.int64),
         ideal_p_star=(best_full >= IOU_POSITIVE).astype(np.int64),
         scene_id=np.full(n, scene.scene_id, dtype=np.int64),
-        anchor_index=np.arange(n, dtype=np.int64), targets=targets,
-        boxes=np.array([(b.cx, b.cy, b.w, b.h) for b in anchors]))
+        anchor_index=np.arange(n, dtype=np.int64), targets=targets, boxes=anchors)
 
 
 def build_pool(scenes, spec: SceneSpec, corpus_seed: int) -> AnchorPool:

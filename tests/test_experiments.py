@@ -135,6 +135,24 @@ def test_validate_accepts_defaults():
     assert cfg == ExperimentConfig()
 
 
+@pytest.mark.parametrize("d, message", [
+    ({"eta": 1.5}, "eta"),
+    ({"eta_grid": [0.2, -0.1]}, "eta"),
+    ({"folds": 1}, "fold count"),
+    ({"folds": 500}, "fold count"),
+    ({"learning_rate": -1}, "learning rate"),
+], ids=["eta", "eta_grid", "one_fold", "more_folds_than_scenes", "learning_rate"])
+def test_validate_rejects_values_every_run_rejects(d, message):
+    with pytest.raises(ValueError, match=message):
+        validate_config_dict(d)
+
+
+def test_validate_accepts_range_edges():
+    n = ExperimentConfig().corpus.n_ap + ExperimentConfig().corpus.n_np
+    validate_config_dict({"eta": 1.0, "eta_grid": [0.0, 1.0], "folds": n})
+    validate_config_dict({"folds": 2})
+
+
 # ---------------------------------------------------------------------------
 # run records and CSV plumbing
 # ---------------------------------------------------------------------------

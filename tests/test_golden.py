@@ -15,6 +15,7 @@ from dghm import experiments
 from dghm.experiments import (
     CorpusConfig,
     ExperimentConfig,
+    cmd_ablate,
     cmd_compare_losses,
     cmd_export_figures,
     cmd_train,
@@ -50,6 +51,18 @@ COMPARE = {
         "a5813aefab4afda54d572dd29d41934036ebd3d1ada8da5a6fc3d50143a7ffc7",
     "compare_summary.csv":
         "fcb0345e8fdf7b0c822ddfcb212b143ba2f51660e4db129e7dd12309db955468",
+}
+
+#: both ablation grids (default mu_grid and lambda_grid) of the golden config
+ABLATE = {
+    "ablate_mu_runs.csv":
+        "f4cf41215225cd3eb22d7c1550e42c6a1021879cb091e3902af008dd60dc7176",
+    "ablate_mu_summary.csv":
+        "7028410456180c8df3740fdf13a53a720439714cc5a26155e0d611f418b4d4f0",
+    "ablate_lambda_runs.csv":
+        "41fdd8aa93da2bdb2e078305fda2c38aab4c3acc16e734cbb627c501b24639f6",
+    "ablate_lambda_summary.csv":
+        "cac064e915356f35638c4a4e4cb743b7e0918cbf72a1d0fc3fb33db0c1294607",
 }
 
 #: harmonizer settings a training case runs under
@@ -113,6 +126,11 @@ CURVES = (
 def test_compare_csvs_match_golden(tmp_path):
     cmd_compare_losses(golden_config(), tmp_path)
     assert {name: digest(tmp_path / name) for name in COMPARE} == COMPARE
+
+
+def test_ablate_csvs_match_golden(tmp_path):
+    cmd_ablate(golden_config(), tmp_path)
+    assert {name: digest(tmp_path / name) for name in ABLATE} == ABLATE
 
 
 @pytest.mark.parametrize("case", sorted(TRAIN))

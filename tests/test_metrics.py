@@ -11,6 +11,7 @@ import pytest
 from dghm.metrics import (
     EVAL_IOU,
     FROC_LEVELS,
+    NMS_IOU,
     DetectionResult,
     MatchReport,
     MetricsReport,
@@ -29,7 +30,7 @@ from dghm.metrics import (
     t_r_recall,
     write_report,
 )
-from dghm.simdata import Box
+from dghm.simdata import Box, iou
 
 
 def det(scene, cx, cy, w, h, score):
@@ -369,11 +370,42 @@ def test_suppress_keeps_disjoint_and_cross_scene():
     assert len(dets) == 3  # disjoint within scene 0; scene 1 is independent
 
 
-def test_suppress_score_threshold():
-    anchors = np.array([[10.0, 10.0, 8.0, 8.0], [40.0, 40.0, 8.0, 8.0]])
-    dets = decode_and_suppress(anchors, np.array([0, 0]), np.array([0.9, 0.1]),
-                               np.zeros((2, 4)), score_threshold=0.5)
-    assert len(dets) == 1
+def nms_oracle(anchor_boxes, scene_ids, scores, offsets):
+    """Greedy NMS as a keep-by-kept-list loop, one scalar ``iou`` per pair."""
+    boxes = [Box(*row) for row in decode_boxes(anchor_boxes, offsets)]
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], scene_ids[i], i))
+    kept_by_scene = {}
+    out = []
+    for i in order:
+        kept = kept_by_scene.setdefault(int(scene_ids[i]), [])
+        if all(iou(boxes[i], boxes[k]) < NMS_IOU for k in kept):
+            kept.append(i)
+            out.append((int(scene_ids[i]), boxes[i], float(scores[i])))
+    return out
+
+
+def test_suppress_matches_scalar_oracle():
+    rng = np.random.default_rng(0)
+    suppressed = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        # integer boxes repeat and can overlap at IoU == NMS_IOU exactly
+        anchors = np.column_stack([rng.integers(10, 15, (n, 2)),
+                                   rng.integers(2, 5, (n, 2))]).astype(float)
+        offsets = np.where(rng.uniform(size=(n, 1)) < 0.5, 0.0,
+                           rng.normal(0.0, 0.2, (n, 4)))
+        scene_ids = rng.integers(0, 4, n)
+        scores = np.round(rng.uniform(size=n), 1)  # quantized: ties
+        dets = decode_and_suppress(anchors, scene_ids, scores, offsets)
+        expected = nms_oracle(anchors, scene_ids, scores, offsets)
+        assert [(d.scene_id, d.box, d.score) for d in dets] == expected
+        suppressed += n - len(dets)
+    assert suppressed > 0
+    # 3x3 squares one apart overlap at IoU 0.5 exactly: the later one goes
+    anchors = np.array([[10.0, 10.0, 3.0, 3.0], [11.0, 10.0, 3.0, 3.0]])
+    assert iou(Box(*anchors[0]), Box(*anchors[1])) == NMS_IOU
+    assert len(decode_and_suppress(anchors, np.zeros(2, dtype=int), np.array([0.9, 0.8]),
+                                   np.zeros((2, 4)))) == 1
 
 
 def test_detection_score_validated():

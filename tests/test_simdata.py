@@ -17,6 +17,7 @@ from dghm.simdata import (
     CorruptionSpec,
     Scene,
     SceneSpec,
+    box_array,
     build_anchor_grid,
     build_pool,
     corrupt_annotations,
@@ -61,10 +62,16 @@ def test_iou_matrix_agrees_with_scalar():
                    rng.uniform(2, 8)) for _ in range(7)]
     boxes_b = [Box(rng.uniform(5, 25), rng.uniform(5, 25), rng.uniform(2, 8),
                    rng.uniform(2, 8)) for _ in range(5)]
-    m = iou_matrix(boxes_a, boxes_b)
+    # touching (shared edge, shared corner) and disjoint pairs
+    boxes_a += [Box(10, 10, 4, 4), Box(40, 40, 2, 2)]
+    boxes_b += [Box(14, 10, 4, 4), Box(14, 14, 4, 4), Box(50, 50, 3, 3)]
+    m = iou_matrix(box_array(boxes_a), box_array(boxes_b))
+    assert m.shape == (len(boxes_a), len(boxes_b))
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
-            assert m[i, j] == pytest.approx(iou(a, b), abs=1e-12)
+            assert m[i, j] == iou(a, b)
+    assert iou_matrix(box_array([]), box_array(boxes_b)).shape == (0, len(boxes_b))
+    assert iou_matrix(box_array(boxes_a), box_array([])).shape == (len(boxes_a), 0)
 
 
 @given(cx=st.floats(1, 30), cy=st.floats(1, 30), w=st.floats(0.5, 10),
@@ -185,8 +192,8 @@ def test_anchor_grid_arithmetic():
     scene = Scene(0, NP_CLASS, [], np.zeros(0, dtype=bool), (10.0, 10.0))
     anchors = build_anchor_grid(scene, spec)
     assert len(anchors) == 4
-    assert {(a.cx, a.cy) for a in anchors} == {(2.5, 2.5), (7.5, 2.5),
-                                               (2.5, 7.5), (7.5, 7.5)}
+    assert set(map(tuple, anchors[:, :2].tolist())) == {(2.5, 2.5), (7.5, 2.5),
+                                                        (2.5, 7.5), (7.5, 7.5)}
 
 
 def test_anchor_grid_degenerate_stride():
@@ -257,10 +264,10 @@ def test_anchor_corruption_monotone_in_eta():
 
 
 def test_regression_target_round_trip():
-    anchor = Box(10.0, 10.0, 8.0, 8.0)
-    gt = Box(12.0, 9.0, 10.0, 6.0)
-    t = regression_target(anchor, gt)
-    np.testing.assert_allclose(t, [0.25, -0.125, np.log(1.25), np.log(0.75)])
+    anchors = np.array([[10.0, 10.0, 8.0, 8.0]])
+    gts = np.array([[12.0, 9.0, 10.0, 6.0]])
+    t = regression_target(anchors, gts)
+    np.testing.assert_allclose(t, [[0.25, -0.125, np.log(1.25), np.log(0.75)]])
 
 
 # ---------------------------------------------------------------------------
