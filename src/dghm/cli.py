@@ -38,10 +38,9 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     else:
         with open(path) as fh:
             cfg_dict = json.load(fh)
-    cfg = validate_config_dict(cfg_dict)
     if seed_override is not None:
-        cfg.seeds = (seed_override,)
-    return cfg
+        cfg_dict = {**cfg_dict, "seeds": [seed_override]}
+    return validate_config_dict(cfg_dict)
 
 
 def build_parser() -> argparse.ArgumentParser:

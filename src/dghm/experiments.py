@@ -141,6 +141,9 @@ def validate_config_dict(d: dict):
             CorruptionSpec(eta=eta, seed=0)
         _train_config(cfg, LossSpec(), seed=0)
         _check_fold_count(cfg.folds, cfg.corpus.n_ap + cfg.corpus.n_np)
+        _ablation_cells(cfg)
+        for seed in (cfg.corpus.seed, *cfg.seeds):
+            np.random.SeedSequence(seed)
     except TypeError as exc:
         raise ValueError(str(exc)) from exc
     if not cfg.losses:
@@ -421,6 +424,21 @@ def cmd_compare_losses(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     return records, rows
 
 
+def _ablation_cells(cfg: ExperimentConfig):
+    """(label, harmonizer) cells of the mu grid and of the lambda grid.
+
+    Each cell is the base harmonizer in DGHM mode with only the varied fields changed.
+    """
+    base = cfg.harmonizer
+    mu_cells = [(f"mu_n={mu_n:g},mu_c={mu_c:g}",
+                 dataclasses.replace(base, mode=Mode.DGHM, mu_n=mu_n, mu_c=mu_c))
+                for mu_n, mu_c in cfg.mu_grid]
+    lam_cells = [(f"lambda={lam:g}",
+                  dataclasses.replace(base, mode=Mode.DGHM, outlier_threshold=lam))
+                 for lam in cfg.lambda_grid]
+    return mu_cells, lam_cells
+
+
 def _ablation_grid(cfg: ExperimentConfig, out_dir, name: str, cells, jobs: int):
     """Run dghm_c for each (label, harmonizer) cell and seed; write the grid's CSVs.
 
@@ -443,14 +461,9 @@ def _ablation_grid(cfg: ExperimentConfig, out_dir, name: str, cells, jobs: int):
 def cmd_ablate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     """Two grids: (mu_n, mu_c) at fixed lambda, and lambda at fixed (mu_n, mu_c)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = cfg.harmonizer
-    mu_records = _ablation_grid(cfg, out_dir, "mu", [
-        (f"mu_n={mu_n:g},mu_c={mu_c:g}",
-         dataclasses.replace(base, mode=Mode.DGHM, mu_n=mu_n, mu_c=mu_c))
-        for mu_n, mu_c in cfg.mu_grid], jobs)
-    lam_records = _ablation_grid(cfg, out_dir, "lambda", [
-        (f"lambda={lam:g}", dataclasses.replace(base, mode=Mode.DGHM, outlier_threshold=lam))
-        for lam in cfg.lambda_grid], jobs)
+    mu_cells, lam_cells = _ablation_cells(cfg)
+    mu_records = _ablation_grid(cfg, out_dir, "mu", mu_cells, jobs)
+    lam_records = _ablation_grid(cfg, out_dir, "lambda", lam_cells, jobs)
     return mu_records, lam_records
 
 

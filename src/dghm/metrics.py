@@ -175,10 +175,6 @@ def nfps(dets, np_scene_ids, threshold: float) -> float:
     return nfps_from_w(mean_np_detections(kept, np_scene_ids))
 
 
-def _threshold_grid(dets):
-    return sorted({d.score for d in dets}, reverse=True)
-
-
 def _sweep_curves(dets, gt_by_scene, np_scene_ids=()):
     """Per-threshold cumulative match statistics in one greedy pass.
 

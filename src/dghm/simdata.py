@@ -224,20 +224,113 @@ def build_anchor_grid(scene: Scene, spec: SceneSpec) -> np.ndarray:
     return np.stack([cx, cy, size, size], axis=-1).reshape(-1, 4)
 
 
-def extract_features(best_iou: float, spec: SceneSpec, rng) -> np.ndarray:
-    """Feature vector: attenuated IoU signal on channels 0-1 plus noise.
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _entropy_words(n: int) -> list:
+    """A seed int as numpy's uint32 entropy words, least significant first."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_states(prefix: list, last: np.ndarray) -> np.ndarray:
+    """SeedSequence(prefix + [w]).generate_state(4, np.uint64) for every word w of last.
+
+    The entropy is the words `prefix` shared by every row, then one word per row.
+    The mixing is numpy's fixed uint32 arithmetic, run on (n,) columns at once;
+    uint32 arrays wrap mod 2**32 as the C code does.  Returns (n, 4) uint64.
+    """
+    n = last.size
+    entropy = [np.full(n, w, dtype=np.uint32) for w in prefix] + [last.astype(np.uint32)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        result ^= result >> np.uint32(16)
+        return result
+
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = np.empty((n, 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
+        state[:, i] = value
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
+    """PCG64's ``.state`` after seeding from generate_state(4, np.uint64) words.
+
+    As numpy's pcg64_set_seed: inc = initseq << 1 | 1, then two LCG steps
+    around adding initstate, all mod 2**128.
+    """
+    inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _anchor_features(best_iou: np.ndarray, spec: SceneSpec, corpus_seed: int,
+                     scene_id: int, rng) -> np.ndarray:
+    """Features of a scene's anchors: attenuated IoU signal on channels 0-1 plus noise.
 
     A fraction of anchors is "hard": their signal is multiplied by a factor
     drawn from spec.hard_attenuation, pushing positives toward the background
-    distribution.  Deterministic per rng stream.
+    distribution.  Anchor idx draws from its own stream, the one
+    ``np.random.default_rng([corpus_seed, scene_id, idx])`` would give: its
+    SeedSequence words are computed for every anchor at once, then each
+    anchor's PCG64 state is set on the one reused generator ``rng``.
     """
-    noise = rng.standard_normal(spec.feature_dim) * spec.noise_level
-    is_hard = rng.uniform() < spec.hard_fraction
-    attenuation = float(rng.uniform(*spec.hard_attenuation)) if is_hard else 1.0
-    feats = noise
+    n = best_iou.size
+    seeds = _seed_states(_entropy_words(corpus_seed) + _entropy_words(scene_id),
+                         np.arange(n))
+    normals = np.empty((n, spec.feature_dim))
+    u_hard = np.empty(n)
+    u_attenuation = np.zeros(n)
+    bitgen = rng.bit_generator
+    for idx, words in enumerate(seeds.tolist()):
+        bitgen.state = _pcg64_state(*words)
+        rng.standard_normal(out=normals[idx])
+        u_hard[idx] = u = rng.random()
+        if u < spec.hard_fraction:  # the attenuation is drawn for hard anchors only
+            u_attenuation[idx] = rng.random()
+    lo, hi = spec.hard_attenuation
+    attenuation = np.where(u_hard < spec.hard_fraction, lo + (hi - lo) * u_attenuation, 1.0)
+    feats = normals * spec.noise_level
     q = best_iou * attenuation
-    feats[0] += spec.signal_background + spec.signal_gain * q
-    feats[1] += spec.secondary_gain * spec.signal_gain * q
+    feats[:, 0] += spec.signal_background + spec.signal_gain * q
+    feats[:, 1] += (spec.secondary_gain * spec.signal_gain) * q
     return feats
 
 
@@ -269,7 +362,7 @@ class AnchorPool:
         return self.p_star.size
 
 
-def _scene_block(scene: Scene, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
+def _scene_block(scene: Scene, spec: SceneSpec, corpus_seed: int, rng) -> AnchorPool:
     """One scene's anchors, labeled against its annotated and full box sets."""
     anchors = build_anchor_grid(scene, spec)
     n = len(anchors)
@@ -278,11 +371,7 @@ def _scene_block(scene: Scene, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
     # IoU is never negative, so an initial 0 only matters for a scene without boxes
     best_full = np.max(iou_matrix(anchors, box_array(scene.gt_boxes)), axis=1, initial=0.0)
     p_star = (np.max(iou_kept, axis=1, initial=0.0) >= IOU_POSITIVE).astype(np.int64)
-    features = np.empty((n, spec.feature_dim))
-    for idx, best in enumerate(best_full.tolist()):
-        # per anchor: every feature byte comes from the anchor's own rng stream
-        rng = np.random.default_rng([corpus_seed, scene.scene_id, idx])
-        features[idx] = extract_features(best, spec, rng)
+    features = _anchor_features(best_full, spec, corpus_seed, scene.scene_id, rng)
     targets = np.zeros((n, 4))
     pos = np.flatnonzero(p_star)
     if pos.size:  # without positives, kept may have no column for argmax
@@ -302,7 +391,8 @@ def build_pool(scenes, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
     the features against all of its boxes, so only p_star and the regression
     targets depend on the annotation mask.
     """
-    blocks = [_scene_block(scene, spec, corpus_seed) for scene in scenes]
+    rng = np.random.Generator(np.random.PCG64(0))  # reseeded per anchor
+    blocks = [_scene_block(scene, spec, corpus_seed, rng) for scene in scenes]
     return AnchorPool(**{
         f.name: np.concatenate([getattr(b, f.name) for b in blocks])
         for f in dataclasses.fields(AnchorPool)})

@@ -59,6 +59,20 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, argv", [
+    ({"lambda_grid": [1.5]}, []),
+    ({"mu_grid": [[0, 1]]}, []),
+    ({"corpus": {"seed": -1}}, []),
+    ({"seeds": [-1, 0]}, []),
+    ({}, ["--seed", "-1"]),
+], ids=["lambda_grid", "mu_grid", "corpus_seed", "run_seed", "seed_override"])
+def test_check_config_rejects_what_every_run_rejects(tmp_path, capsys, config, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(["--config", path, *argv, "check-config"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{")

@@ -141,7 +141,13 @@ def test_validate_accepts_defaults():
     ({"folds": 1}, "fold count"),
     ({"folds": 500}, "fold count"),
     ({"learning_rate": -1}, "learning rate"),
-], ids=["eta", "eta_grid", "one_fold", "more_folds_than_scenes", "learning_rate"])
+    ({"lambda_grid": [1.5]}, "outlier_threshold"),
+    ({"mu_grid": [[0, 1]]}, "mu_n and mu_c"),
+    ({"corpus": {"seed": -1}}, "non-negative"),
+    ({"seeds": [-1, 0]}, "non-negative"),
+    ({"seeds": [1.5]}, "int"),
+], ids=["eta", "eta_grid", "one_fold", "more_folds_than_scenes", "learning_rate",
+        "lambda_grid", "mu_grid", "corpus_seed", "run_seed", "float_seed"])
 def test_validate_rejects_values_every_run_rejects(d, message):
     with pytest.raises(ValueError, match=message):
         validate_config_dict(d)

@@ -32,6 +32,7 @@ from dghm.simdata import (
     scene_spec_from_dict,
     scene_spec_to_dict,
 )
+from dghm.simdata import _entropy_words, _pcg64_state, _seed_states
 
 SMALL_SPEC = SceneSpec(extent=(32.0, 32.0), objects_per_ap_scene=(2, 4))
 
@@ -289,6 +290,76 @@ def test_noiseless_background_anchor():
     pool = build_pool(scenes, spec, corpus_seed=8)
     np.testing.assert_allclose(pool.features[:, 0], 0.25)
     np.testing.assert_allclose(pool.features[:, 2:], 0.0)
+
+
+def reference_features(best_iou, spec, rng):
+    """The scalar per-anchor feature draw that build_pool vectorizes."""
+    noise = rng.standard_normal(spec.feature_dim) * spec.noise_level
+    is_hard = rng.uniform() < spec.hard_fraction
+    attenuation = float(rng.uniform(*spec.hard_attenuation)) if is_hard else 1.0
+    feats = noise
+    q = best_iou * attenuation
+    feats[0] += spec.signal_background + spec.signal_gain * q
+    feats[1] += spec.secondary_gain * spec.signal_gain * q
+    return feats
+
+
+@pytest.mark.parametrize("hard_fraction", [0.0, 0.5, 1.0])
+def test_pool_features_match_scalar_reference(hard_fraction):
+    spec = dataclasses.replace(SMALL_SPEC, hard_fraction=hard_fraction)
+    for corpus_seed in (0, 8, 2**32 + 5, 2**64 + 1):
+        scenes = generate_corpus(spec, 2, 1, seed=corpus_seed)
+        pool = build_pool(scenes, spec, corpus_seed)
+        expected = []
+        for scene in scenes:
+            for idx, row in enumerate(build_anchor_grid(scene, spec)):
+                anchor = Box(*row)
+                best = max((iou(anchor, gt) for gt in scene.gt_boxes), default=0.0)
+                rng = np.random.default_rng([corpus_seed, scene.scene_id, idx])
+                expected.append(reference_features(best, spec, rng))
+        np.testing.assert_array_equal(pool.features, np.array(expected))
+
+
+def test_seed_states_match_default_rng():
+    rs = np.random.default_rng(2024)
+    corpus_seeds = [0, 1, 42, 2**32 - 1, 2**32 + 5, 2**64 + 1,
+                    *rs.integers(0, 2**63, 4).tolist()]
+    scene_ids = [0, 3, 2**32 - 1, 2**32 + 3, *rs.integers(0, 2**20, 2).tolist()]
+    idx = np.array([0, 1, 255, 2**32 - 1, *rs.integers(0, 2**32, 8).tolist()])
+    for corpus_seed in corpus_seeds:
+        for scene_id in scene_ids:
+            words = _seed_states(_entropy_words(corpus_seed) + _entropy_words(scene_id), idx)
+            for i, row in zip(idx.tolist(), words.tolist()):
+                expected = np.random.default_rng([corpus_seed, scene_id, i]).bit_generator.state
+                assert _pcg64_state(*row) == expected, (corpus_seed, scene_id, i)
+
+
+def test_negative_corpus_seed_rejected_like_default_rng():
+    scenes = generate_corpus(SMALL_SPEC, 1, 0, seed=0)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng([-1, 0, 0])
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        build_pool(scenes, SMALL_SPEC, corpus_seed=-1)
+
+
+PROPERTY_SCENES, _ = corrupt_annotations(generate_corpus(SMALL_SPEC, 4, 2, seed=21),
+                                         CorruptionSpec(eta=0.5, seed=3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(range(len(PROPERTY_SCENES))), min_size=1,
+                max_size=len(PROPERTY_SCENES), unique=True),
+       st.sampled_from(range(len(PROPERTY_SCENES))))
+def test_scene_block_independent_of_other_scenes(order, pick):
+    """Each anchor's stream is keyed by (corpus seed, scene, index) alone."""
+    scene = PROPERTY_SCENES[pick]
+    if pick not in order:
+        order = [*order, pick]
+    pool = build_pool([PROPERTY_SCENES[i] for i in order], SMALL_SPEC, corpus_seed=21)
+    alone = build_pool([scene], SMALL_SPEC, corpus_seed=21)
+    rows = pool.scene_id == scene.scene_id
+    for f in dataclasses.fields(AnchorPool):
+        np.testing.assert_array_equal(getattr(pool, f.name)[rows], getattr(alone, f.name))
 
 
 def linear_probe_accuracy(features, labels):
