@@ -33,12 +33,12 @@ from .losses import (
     sigmoid,
     smooth_l1,
 )
-from .metrics import MetricsReport, froc, match_detections, nfps, operating_point
+from .metrics import Detections, MetricsReport, froc, match_detections, nfps, operating_point
 from .model import Predictor, TrainConfig, finite_difference_check, train
 from .simdata import Box, CorruptionSpec, Scene, SceneSpec, corrupt_annotations, iou
 
 __all__ = [
-    "MODE_PARTITIONS", "Box", "CorruptionSpec", "FocalParams",
+    "MODE_PARTITIONS", "Box", "CorruptionSpec", "Detections", "FocalParams",
     "HarmonizerConfig", "LossSpec", "MetricsReport", "Mode", "Partition",
     "Predictor", "SceParams", "Scene", "SceneSpec", "TrainConfig",
     "build_histograms", "ce_grad_logit", "ce_loss",

@@ -32,6 +32,11 @@ EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 
 
+def _num(value, spec: str) -> str:
+    """A metric for printing; a fold without normal scenes has no NFPs/FROC."""
+    return "undefined" if value is None else format(value, spec)
+
+
 def load_config(path, seed_override=None) -> ExperimentConfig:
     if path is None:
         cfg_dict = {}
@@ -98,11 +103,12 @@ def main(argv=None) -> int:
             record = cmd_train(cfg, args.out, loss_name=args.loss, eta=args.eta)
             r = record.report
             print(f"loss={record.loss} eta={record.eta:g} recall={r.recall:.4f} "
-                  f"precision={r.precision:.4f} nfps={r.nfps:.2f} froc={r.froc:.4f}")
+                  f"precision={r.precision:.4f} nfps={_num(r.nfps, '.2f')} "
+                  f"froc={_num(r.froc, '.4f')}")
         elif args.command == "compare":
             _, rows = cmd_compare_losses(cfg, args.out, jobs=args.jobs)
             for row in rows:
-                print(f"{row['group']}: froc={row['froc_mean']:.4f} "
+                print(f"{row['group']}: froc={_num(row['froc_mean'], '.4f')} "
                       f"recall={row['recall_mean']:.4f}")
         elif args.command == "ablate":
             cmd_ablate(cfg, args.out, jobs=args.jobs)

@@ -220,21 +220,21 @@ def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes, remov
     np_ids = [s.scene_id for s in test_scenes if not s.is_abnormal]
     flags = []
     if not test_dets:
-        flags.append("no_detections")
-        return M.MetricsReport(flags=flags)
+        return M.MetricsReport(flags=["no_detections"])
     thr, thr_flag = M.operating_point(test_dets, gt_by_scene)
     if thr_flag:
         flags.append("precision_floor_unreached")
-    kept_dets = [d for d in test_dets if d.score >= thr]
-    rep = M.aggregate_match(kept_dets, gt_by_scene)
+    rep = M.aggregate_match(test_dets[test_dets.score >= thr], gt_by_scene)
     rec, rec_flag = M.recall(rep)
     prec, prec_flag = M.precision(rep)
     if rec_flag:
         flags.append("recall_zero_denominator")
     if prec_flag:
         flags.append("precision_zero_denominator")
-    nfps_value = M.nfps(test_dets, np_ids, thr) if np_ids else 0.0
-    froc_value = M.froc(test_dets, gt_by_scene, np_ids) if np_ids else 0.0
+    if not np_ids:
+        flags.append("no_normal_scenes")
+    nfps_value = M.nfps(test_dets, np_ids, thr) if np_ids else None
+    froc_value = M.froc(test_dets, gt_by_scene, np_ids) if np_ids else None
 
     train_dets = predict_scenes(model, train_pool)
     kept_by_scene = {}

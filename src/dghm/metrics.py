@@ -1,11 +1,11 @@
 """Detection evaluation: instance recall, precision, NFPs, FROC, T/R-recall.
 
-All matching is greedy in descending score order at a fixed IoU threshold
-(0.3 for evaluation, following the benchmark convention).  NFPs penalizes the
-average detection count W over normal scenes as max(100 - W, 0).  FROC
-averages recall over a ladder of false-positives-per-normal-scene levels; by
-default the ladder values are interpreted as FP-per-NP-scene counts (standard
-FROC), with an optional literal reading where they are NFPs score levels.
+Detections are parallel arrays (``Detections``) from NMS to the reports.  All
+matching is greedy in descending score order at a fixed IoU threshold (0.3 for
+evaluation, following the benchmark convention).  NFPs penalizes the average
+detection count W over normal scenes as max(100 - W, 0).  FROC averages recall
+over a ladder of false-positives-per-normal-scene levels, read as FP counts
+per NP scene (standard FROC).
 """
 
 from __future__ import annotations
@@ -14,22 +14,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simdata import Box, iou, iou_matrix
+from .simdata import box_array, iou_matrix
 
 EVAL_IOU = 0.3
 NMS_IOU = 0.5
 FROC_LEVELS = (1, 2, 4, 8, 16, 32)
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    scene_id: int
-    box: Box
-    score: float
+@dataclass(eq=False)
+class Detections:
+    """Parallel per-detection arrays: scene ids (n,), (cx, cy, w, h) boxes
+    (n, 4) and scores (n,) in [0, 1].  ``dets[mask]`` selects rows."""
+    scene_id: np.ndarray
+    boxes: np.ndarray
+    score: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
+        self.scene_id = np.asarray(self.scene_id, dtype=np.int64)
+        self.boxes = np.asarray(self.boxes, dtype=np.float64).reshape(-1, 4)
+        self.score = np.asarray(self.score, dtype=np.float64)
+        if not self.scene_id.shape == self.score.shape == (len(self.boxes),):
+            raise ValueError("scene_id, boxes and score must have one row per detection")
+        if not np.all((self.score >= 0.0) & (self.score <= 1.0)):
             raise ValueError("score must be in [0, 1]")
+
+    def __len__(self) -> int:
+        return self.score.size
+
+    def __getitem__(self, rows) -> Detections:
+        return Detections(self.scene_id[rows], self.boxes[rows], self.score[rows])
 
 
 @dataclass
@@ -43,8 +56,8 @@ class MatchReport:
 class MetricsReport:
     recall: float = 0.0
     precision: float = 0.0
-    nfps: float = 0.0
-    froc: float = 0.0
+    nfps: float | None = 0.0
+    froc: float | None = 0.0
     t_recall: float | None = None
     r_recall: float | None = None
     threshold: float = 0.0
@@ -85,61 +98,50 @@ def decode_and_suppress(anchor_boxes, scene_ids, scores, offsets):
             if alive[r]:
                 alive[r + 1:] &= ~overlaps[r, r + 1:]
         keep[ranks] = alive
-    return [DetectionResult(scene_id=int(scene_ids[i]), box=Box(*boxes[i]),
-                            score=float(scores[i])) for i in order[keep]]
+    rows = order[keep]
+    return Detections(scene_ids[rows], boxes[rows], scores[rows])
 
 
-def _greedy_claims(dets, gt_by_scene, iou_thr, scene_of=lambda det: det.scene_id):
+def _greedy_claims(dets, gt_by_scene, iou_thr):
     """Greedy one-to-one matching behind every match count and curve sweep.
 
     Detections are visited by descending score, ties in input order; each
-    claims the unclaimed gt of its scene (``gt_by_scene[scene_of(det)]``) with
-    the highest IoU >= iou_thr.  Returns (order, is_tp): the visiting order as
-    indices into dets, and per rank whether that detection claimed a gt.
+    claims the unclaimed gt of its scene with the highest IoU >= iou_thr (the
+    first one on ties).  Returns (order, is_tp): the visiting order as indices
+    into dets, and per rank whether that detection claimed a gt.
     """
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    claimed = {sid: [False] * len(gts) for sid, gts in gt_by_scene.items()}
+    order = np.argsort(-dets.score, kind="stable")
+    ranked_scene_ids = dets.scene_id[order]
     is_tp = np.zeros(len(dets), dtype=bool)
-    for rank, i in enumerate(order):
-        det = dets[i]
-        sid = scene_of(det)
-        gts = gt_by_scene.get(sid)
-        if not gts:
-            continue
-        taken = claimed[sid]
-        best_j, best_iou = -1, iou_thr
-        for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            v = iou(det.box, gt)
-            if v >= best_iou and v > 0:
-                if v > best_iou or best_j == -1:
-                    best_j, best_iou = j, v
-        if best_j >= 0:
-            taken[best_j] = True
-            is_tp[rank] = True
+    for sid, gts in gt_by_scene.items():
+        ranks = np.flatnonzero(ranked_scene_ids == sid)
+        ious = iou_matrix(dets.boxes[order[ranks]], box_array(gts))
+        ious = np.where((ious >= iou_thr) & (ious > 0), ious, -np.inf)
+        # only rows with a candidate gt can claim; a claim closes its column
+        for r in np.flatnonzero(ious.max(axis=1, initial=-np.inf) > -np.inf):
+            j = np.argmax(ious[r])
+            if ious[r, j] > -np.inf:
+                ious[:, j] = -np.inf
+                is_tp[ranks[r]] = True
     return order, is_tp
 
 
-def _report(n_dets: int, n_gts: int, is_tp) -> MatchReport:
-    tp = int(np.count_nonzero(is_tp))
-    return MatchReport(tp=tp, fp=n_dets - tp, fn=n_gts - tp)
-
-
 def match_detections(dets, gt_boxes, iou_thr: float = EVAL_IOU) -> MatchReport:
-    """Greedy one-to-one matching of one scene's detections against its gts.
+    """Greedy one-to-one matching of every detection against one gt list.
 
-    Detections are processed by descending score; each claims the unmatched gt
-    with the highest IoU >= iou_thr.
+    Scene ids are ignored.  Detections are processed by descending score; each
+    claims the unmatched gt with the highest IoU >= iou_thr.
     """
-    _, is_tp = _greedy_claims(dets, {0: gt_boxes}, iou_thr, scene_of=lambda det: 0)
-    return _report(len(dets), len(gt_boxes), is_tp)
+    one_scene = Detections(np.zeros_like(dets.scene_id), dets.boxes, dets.score)
+    return aggregate_match(one_scene, {0: gt_boxes}, iou_thr)
 
 
 def aggregate_match(dets, gt_by_scene, iou_thr: float = EVAL_IOU) -> MatchReport:
     """Match per scene and sum counts; detections in scenes without gt are FP."""
     _, is_tp = _greedy_claims(dets, gt_by_scene, iou_thr)
-    return _report(len(dets), sum(len(g) for g in gt_by_scene.values()), is_tp)
+    tp = int(np.count_nonzero(is_tp))
+    n_gts = sum(len(g) for g in gt_by_scene.values())
+    return MatchReport(tp=tp, fp=len(dets) - tp, fn=n_gts - tp)
 
 
 def recall(report: MatchReport):
@@ -161,7 +163,7 @@ def mean_np_detections(dets, np_scene_ids) -> float:
     np_scene_ids = set(np_scene_ids)
     if not np_scene_ids:
         raise ValueError("at least one normal scene is required")
-    n = sum(1 for d in dets if d.scene_id in np_scene_ids)
+    n = np.count_nonzero(np.isin(dets.scene_id, list(np_scene_ids)))
     return n / len(np_scene_ids)
 
 
@@ -171,8 +173,7 @@ def nfps_from_w(w: float) -> float:
 
 def nfps(dets, np_scene_ids, threshold: float) -> float:
     """NFPs score at the given operating threshold."""
-    kept = [d for d in dets if d.score >= threshold]
-    return nfps_from_w(mean_np_detections(kept, np_scene_ids))
+    return nfps_from_w(mean_np_detections(dets[dets.score >= threshold], np_scene_ids))
 
 
 def _sweep_curves(dets, gt_by_scene, np_scene_ids=()):
@@ -183,10 +184,9 @@ def _sweep_curves(dets, gt_by_scene, np_scene_ids=()):
     pass.  Returns (thresholds desc, tp, n_det, n_np_det) where entry k counts
     detections with score >= thresholds[k].
     """
-    np_scene_ids = set(np_scene_ids)
     order, is_tp = _greedy_claims(dets, gt_by_scene, EVAL_IOU)
-    in_np = np.array([dets[i].scene_id in np_scene_ids for i in order], dtype=bool)
-    scores = np.array([dets[i].score for i in order])
+    in_np = np.isin(dets.scene_id[order], list(np_scene_ids))
+    scores = dets.score[order]
     cum_tp = np.cumsum(is_tp)
     cum_np = np.cumsum(in_np)
     # last index of each unique score = counts for "score >= that threshold"
@@ -206,19 +206,13 @@ def froc(dets, gt_by_scene, np_scene_ids, levels=FROC_LEVELS) -> float:
     np_scene_ids = set(np_scene_ids)
     if not np_scene_ids:
         raise ValueError("at least one normal scene is required")
-    if not dets:
-        return 0.0
     total_gt = sum(len(v) for v in gt_by_scene.values())
     if total_gt == 0:
         return 0.0
     _, tp, _, np_det = _sweep_curves(dets, gt_by_scene, np_scene_ids)
-    recalls = tp / total_gt
-    ws = np_det / len(np_scene_ids)
-    values = []
-    for level in levels:
-        ok = ws <= level
-        values.append(float(recalls[ok].max()) if np.any(ok) else 0.0)
-    return float(np.mean(values))
+    # (level, threshold) feasibility; a level no threshold meets scores 0
+    ok = np_det / len(np_scene_ids) <= np.asarray(levels)[:, None]
+    return float(np.mean(np.where(ok, tp / total_gt, 0.0).max(axis=1, initial=0.0)))
 
 
 def operating_point(dets, gt_by_scene, min_precision: float = 0.2):
@@ -247,14 +241,13 @@ def t_r_recall(dets, kept_by_scene, removed_by_scene, threshold: float,
     may therefore count toward both.  Returns (t_recall, r_recall, flagged)
     where r_recall is None (flagged) when the removed pool is empty.
     """
-    above = [d for d in dets if d.score >= threshold]
+    above = dets[dets.score >= threshold]
     t_rep = aggregate_match(above, kept_by_scene, iou_thr)
     t_rec, _ = recall(t_rep)
-    n_removed = sum(len(v) for v in removed_by_scene.values())
-    if n_removed == 0:
+    if not any(removed_by_scene.values()):
         return t_rec, None, True
-    r_rep = aggregate_match(
-        [d for d in above if d.scene_id in removed_by_scene], removed_by_scene, iou_thr)
+    r_rep = aggregate_match(above[np.isin(above.scene_id, list(removed_by_scene))],
+                            removed_by_scene, iou_thr)
     r_rec, _ = recall(r_rep)
     return t_rec, r_rec, False
 

@@ -29,7 +29,7 @@ from dghm.losses import (
     sigmoid,
 )
 from dghm.metrics import (
-    DetectionResult,
+    Detections,
     MatchReport,
     aggregate_match,
     froc,
@@ -192,7 +192,7 @@ def _random_detection_sets(rng):
 
     n_scenes = int(rng.integers(4, 10))
     n_np = int(rng.integers(1, 4))
-    gt_by_scene, dets = {}, []
+    gt_by_scene, rows = {}, []
     for sid in range(n_scenes):
         n_gt = 0 if sid < n_np else int(rng.integers(0, 5))
         gt_by_scene[sid] = [
@@ -208,7 +208,9 @@ def _random_detection_sets(rng):
                 box = Box(float(rng.uniform(0, 64)),
                           float(rng.uniform(0, 64)), 8.0, 8.0)
             score = round(float(rng.random()), 1)
-            dets.append(DetectionResult(scene_id=sid, box=box, score=score))
+            rows.append((sid, box.cx, box.cy, box.w, box.h, score))
+    rows = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    dets = Detections(rows[:, 0].astype(np.int64), rows[:, 1:5], rows[:, 5])
     np_ids = set(range(n_np))
     return dets, gt_by_scene, np_ids
 
@@ -217,13 +219,13 @@ def _brute_froc(dets, gt_by_scene, np_ids, levels=(1, 2, 4, 8, 16, 32)):
     n_gt = sum(len(b) for b in gt_by_scene.values())
     if n_gt == 0 or not np_ids:
         return 0.0
-    thresholds = sorted({d.score for d in dets}, reverse=True)
+    thresholds = np.unique(dets.score)[::-1]
+    in_np = np.isin(dets.scene_id, list(np_ids))
     pts = []
     for t in thresholds:
-        kept = [d for d in dets if d.score >= t]
-        rep = aggregate_match(kept, gt_by_scene)
-        fp_np = sum(1 for d in kept
-                    if d.scene_id in np_ids)
+        kept = dets.score >= t
+        rep = aggregate_match(dets[kept], gt_by_scene)
+        fp_np = np.count_nonzero(kept & in_np)
         pts.append((fp_np / len(np_ids), rep.tp / n_gt))
     sens = []
     for lv in levels:
@@ -236,19 +238,17 @@ def _brute_froc(dets, gt_by_scene, np_ids, levels=(1, 2, 4, 8, 16, 32)):
 
 
 def _brute_operating_point(dets, gt_by_scene, min_precision=0.2):
-    thresholds = sorted({d.score for d in dets}, reverse=True)
+    thresholds = np.unique(dets.score)[::-1]
     best = None
-    for t in sorted(thresholds):  # lowest qualifying threshold
-        kept = [d for d in dets if d.score >= t]
-        rep = aggregate_match(kept, gt_by_scene)
+    for t in thresholds[::-1]:  # lowest qualifying threshold
+        rep = aggregate_match(dets[dets.score >= t], gt_by_scene)
         denom = rep.tp + rep.fp
         if denom and rep.tp / denom >= min_precision:
             return t, False
     # fallback: argmax precision
     best_t, best_p = None, -1.0
     for t in thresholds:
-        kept = [d for d in dets if d.score >= t]
-        rep = aggregate_match(kept, gt_by_scene)
+        rep = aggregate_match(dets[dets.score >= t], gt_by_scene)
         denom = rep.tp + rep.fp
         p = rep.tp / denom if denom else 0.0
         if p > best_p:

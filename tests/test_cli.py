@@ -90,6 +90,19 @@ def test_gen_refuses_overwrite(config_path, tmp_path, capsys):
     assert run(["--config", config_path, "--out", out, "--force", "gen"]) == EXIT_OK
 
 
+def test_train_prints_undefined_froc_without_normal_scenes(tmp_path, capsys):
+    # n_ap=8, n_np=1 in 2 folds: the trained fold 0 has no normal scene
+    config = json.loads(json.dumps(TINY_CONFIG))
+    config["corpus"].update(n_ap=8, n_np=1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    run_dir = tmp_path / "run"
+    assert run(["--config", path, "--out", run_dir, "train", "--loss", "ce"]) == EXIT_OK
+    assert "nfps=undefined froc=undefined" in capsys.readouterr().out
+    report = (run_dir / "report.txt").read_text()
+    assert "froc=undefined" in report and "no_normal_scenes" in report
+
+
 def test_train_and_export_figs(config_path, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run(["--config", config_path, "--out", run_dir, "train",

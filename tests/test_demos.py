@@ -1,4 +1,5 @@
-"""Smoke test: every README walkthrough in demos/ runs to completion."""
+"""Smoke tests of the user-facing surface: every README walkthrough in demos/
+runs to completion, and every name ``dghm`` exports resolves."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import dghm
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -21,3 +24,9 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_export_resolves():
+    missing = [name for name in dghm.__all__ if not hasattr(dghm, name)]
+    assert not missing
+    assert "Detections" in dghm.__all__

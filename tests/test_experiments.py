@@ -218,6 +218,22 @@ def test_run_single_deterministic():
     assert a.config_hash == b.config_hash
 
 
+def test_fold_without_normal_scenes_has_undefined_nfps_and_froc(tmp_path):
+    # n_np=1 in 2 folds: fold 0 holds no normal scene, fold 1 holds the one
+    cfg = tiny_config(corpus=dataclasses.replace(tiny_config().corpus, n_np=1))
+    no_np, with_np = (run_single(cfg, "ce", 0.5, fold=f, seed=0) for f in (0, 1))
+    assert (no_np.report.nfps, no_np.report.froc) == (None, None)
+    assert "no_normal_scenes" in no_np.report.flags
+    assert with_np.report.froc is not None
+    assert "no_normal_scenes" not in with_np.report.flags
+    write_run_rows(tmp_path / "runs.csv", [no_np, with_np])
+    row = read_run_rows(tmp_path / "runs.csv")[0]
+    assert (row["nfps"], row["froc"]) == ("undefined", "undefined")
+    summary = summarize([no_np, with_np], lambda rec: rec.loss)[0]
+    assert (summary["nfps_mean"], summary["froc_mean"]) == (with_np.report.nfps,
+                                                            with_np.report.froc)
+
+
 def test_cmd_gen_and_force(tmp_path):
     cfg = tiny_config()
     path = cmd_gen(cfg, tmp_path / "corpus")

@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dghm import experiments
+from dghm import experiments, harmonizer
 from dghm.experiments import (
     CorpusConfig,
     ExperimentConfig,
@@ -19,8 +19,9 @@ from dghm.experiments import (
     cmd_compare_losses,
     cmd_export_figures,
     cmd_train,
+    read_run_rows,
 )
-from dghm.harmonizer import HarmonizerConfig
+from dghm.harmonizer import NOISY_ROWS, HarmonizerConfig, Mode, harmonize_weights
 from dghm.simdata import (
     CorruptionSpec,
     SceneSpec,
@@ -131,6 +132,44 @@ def test_compare_csvs_match_golden(tmp_path):
 def test_ablate_csvs_match_golden(tmp_path):
     cmd_ablate(golden_config(), tmp_path)
     assert {name: digest(tmp_path / name) for name in ABLATE} == ABLATE
+
+
+def test_ablation_cells_reach_the_harmonizer(tmp_path, monkeypatch):
+    # The golden config never reaches g >= lambda, so its cells give equal rows.
+    # Here lambda = 0.3 makes outliers in every cell's batches; corpus seed 1
+    # fills the positive quota at eta = 0.7, so the sampler takes no fallback.
+    base = HarmonizerConfig(momentum=0.7, outlier_threshold=0.3)
+    cfg = golden_config(corpus=dataclasses.replace(golden_config().corpus, seed=1),
+                        harmonizer=base, lambda_grid=(0.3, 0.9), seeds=(0,))
+    batches = []
+
+    def recorded(*args, **kwargs):
+        batches.append(harmonize_weights(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(harmonizer, "harmonize_weights", recorded)
+    cmd_ablate(cfg, tmp_path)
+
+    def gamma(batch, mu_n, mu_c, lam):
+        noisy = NOISY_ROWS[Mode.DGHM][batch.codes]
+        return np.where(batch.g >= lam, np.where(noisy, mu_n, mu_c), 1.0)
+
+    # cells run in grid order, one training step per harmonize_weights call
+    cells = [(mu_n, mu_c, base.outlier_threshold) for mu_n, mu_c in cfg.mu_grid]
+    cells += [(base.mu_n, base.mu_c, lam) for lam in cfg.lambda_grid]
+    steps = cfg.epochs * cfg.steps_per_epoch
+    assert len(batches) == len(cells) * steps
+    base_cell = (base.mu_n, base.mu_c, base.outlier_threshold)
+    for i, cell in enumerate(cells):
+        cell_batches = batches[i * steps:(i + 1) * steps]
+        for batch in cell_batches:
+            np.testing.assert_array_equal(batch.gamma_applied, gamma(batch, *cell))
+        varies = any(not np.array_equal(gamma(b, *cell), gamma(b, *base_cell))
+                     for b in cell_batches)
+        assert varies == (cell != base_cell), cell
+    for name, grid in (("mu", cfg.mu_grid), ("lambda", cfg.lambda_grid)):
+        rows = read_run_rows(tmp_path / f"ablate_{name}_runs.csv")
+        assert len({tuple(row.values()) for row in rows}) == len(grid)
 
 
 @pytest.mark.parametrize("case", sorted(TRAIN))

@@ -12,9 +12,10 @@ from dghm.metrics import (
     EVAL_IOU,
     FROC_LEVELS,
     NMS_IOU,
-    DetectionResult,
+    Detections,
     MatchReport,
     MetricsReport,
+    _greedy_claims,
     aggregate_match,
     decode_and_suppress,
     decode_boxes,
@@ -30,11 +31,13 @@ from dghm.metrics import (
     t_r_recall,
     write_report,
 )
-from dghm.simdata import Box, iou
+from dghm.simdata import Box, box_array, iou, iou_matrix
 
 
-def det(scene, cx, cy, w, h, score):
-    return DetectionResult(scene_id=scene, box=Box(cx, cy, w, h), score=score)
+def det(*rows):
+    """Detections from (scene, cx, cy, w, h, score) rows."""
+    rows = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    return Detections(rows[:, 0].astype(np.int64), rows[:, 1:5], rows[:, 5])
 
 
 def random_detection_sets(seed, n_sets):
@@ -44,7 +47,7 @@ def random_detection_sets(seed, n_sets):
         n_scenes = int(rng.integers(2, 6))
         np_ids = list(range(n_scenes, n_scenes + int(rng.integers(1, 4))))
         gt_by_scene = {}
-        dets = []
+        rows = []
         for sid in range(n_scenes):
             gts = []
             for _ in range(int(rng.integers(0, 5))):
@@ -65,8 +68,8 @@ def random_detection_sets(seed, n_sets):
                               rng.uniform(4, 10), rng.uniform(4, 10))
                 # quantized scores so ties occur
                 score = float(np.round(rng.uniform(), 2))
-                dets.append(DetectionResult(scene_id=sid, box=box, score=score))
-        yield dets, gt_by_scene, np_ids
+                rows.append((sid, box.cx, box.cy, box.w, box.h, score))
+        yield det(*rows), gt_by_scene, np_ids
 
 
 # ---------------------------------------------------------------------------
@@ -76,20 +79,20 @@ def random_detection_sets(seed, n_sets):
 
 def test_perfect_match():
     gts = [Box(10, 10, 6, 6), Box(30, 30, 6, 6)]
-    dets = [det(0, 10, 10, 6, 6, 0.9), det(0, 30, 30, 6, 6, 0.8)]
+    dets = det((0, 10, 10, 6, 6, 0.9), (0, 30, 30, 6, 6, 0.8))
     rep = match_detections(dets, gts)
     assert (rep.tp, rep.fp, rep.fn) == (2, 0, 0)
 
 
 def test_no_detections():
-    rep = match_detections([], [Box(10, 10, 6, 6)] * 3)
+    rep = match_detections(det(), [Box(10, 10, 6, 6)] * 3)
     assert (rep.tp, rep.fp, rep.fn) == (0, 0, 3)
 
 
 def test_two_matched_one_stray():
     gts = [Box(10, 10, 6, 6), Box(30, 30, 6, 6), Box(50, 50, 6, 6)]
-    dets = [det(0, 10, 10, 6, 6, 0.9), det(0, 30, 30, 6, 6, 0.8),
-            det(0, 5, 50, 3, 3, 0.7)]
+    dets = det((0, 10, 10, 6, 6, 0.9), (0, 30, 30, 6, 6, 0.8),
+               (0, 5, 50, 3, 3, 0.7))
     rep = match_detections(dets, gts)
     assert (rep.tp, rep.fp, rep.fn) == (2, 1, 1)
 
@@ -97,21 +100,21 @@ def test_two_matched_one_stray():
 def test_matching_is_one_to_one():
     # two detections on one gt: only the higher-scored one claims it
     gts = [Box(10, 10, 6, 6)]
-    dets = [det(0, 10, 10, 6, 6, 0.9), det(0, 10.5, 10, 6, 6, 0.8)]
+    dets = det((0, 10, 10, 6, 6, 0.9), (0, 10.5, 10, 6, 6, 0.8))
     rep = match_detections(dets, gts)
     assert (rep.tp, rep.fp, rep.fn) == (1, 1, 0)
 
 
 def test_matching_respects_iou_threshold():
     gts = [Box(10, 10, 6, 6)]
-    dets = [det(0, 20, 20, 6, 6, 0.9)]  # zero overlap
+    dets = det((0, 20, 20, 6, 6, 0.9))  # zero overlap
     rep = match_detections(dets, gts)
     assert (rep.tp, rep.fp, rep.fn) == (0, 1, 1)
 
 
 def test_aggregate_match_counts_np_scene_fp():
     gt_by_scene = {0: [Box(10, 10, 6, 6)]}
-    dets = [det(0, 10, 10, 6, 6, 0.9), det(5, 10, 10, 6, 6, 0.8)]
+    dets = det((0, 10, 10, 6, 6, 0.9), (5, 10, 10, 6, 6, 0.8))
     rep = aggregate_match(dets, gt_by_scene)
     assert (rep.tp, rep.fp, rep.fn) == (1, 1, 0)
 
@@ -146,15 +149,15 @@ def test_nfps_formula_and_clamp():
 
 
 def test_nfps_thresholding():
-    dets = [det(7, 10, 10, 4, 4, 0.9), det(7, 20, 20, 4, 4, 0.4),
-            det(8, 30, 30, 4, 4, 0.6)]
+    dets = det((7, 10, 10, 4, 4, 0.9), (7, 20, 20, 4, 4, 0.4),
+               (8, 30, 30, 4, 4, 0.6))
     assert nfps(dets, [7, 8], threshold=0.5) == pytest.approx(100 - 1.0)
     assert nfps(dets, [7, 8], threshold=0.0) == pytest.approx(100 - 1.5)
 
 
 def test_mean_np_detections_requires_np_scene():
     with pytest.raises(ValueError):
-        mean_np_detections([], [])
+        mean_np_detections(det(), [])
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +171,14 @@ def brute_force_froc(dets, gt_by_scene, np_scene_ids, levels=FROC_LEVELS):
     if not dets or total_gt == 0:
         return 0.0
     np_ids = set(np_scene_ids)
-    thresholds = sorted({d.score for d in dets}, reverse=True)
+    in_np = np.isin(dets.scene_id, list(np_ids))
+    thresholds = np.unique(dets.score)[::-1]
     recalls, ws = [], []
     for thr in thresholds:
-        above = [d for d in dets if d.score >= thr]
-        rep = aggregate_match([d for d in above if d.scene_id not in np_ids],
-                              gt_by_scene)
+        above = dets.score >= thr
+        rep = aggregate_match(dets[above & ~in_np], gt_by_scene)
         recalls.append(rep.tp / total_gt)
-        ws.append(sum(1 for d in above if d.scene_id in np_ids) / len(np_ids))
+        ws.append(np.count_nonzero(above & in_np) / len(np_ids))
     values = []
     for level in levels:
         feasible = [r for r, w in zip(recalls, ws) if w <= level]
@@ -184,11 +187,10 @@ def brute_force_froc(dets, gt_by_scene, np_scene_ids, levels=FROC_LEVELS):
 
 
 def brute_force_operating_point(dets, gt_by_scene, min_precision=0.2):
-    thresholds = sorted({d.score for d in dets}, reverse=True)
+    thresholds = np.unique(dets.score)[::-1]
     best_thr, best_prec = None, -1.0
     for thr in thresholds:
-        above = [d for d in dets if d.score >= thr]
-        rep = aggregate_match(above, gt_by_scene)
+        rep = aggregate_match(dets[dets.score >= thr], gt_by_scene)
         prec = rep.tp / max(rep.tp + rep.fp, 1)
         if prec >= min_precision:
             best_thr = thr  # keep going: we want the lowest qualifying threshold
@@ -204,18 +206,19 @@ def test_froc_simple_mean():
     gts = {0: [Box(8 * i + 4, 8, 4, 4) for i in range(10)]}
     scores = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4]
     hits = [5, 6, 7, 8, 9, 10]  # cumulative TP at each score step
-    dets = []
+    rows = []
     prev = 0
     for s, nhit in zip(scores, hits):
         for j in range(prev, nhit):
-            dets.append(det(0, 8 * j + 4, 8, 4, 4, s))
+            rows.append((0, 8 * j + 4, 8, 4, 4, s))
         prev = nhit
     # NP detections so that W reaches each level exactly at the same scores
     cum = 0
     for s, target in zip(scores, FROC_LEVELS):
         for _ in range(target - cum):
-            dets.append(det(99, 30, 30, 4, 4, s))
+            rows.append((99, 30, 30, 4, 4, s))
         cum = target
+    dets = det(*rows)
     value = froc(dets, gts, [99])
     assert value == pytest.approx(brute_force_froc(dets, gts, [99]))
     assert value == pytest.approx(np.mean([0.5, 0.6, 0.7, 0.8, 0.9, 1.0]))
@@ -223,12 +226,12 @@ def test_froc_simple_mean():
 
 def test_froc_zero_fp_detector():
     gts = {0: [Box(10, 10, 6, 6)]}
-    dets = [det(0, 10, 10, 6, 6, 0.9)]
+    dets = det((0, 10, 10, 6, 6, 0.9))
     assert froc(dets, gts, [5]) == 1.0
 
 
 def test_froc_empty_detections():
-    assert froc([], {0: [Box(10, 10, 6, 6)]}, [5]) == 0.0
+    assert froc(det(), {0: [Box(10, 10, 6, 6)]}, [5]) == 0.0
 
 
 def test_froc_range_property():
@@ -261,7 +264,7 @@ def test_operating_point_matches_brute_force_100_random_sets():
 
 def test_operating_point_perfect_detector():
     gts = {0: [Box(10, 10, 6, 6)]}
-    dets = [det(0, 10, 10, 6, 6, 0.05)]
+    dets = det((0, 10, 10, 6, 6, 0.05))
     thr, flagged = operating_point(dets, gts)
     assert thr == pytest.approx(0.05)
     assert not flagged
@@ -269,28 +272,29 @@ def test_operating_point_perfect_detector():
 
 def test_operating_point_all_fp_flagged():
     gts = {0: [Box(10, 10, 6, 6)]}
-    dets = [det(0, 40, 40, 3, 3, s) for s in (0.9, 0.8)]
+    dets = det(*[(0, 40, 40, 3, 3, s) for s in (0.9, 0.8)])
     thr, flagged = operating_point(dets, gts, min_precision=0.2)
     assert flagged
 
 
 def test_operating_point_empty_rejected():
     with pytest.raises(ValueError):
-        operating_point([], {})
+        operating_point(det(), {})
 
 
 def test_monotone_curves_property():
     for dets, gts, np_ids in random_detection_sets(77, 10):
         if not dets or not np_ids:
             continue
-        thresholds = sorted({d.score for d in dets})
+        thresholds = np.unique(dets.score)
+        in_np = np.isin(dets.scene_id, np_ids)
         total_gt = sum(len(v) for v in gts.values())
         prev_rec, prev_w = 2.0, float("inf")
         for thr in thresholds:  # increasing thresholds
-            above = [d for d in dets if d.score >= thr]
-            rep = aggregate_match([d for d in above if d.scene_id not in set(np_ids)], gts)
+            above = dets.score >= thr
+            rep = aggregate_match(dets[above & ~in_np], gts)
             rec = rep.tp / total_gt if total_gt else 0.0
-            w = sum(1 for d in above if d.scene_id in set(np_ids)) / len(np_ids)
+            w = np.count_nonzero(above & in_np) / len(np_ids)
             assert rec <= prev_rec + 1e-12
             assert w <= prev_w
             prev_rec, prev_w = rec, w
@@ -302,7 +306,7 @@ def test_monotone_curves_property():
 
 
 def test_t_r_recall_empty_removed_flagged():
-    dets = [det(0, 10, 10, 6, 6, 0.9)]
+    dets = det((0, 10, 10, 6, 6, 0.9))
     t, r, flagged = t_r_recall(dets, {0: [Box(10, 10, 6, 6)]}, {}, threshold=0.5)
     assert t == 1.0 and r is None and flagged
 
@@ -310,7 +314,7 @@ def test_t_r_recall_empty_removed_flagged():
 def test_t_r_recall_independent_pools():
     kept = {0: [Box(10, 10, 6, 6)]}
     removed = {0: [Box(30, 30, 6, 6)]}
-    dets = [det(0, 10, 10, 6, 6, 0.9), det(0, 30, 30, 6, 6, 0.8)]
+    dets = det((0, 10, 10, 6, 6, 0.9), (0, 30, 30, 6, 6, 0.8))
     t, r, flagged = t_r_recall(dets, kept, removed, threshold=0.5)
     assert t == 1.0 and r == 1.0 and not flagged
 
@@ -318,14 +322,14 @@ def test_t_r_recall_independent_pools():
 def test_t_r_recall_annotated_only_detector():
     kept = {0: [Box(10, 10, 6, 6)]}
     removed = {0: [Box(30, 30, 6, 6)], 1: [Box(40, 40, 6, 6)]}
-    dets = [det(0, 10, 10, 6, 6, 0.9)]
+    dets = det((0, 10, 10, 6, 6, 0.9))
     t, r, flagged = t_r_recall(dets, kept, removed, threshold=0.5)
     assert t == 1.0 and r == 0.0 and not flagged
 
 
 def test_t_r_recall_threshold_applied():
     kept = {0: [Box(10, 10, 6, 6)]}
-    dets = [det(0, 10, 10, 6, 6, 0.3)]
+    dets = det((0, 10, 10, 6, 6, 0.3))
     t, _, _ = t_r_recall(dets, kept, {0: [Box(30, 30, 6, 6)]}, threshold=0.5)
     assert t == 0.0
 
@@ -350,8 +354,8 @@ def test_decode_boxes_clips_log_scale():
 
 
 def test_suppress_empty():
-    assert decode_and_suppress(np.zeros((0, 4)), np.zeros(0, dtype=int),
-                               np.zeros(0), np.zeros((0, 4))) == []
+    assert len(decode_and_suppress(np.zeros((0, 4)), np.zeros(0, dtype=int),
+                                   np.zeros(0), np.zeros((0, 4)))) == 0
 
 
 def test_suppress_duplicates():
@@ -359,7 +363,7 @@ def test_suppress_duplicates():
     dets = decode_and_suppress(anchors, np.array([0, 0]), np.array([0.8, 0.9]),
                                np.zeros((2, 4)))
     assert len(dets) == 1
-    assert dets[0].score == pytest.approx(0.9)
+    assert dets.score[0] == pytest.approx(0.9)
 
 
 def test_suppress_keeps_disjoint_and_cross_scene():
@@ -398,7 +402,8 @@ def test_suppress_matches_scalar_oracle():
         scores = np.round(rng.uniform(size=n), 1)  # quantized: ties
         dets = decode_and_suppress(anchors, scene_ids, scores, offsets)
         expected = nms_oracle(anchors, scene_ids, scores, offsets)
-        assert [(d.scene_id, d.box, d.score) for d in dets] == expected
+        rows = zip(dets.scene_id, dets.boxes, dets.score)
+        assert [(int(s), Box(*b), float(p)) for s, b, p in rows] == expected
         suppressed += n - len(dets)
     assert suppressed > 0
     # 3x3 squares one apart overlap at IoU 0.5 exactly: the later one goes
@@ -408,9 +413,82 @@ def test_suppress_matches_scalar_oracle():
                                    np.zeros((2, 4)))) == 1
 
 
+def greedy_oracle(dets, gt_by_scene, iou_thr):
+    """The scalar matcher: one ``iou`` per (detection, unclaimed gt) pair."""
+    boxes = [Box(*row) for row in dets.boxes]
+    order = sorted(range(len(dets)), key=lambda i: -dets.score[i])
+    claimed = {sid: [False] * len(gts) for sid, gts in gt_by_scene.items()}
+    is_tp = np.zeros(len(dets), dtype=bool)
+    for rank, i in enumerate(order):
+        sid = int(dets.scene_id[i])
+        gts = gt_by_scene.get(sid)
+        if not gts:
+            continue
+        taken = claimed[sid]
+        best_j, best_iou = -1, iou_thr
+        for j, gt in enumerate(gts):
+            if taken[j]:
+                continue
+            v = iou(boxes[i], gt)
+            if v >= best_iou and v > 0:
+                if v > best_iou or best_j == -1:
+                    best_j, best_iou = j, v
+        if best_j >= 0:
+            taken[best_j] = True
+            is_tp[rank] = True
+    return order, is_tp
+
+
+def random_claim_inputs(rng):
+    """Integer boxes on few rows, so IoU hits 0.3 exactly and ties between gts."""
+    def box():
+        w, h = (13, 1) if rng.uniform() < 0.6 else rng.integers(2, 9, 2)
+        return int(rng.integers(0, 20)), int(rng.integers(0, 2)), int(w), int(h)
+
+    n_scenes = int(rng.integers(1, 5))
+    # the last scene has an empty gt list; scene n_scenes has no entry at all
+    gt_by_scene = {sid: [Box(*box()) for _ in range(int(rng.integers(1, 8)))]
+                   for sid in range(n_scenes - 1)}
+    gt_by_scene[n_scenes - 1] = []
+    rows = [(int(rng.integers(0, n_scenes + 1)), *box(), np.round(rng.uniform(), 1))
+            for _ in range(int(rng.integers(1, 60)))]
+    return det(*rows), gt_by_scene
+
+
+def test_greedy_claims_match_scalar_oracle():
+    rng = np.random.default_rng(3)
+    exact, tp = 0, 0
+    for _ in range(60):
+        dets, gt_by_scene = random_claim_inputs(rng)
+        for thr in (EVAL_IOU, 0.0):
+            order, is_tp = _greedy_claims(dets, gt_by_scene, thr)
+            expected_order, expected_tp = greedy_oracle(dets, gt_by_scene, thr)
+            assert order.tolist() == expected_order
+            assert is_tp.tolist() == expected_tp.tolist()
+            tp += int(is_tp.sum())
+        all_gts = [b for gts in gt_by_scene.values() for b in gts]
+        exact += int(np.sum(iou_matrix(dets.boxes, box_array(all_gts)) == EVAL_IOU))
+    assert exact > 0 and tp > 0
+    # 13x1 boxes 7 apart overlap at IoU 0.3 exactly, and a detection halfway
+    # between two such gts ties: it takes the first, leaving the second
+    gts = [Box(3, 0, 13, 1), Box(17, 0, 13, 1)]
+    assert iou(gts[0], Box(10, 0, 13, 1)) == iou(gts[1], Box(10, 0, 13, 1)) == EVAL_IOU
+    dets = det((0, 10, 0, 13, 1, 0.9), (0, 17, 0, 13, 1, 0.8), (0, 3, 0, 13, 1, 0.7))
+    for claims in (_greedy_claims, greedy_oracle):
+        assert claims(dets, {0: gts}, EVAL_IOU)[1].tolist() == [True, True, False]
+
+
+def test_match_detections_ignores_scene_ids():
+    gts = [Box(10, 10, 6, 6), Box(30, 30, 6, 6)]
+    rep = match_detections(det((3, 10, 10, 6, 6, 0.9), (7, 30, 30, 6, 6, 0.8)), gts)
+    assert (rep.tp, rep.fp, rep.fn) == (2, 0, 0)
+
+
 def test_detection_score_validated():
-    with pytest.raises(ValueError):
-        DetectionResult(scene_id=0, box=Box(1, 1, 1, 1), score=1.5)
+    for score in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match=r"score must be in \[0, 1\]"):
+            det((0, 1, 1, 1, 1, 0.5), (0, 1, 1, 1, 1, score))
+    assert len(det((0, 1, 1, 1, 1, 0.0), (0, 1, 1, 1, 1, 1.0))) == 2
 
 
 # ---------------------------------------------------------------------------
