@@ -26,7 +26,7 @@ from .harmonizer import (
     partition_of,
 )
 from .losses import gradient_norm, sigmoid, smooth_l1, smooth_l1_grad
-from .simdata import AnchorPool, sample_minibatch
+from .simdata import AnchorPool, minibatch_quota, sample_minibatch
 
 
 class TrainingDiverged(RuntimeError):
@@ -37,11 +37,37 @@ class TrainingDiverged(RuntimeError):
 class Predictor:
     """Dense layers as (W, b) pairs; hidden activations are tanh.
 
-    The last layer has 5 outputs: [logit, dx, dy, dw, dh].
+    The last layer has 5 outputs: [logit, dx, dy, dw, dh].  params is one
+    float64 vector, every weight matrix in C order and then every bias;
+    weights and biases are views into it, so a write through either shows in
+    params.
     """
 
-    weights: list
-    biases: list
+    dims: tuple  # layer widths: feature dim, hidden widths, 5
+    params: np.ndarray
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = list(zip(self.dims[:-1], self.dims[1:]))
+        sizes = [m * n for m, n in shapes] + list(self.dims[1:])
+        if self.params.shape != (sum(sizes),):
+            raise ValueError(f"params shape {self.params.shape} != ({sum(sizes)},)")
+        parts = np.split(self.params, np.cumsum(sizes)[:-1])
+        self.weights = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+        self.biases = parts[len(shapes):]
+
+    @classmethod
+    def from_layers(cls, weights, biases) -> "Predictor":
+        """Copies the (W, b) layers into one params vector; they must chain."""
+        dims = (weights[0].shape[0], *(w.shape[1] for w in weights))
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if w.shape != dims[i:i + 2] or b.shape != dims[i + 1:i + 2]:
+                raise ValueError(f"layer {i} shapes {w.shape}, {b.shape} do not "
+                                 f"chain from width {dims[i]}")
+        params = np.concatenate([np.ravel(p) for p in [*weights, *biases]],
+                                dtype=np.float64)
+        return cls(dims=dims, params=params)
 
     @classmethod
     def create(cls, feature_dim: int, hidden: tuple = (32,), seed: int = 0) -> "Predictor":
@@ -49,37 +75,20 @@ class Predictor:
         so training starts at p = 0.5 with well-spread gradient norms."""
         rng = np.random.default_rng(seed)
         dims = [feature_dim, *hidden, 5]
-        weights, biases = [], []
-        for i in range(len(dims) - 1):
-            fan_in = dims[i]
-            if i == len(dims) - 2:
-                w = np.zeros((dims[i], dims[i + 1]))
-            else:
-                bound = 1.0 / np.sqrt(fan_in)
-                w = rng.uniform(-bound, bound, size=(dims[i], dims[i + 1]))
-            weights.append(w)
-            biases.append(np.zeros(dims[i + 1]))
-        return cls(weights=weights, biases=biases)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    def parameters(self):
-        for w, b in zip(self.weights, self.biases):
-            yield w
-            yield b
+        weights = [rng.uniform(-1.0 / np.sqrt(m), 1.0 / np.sqrt(m), size=(m, n))
+                   for m, n in zip(dims[:-2], dims[1:-1])]
+        weights.append(np.zeros((dims[-2], 5)))
+        return cls.from_layers(weights, [np.zeros(n) for n in dims[1:]])
 
     def copy(self) -> "Predictor":
-        return Predictor(weights=[w.copy() for w in self.weights],
-                         biases=[b.copy() for b in self.biases])
+        return Predictor(dims=self.dims, params=self.params.copy())
 
 
 def forward(model: Predictor, features):
     """Returns (logits (n,), offsets (n, 4), cache) for a batch of features."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if x.shape[1] != model.feature_dim:
-        raise ValueError(f"feature dim {x.shape[1]} != model dim {model.feature_dim}")
+    if x.shape[1] != model.dims[0]:
+        raise ValueError(f"feature dim {x.shape[1]} != model dim {model.dims[0]}")
     activations = [x]
     n_layers = len(model.weights)
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -93,19 +102,18 @@ def backward(model: Predictor, activations, dlogit, doffsets):
     """Backpropagate per-example output gradients into parameter gradients.
 
     dlogit is (n,), doffsets (n, 4); both already include loss normalizers.
-    Returns (weight grads, bias grads) shaped like the model.
+    Returns one flat gradient laid out like model.params.
     """
-    dout = np.concatenate([np.asarray(dlogit)[:, None], np.asarray(doffsets)], axis=1)
+    delta = np.concatenate([np.asarray(dlogit)[:, None], np.asarray(doffsets)], axis=1)
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
-    delta = dout
     for i in range(len(model.weights) - 1, -1, -1):
         grads_w[i] = activations[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
             # activations[i] is tanh(z_i) for hidden layers
             delta = (delta @ model.weights[i].T) * (1.0 - activations[i] ** 2)
-    return grads_w, grads_b
+    return np.concatenate([g.ravel() for g in grads_w + grads_b])
 
 
 @dataclass
@@ -129,7 +137,7 @@ def batch_loss_and_grads(model: Predictor, batch: Batch, spec: LossSpec,
                          reg_weight: float = 1.0, ema=None, beta=None):
     """Total loss of the selected spec plus analytic parameter gradients.
 
-    Returns (loss, weight grads, bias grads, HarmonizedBatch): the last is the
+    Returns (loss, flat gradient, HarmonizedBatch): the last is the
     classification kernel's record of the batch (gradient norms for every
     kind; beta and the harmonizer counts for harmonized kinds).  ema and beta
     go to classification_loss_and_grad.
@@ -144,8 +152,8 @@ def batch_loss_and_grads(model: Predictor, batch: Batch, spec: LossSpec,
         diff = offsets[batch.is_positive] - batch.targets[batch.is_positive]
         reg_loss = float(np.sum(smooth_l1(diff)) / n_pos)
         doffsets[batch.is_positive] = reg_weight * smooth_l1_grad(diff) / n_pos
-    grads_w, grads_b = backward(model, cache, dlogit, doffsets)
-    return cls_loss + reg_weight * reg_loss, grads_w, grads_b, harmonized
+    grad = backward(model, cache, dlogit, doffsets)
+    return cls_loss + reg_weight * reg_loss, grad, harmonized
 
 
 def finite_difference_check(model: Predictor, batch: Batch, spec: LossSpec,
@@ -173,29 +181,23 @@ def finite_difference_check(model: Predictor, batch: Batch, spec: LossSpec,
     def loss_and_grads(params_model):
         return batch_loss_and_grads(params_model, batch, spec, reg_weight, beta=beta)
 
-    _, grads_w, grads_b, _ = loss_and_grads(model)
-    analytic = grads_w + grads_b
-    params = model.weights + model.biases
-
-    coords = [(pi, idx) for pi, arr in enumerate(params)
-              for idx in np.ndindex(arr.shape)]
+    analytic = loss_and_grads(model)[1]
+    coords = range(model.params.size)
     if len(coords) > max_params:
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(coords), size=max_params, replace=False)
-        coords = [coords[i] for i in chosen]
+        coords = np.random.default_rng(seed).choice(len(coords), size=max_params,
+                                                    replace=False)
 
     work = model.copy()
-    work_params = work.weights + work.biases
     max_rel = 0.0
-    for pi, idx in coords:
-        orig = work_params[pi][idx]
-        work_params[pi][idx] = orig + step
+    for i in coords:
+        orig = work.params[i]
+        work.params[i] = orig + step
         up = loss_and_grads(work)[0]
-        work_params[pi][idx] = orig - step
+        work.params[i] = orig - step
         down = loss_and_grads(work)[0]
-        work_params[pi][idx] = orig
+        work.params[i] = orig
         fd = (up - down) / (2.0 * step)
-        an = analytic[pi][idx]
+        an = analytic[i]
         rel = abs(an - fd) / max(abs(an), abs(fd), 1e-2)
         max_rel = max(max_rel, rel)
     return max_rel
@@ -203,8 +205,8 @@ def finite_difference_check(model: Predictor, batch: Batch, spec: LossSpec,
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray  # first and second moments, laid out like model.params
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -212,23 +214,18 @@ class AdamState:
 
     @classmethod
     def for_model(cls, model: Predictor) -> "AdamState":
-        params = model.weights + model.biases  # same ordering as adam_step
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+        return cls(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
 
 
-def adam_step(model: Predictor, state: AdamState, grads_w, grads_b, lr: float):
-    """Standard Adam update, in place on the model."""
+def adam_step(model: Predictor, state: AdamState, grad, lr: float):
+    """Standard Adam update of the flat gradient, in place on model.params."""
     state.step += 1
     t = state.step
-    grads = grads_w + grads_b
-    params = model.weights + model.biases
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / (1.0 - state.beta1**t)
-        v_hat = state.v[i] / (1.0 - state.beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    m_hat = state.m / (1.0 - state.beta1**t)
+    v_hat = state.v / (1.0 - state.beta2**t)
+    model.params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 @dataclass
@@ -280,8 +277,8 @@ def pool_gradient_histograms(model: Predictor, pool: AnchorPool, mode: Mode,
     return build_histograms(g, codes, HarmonizerConfig(mode=mode, bin_count=bin_count))
 
 
-def _check_finite(what: str, arrays, epoch: int, step: int):
-    if not all(np.all(np.isfinite(arr)) for arr in arrays):
+def _check_finite(what: str, arr, epoch: int, step: int):
+    if not np.all(np.isfinite(arr)):
         raise TrainingDiverged(f"non-finite {what} at epoch {epoch}, step {step}")
 
 
@@ -295,6 +292,7 @@ def train(pool: AnchorPool, cfg: TrainConfig):
     model = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     state = AdamState.for_model(model)
     rng = np.random.default_rng([cfg.seed, 0xD64])
+    quota = minibatch_quota(pool, cfg.batch_size)
     lr = cfg.learning_rate
     ema = EmaHistograms(cfg.loss_spec.harmonizer)
     records = []
@@ -306,21 +304,21 @@ def train(pool: AnchorPool, cfg: TrainConfig):
         hist_acc = np.zeros((2, 10), dtype=np.int64)
         for _ in range(cfg.steps_per_epoch):
             step = state.step
-            idx = sample_minibatch(pool, cfg.batch_size, rng)
+            idx = sample_minibatch(quota, rng)
             batch = Batch.from_pool(pool, idx)
             # a NaN feature would reach the harmonizer's histogram bins first
-            _check_finite("feature", [batch.features], epoch, step)
-            loss, grads_w, grads_b, harmonized = batch_loss_and_grads(
+            _check_finite("feature", batch.features, epoch, step)
+            loss, grad, harmonized = batch_loss_and_grads(
                 model, batch, cfg.loss_spec, reg_weight=cfg.reg_weight, ema=ema)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss {loss!r} at epoch {epoch}, step {step}")
-            _check_finite("gradient", grads_w + grads_b, epoch, step)
+            _check_finite("gradient", grad, epoch, step)
             # clean/noisy gradient-norm bookkeeping for the per-epoch log
             hist_acc += histogram_counts(
                 harmonized.g, partition_of(batch.p_star, batch.a, Mode.DGHM), 2, 10)
-            adam_step(model, state, grads_w, grads_b, lr)
-            _check_finite("parameter", model.weights + model.biases, epoch, step)
+            adam_step(model, state, grad, lr)
+            _check_finite("parameter", model.params, epoch, step)
             losses.append(loss)
         records.append(EpochRecord(epoch=epoch, mean_loss=float(np.mean(losses)), lr=lr))
         epoch_hists.append(hist_acc)
@@ -351,11 +349,17 @@ def save_checkpoint(path, model: Predictor):
 
 
 def load_checkpoint(path) -> Predictor:
+    """Raises ValueError when an array disagrees with its manifest shape or
+    the layers do not chain."""
     with np.load(path) as data:
-        manifest = json.loads(bytes(data["manifest"]).decode())
-        weights = [data[f"w{i}"] for i in range(len(manifest["layers"]))]
-        biases = [data[f"b{i}"] for i in range(len(manifest["layers"]))]
-    return Predictor(weights=weights, biases=biases)
+        layers = json.loads(bytes(data["manifest"]).decode())["layers"]
+        weights = [data[f"w{i}"] for i in range(len(layers))]
+        biases = [data[f"b{i}"] for i in range(len(layers))]
+    for i, (layer, w, b) in enumerate(zip(layers, weights, biases)):
+        if [list(w.shape), list(b.shape)] != [layer["w"], layer["b"]]:
+            raise ValueError(f"layer {i} shapes {w.shape}, {b.shape} differ from "
+                             f"manifest {layer['w']}, {layer['b']}")
+    return Predictor.from_layers(weights, biases)
 
 
 def save_training_log_csv(path, log: TrainLog, histogram_ref: str = ""):

@@ -398,40 +398,34 @@ def build_pool(scenes, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
         for f in dataclasses.fields(AnchorPool)})
 
 
-_warned_quotas: set = set()
+def minibatch_quota(pool: AnchorPool, batch_size: int):
+    """(positive indices, negative indices, n_pos, n_neg) of a 1:3 batch.
 
-
-def _warn_once(key, msg, *args):
-    if key not in _warned_quotas:
-        _warned_quotas.add(key)
-        log.warning(msg, *args)
-
-
-def sample_minibatch(pool: AnchorPool, batch_size: int, rng):
-    """Indices of a 1:3 positive:negative batch drawn from the pool.
-
-    Falls back to all available positives (with three negatives each) when the
-    pool cannot fill the positive quota, logging a warning (once per shortfall).
+    n_pos is None when the pool cannot fill the positive quota: every batch
+    then takes all available positives (with three negatives each), and a
+    warning is logged here, once per call.
     """
     pos_idx = np.flatnonzero(pool.p_star == 1)
     neg_idx = np.flatnonzero(pool.p_star == 0)
-    n_pos = max(int(round(batch_size / 4)), 1) if pos_idx.size else 0
+    n_pos = max(int(round(batch_size / 4)), 1)
     if pos_idx.size == 0:
-        _warn_once(("none", batch_size), "minibatch has no positives: pool contains none")
-        chosen_pos = np.array([], dtype=np.int64)
-        n_neg = batch_size
+        log.warning("minibatch has no positives: pool contains none")
+        n_pos, n_neg = None, batch_size
     elif pos_idx.size < n_pos:
-        _warn_once((pos_idx.size, n_pos),
-                   "only %d positives available for quota %d; using all",
-                   pos_idx.size, n_pos)
-        chosen_pos = pos_idx
-        n_neg = 3 * pos_idx.size
+        log.warning("only %d positives available for quota %d; using all",
+                    pos_idx.size, n_pos)
+        n_pos, n_neg = None, 3 * pos_idx.size
     else:
-        chosen_pos = rng.choice(pos_idx, size=n_pos, replace=False)
         n_neg = batch_size - n_pos
-    n_neg = min(n_neg, neg_idx.size)
-    chosen_neg = rng.choice(neg_idx, size=n_neg, replace=False)
-    return np.concatenate([chosen_pos, chosen_neg])
+    return pos_idx, neg_idx, n_pos, min(n_neg, neg_idx.size)
+
+
+def sample_minibatch(quota, rng):
+    """Indices of one batch drawn under a minibatch_quota."""
+    pos_idx, neg_idx, n_pos, n_neg = quota
+    if n_pos is not None:
+        pos_idx = rng.choice(pos_idx, size=n_pos, replace=False)
+    return np.concatenate([pos_idx, rng.choice(neg_idx, size=n_neg, replace=False)])
 
 
 # ---------------------------------------------------------------------------

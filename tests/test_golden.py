@@ -7,6 +7,7 @@ tiny config, so a refactor that moves a single float or row shows here.
 
 import dataclasses
 import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -120,6 +121,19 @@ TRAIN = {
 #: every AnchorPool column (name, dtype, shape, bytes) of a small pool at eta > 0
 POOL = "846e2270a1d581fba25e332495c9751ad2d25390958984c2a50d7f7b10591f5f"
 
+#: cmd_train of dghm_c on corpus seed 1, whose fold-0 training pool fills the
+#: positive quota at eta = 0.7, so every batch is a full 1:3 batch
+FULL_BATCH = {
+    "gradient_hist_two_way.csv":
+        "0356993d6522adc9df3b004d98fe88d68ea1aacb3707a2b79ecfe04dc9d1c02e",
+    "gradient_hist_three_way.csv":
+        "452a5751f01eddc64ed40c5e62a1f3ede80e6d5ec83bd85445880a390f5298ac",
+    "training_log.csv":
+        "38a743226b7d2aa7f3893112f21ca26a60d95c7a7cdf58aac8ddf41ca33e3cac",
+    "checkpoint.npz":
+        "fd65f930cb9ded7cc69bb6d903887fdf823ce99e7151ac312e27af7710e51fc3",
+}
+
 CURVES = (
     "4358ed2f4c8e45040cc1b946d0e5c5fa264ff40374c06ac3bb0a67b544250bc5")
 
@@ -178,6 +192,29 @@ def test_train_exports_match_golden(tmp_path, case):
     cmd_train(golden_config(harmonizer=HARMONIZERS[harmonizer]), tmp_path,
               loss_name=loss)
     assert {name: digest(tmp_path / name) for name in TRAIN[case]} == TRAIN[case]
+
+
+def checkpoint_digest(path) -> str:
+    """SHA-256 over name, dtype, shape and bytes of each w{i}/b{i} array."""
+    h = hashlib.sha256()
+    with np.load(path) as data:
+        n_layers = sum(name.startswith("w") for name in data.files)
+        for name in (f"{kind}{i}" for i in range(n_layers) for kind in "wb"):
+            arr = data[name]
+            h.update(f"{name} {arr.dtype} {arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def test_full_batch_train_exports_match_golden(tmp_path, caplog):
+    cfg = golden_config(corpus=dataclasses.replace(golden_config().corpus, seed=1),
+                        harmonizer=HARMONIZERS["default"])
+    with caplog.at_level(logging.WARNING, logger="dghm.simdata"):
+        cmd_train(cfg, tmp_path, loss_name="dghm_c")
+    assert not caplog.records  # no sampler fallback
+    got = {name: digest(tmp_path / name) for name in FULL_BATCH if name.endswith(".csv")}
+    got["checkpoint.npz"] = checkpoint_digest(tmp_path / "checkpoint.npz")
+    assert got == FULL_BATCH
 
 
 def test_figure_curves_match_golden(tmp_path):

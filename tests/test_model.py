@@ -2,6 +2,8 @@
 Adam single-step oracle, bit-reproducible training, checkpoint round-trips."""
 
 import dataclasses
+import json
+import logging
 
 import numpy as np
 import pytest
@@ -89,9 +91,9 @@ def test_zero_beta_zero_classification_gradient():
     model = Predictor.create(5, hidden=(6,), seed=3)
     batch = random_batch(rng, 12, 5, all_negative=True)
     logits, offsets, cache = forward(model, batch.features)
-    gw, gb = backward(model, cache, np.zeros_like(logits), np.zeros_like(offsets))
-    for g in gw + gb:
-        np.testing.assert_array_equal(g, 0.0)
+    grad = backward(model, cache, np.zeros_like(logits), np.zeros_like(offsets))
+    assert grad.shape == model.params.shape
+    np.testing.assert_array_equal(grad, 0.0)
 
 
 def test_no_positives_zero_regression_gradient():
@@ -99,13 +101,12 @@ def test_no_positives_zero_regression_gradient():
     model = Predictor.create(5, hidden=(6,), seed=4)
     model.weights[-1] += rng.normal(size=model.weights[-1].shape) * 0.1
     batch = random_batch(rng, 12, 5, all_negative=True)
-    loss_with, gw, _, _ = batch_loss_and_grads(model, batch, LossSpec(kind="ce"),
-                                               reg_weight=1.0)
-    loss_without, gw0, _, _ = batch_loss_and_grads(model, batch, LossSpec(kind="ce"),
-                                                   reg_weight=0.0)
+    loss_with, grad, _ = batch_loss_and_grads(model, batch, LossSpec(kind="ce"),
+                                              reg_weight=1.0)
+    loss_without, grad0, _ = batch_loss_and_grads(model, batch, LossSpec(kind="ce"),
+                                                  reg_weight=0.0)
     assert loss_with == pytest.approx(loss_without)
-    for a, b in zip(gw, gw0):
-        np.testing.assert_allclose(a, b, atol=1e-15)
+    np.testing.assert_allclose(grad, grad0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +148,57 @@ def test_finite_difference_subsamples_large_models():
 # ---------------------------------------------------------------------------
 
 
+def reference_adam(params, m, v, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-layer Adam loop over paired lists, in place on params."""
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+        m_hat = m[i] / (1.0 - beta1**t)
+        v_hat = v[i] / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def test_adam_matches_per_layer_reference():
+    model = Predictor.create(5, hidden=(7, 3), seed=4)
+    model.weights[-1] += 0.1  # nonzero output layer
+    params = [p.copy() for p in model.weights + model.biases]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    state = AdamState.for_model(model)
+    rng = np.random.default_rng(8)
+    for t in range(1, 21):
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 2) for p in params]
+        reference_adam(params, m, v, grads, t, lr=0.01)
+        adam_step(model, state, flat(grads), lr=0.01)
+    assert state.step == 20
+    np.testing.assert_array_equal(model.params, flat(params))
+    np.testing.assert_array_equal(state.m, flat(m))
+    np.testing.assert_array_equal(state.v, flat(v))
+
+
+def test_params_layout_and_views():
+    model = Predictor.create(5, hidden=(7, 3), seed=2)
+    np.testing.assert_array_equal(model.params, flat(model.weights + model.biases))
+    assert model.params.dtype == np.float64
+    model.weights[1][2, 1] = 4.5
+    assert model.params[5 * 7 + 2 * 3 + 1] == 4.5
+    model.params[-1] = -2.0
+    assert model.biases[-1][-1] == -2.0
+    copy = model.copy()
+    copy.params[:] = 0.0
+    assert model.params[-1] == -2.0 and not np.any(copy.weights[0])
+
+
 def test_adam_zero_gradient_fixed_point():
     model = Predictor.create(3, hidden=(4,), seed=0)
-    before = [p.copy() for p in model.weights + model.biases]
+    before = model.params.copy()
     state = AdamState.for_model(model)
-    zeros_w = [np.zeros_like(w) for w in model.weights]
-    zeros_b = [np.zeros_like(b) for b in model.biases]
-    adam_step(model, state, zeros_w, zeros_b, lr=0.1)
-    for p, q in zip(model.weights + model.biases, before):
-        np.testing.assert_array_equal(p, q)
+    adam_step(model, state, np.zeros_like(model.params), lr=0.1)
+    np.testing.assert_array_equal(model.params, before)
 
 
 def test_adam_single_step_closed_form():
@@ -164,32 +207,24 @@ def test_adam_single_step_closed_form():
     model = Predictor.create(2, hidden=(2,), seed=0)
     state = AdamState.for_model(model)
     g = 0.37
-    gw = [np.full_like(w, g) for w in model.weights]
-    gb = [np.full_like(b, g) for b in model.biases]
-    before = [p.copy() for p in model.weights + model.biases]
-    adam_step(model, state, gw, gb, lr=0.01)
+    before = model.params.copy()
+    adam_step(model, state, np.full_like(model.params, g), lr=0.01)
     m_hat, v_hat = g, g * g  # bias correction cancels the (1 - beta) factors
     expected_delta = 0.01 * m_hat / (np.sqrt(v_hat) + state.eps)
-    for p, q in zip(model.weights + model.biases, before):
-        np.testing.assert_allclose(q - p, expected_delta, rtol=1e-12)
+    np.testing.assert_allclose(before - model.params, expected_delta, rtol=1e-12)
     assert state.step == 1
 
 
 def test_adam_two_runs_identical():
-    rng = np.random.default_rng(5)
     models = []
     for _ in range(2):
         model = Predictor.create(3, hidden=(4,), seed=7)
         state = AdamState.for_model(model)
         rng_run = np.random.default_rng(99)
         for _ in range(10):
-            gw = [rng_run.normal(size=w.shape) for w in model.weights]
-            gb = [rng_run.normal(size=b.shape) for b in model.biases]
-            adam_step(model, state, gw, gb, lr=0.01)
+            adam_step(model, state, rng_run.normal(size=model.params.shape), lr=0.01)
         models.append(model)
-    for a, b in zip(models[0].weights + models[0].biases,
-                    models[1].weights + models[1].biases):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(models[0].params, models[1].params)
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +323,29 @@ def test_divergence_names_the_step_of_a_non_finite_gradient(monkeypatch):
     real_backward = model_module.backward
     calls = []
 
-    def poisoned_backward(*args):
-        grads_w, grads_b = real_backward(*args)
+    def poisoned_backward(model, *args):
+        grad = real_backward(model, *args)
         calls.append(None)
-        if len(calls) == 5:  # epoch 1, step 4
-            grads_b[0][0] = np.nan
-        return grads_w, grads_b
+        if len(calls) == 5:  # epoch 1, step 4: the first bias of the first layer
+            grad[sum(w.size for w in model.weights)] = np.nan
+        return grad
 
     monkeypatch.setattr(model_module, "backward", poisoned_backward)
     with pytest.raises(TrainingDiverged, match="gradient at epoch 1, step 4$"):
         train(pool, cfg)
+
+
+def test_every_train_call_warns_of_a_short_pool(caplog):
+    pool = tiny_pool()
+    n_pos = int(np.count_nonzero(pool.p_star == 1))
+    cfg = TrainConfig(epochs=1, steps_per_epoch=3, batch_size=4 * (n_pos + 1),
+                      learning_rate=1e-3, seed=0)
+    with caplog.at_level(logging.WARNING, logger="dghm.simdata"):
+        train(pool, cfg)
+        train(pool, cfg)
+    warnings = [r.getMessage() for r in caplog.records]
+    assert warnings == [f"only {n_pos} positives available for quota {n_pos + 1}; "
+                        "using all"] * 2
 
 
 @pytest.mark.parametrize("spec", [
@@ -370,6 +418,47 @@ def test_checkpoint_round_trip(tmp_path):
     assert len(loaded.weights) == len(model.weights)
     for a, b in zip(loaded.weights + loaded.biases, model.weights + model.biases):
         np.testing.assert_array_equal(a, b)
+
+
+def write_npz(path, weights, biases, manifest_layers):
+    """A checkpoint as the parent layout wrote it: w{i}, b{i} and a manifest."""
+    arrays = {}
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        arrays[f"w{i}"], arrays[f"b{i}"] = w, b
+    manifest = json.dumps({"layers": manifest_layers}).encode()
+    np.savez(path, **arrays, manifest=np.frombuffer(manifest, dtype=np.uint8))
+
+
+def test_checkpoint_hand_built_npz_loads(tmp_path):
+    rng = np.random.default_rng(3)
+    weights = [rng.normal(size=(5, 7)), rng.normal(size=(7, 3)), rng.normal(size=(3, 5))]
+    biases = [rng.normal(size=7), rng.normal(size=3), rng.normal(size=5)]
+    layers = [{"w": list(w.shape), "b": list(b.shape)} for w, b in zip(weights, biases)]
+    write_npz(tmp_path / "model.npz", weights, biases, layers)
+    loaded = load_checkpoint(tmp_path / "model.npz")
+    assert loaded.dims == (5, 7, 3, 5)
+    for a, b in zip(loaded.weights + loaded.biases, weights + biases):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(loaded.params, flat(weights + biases))
+
+
+def test_checkpoint_rejects_shape_differing_from_manifest(tmp_path):
+    weights = [np.zeros((5, 7)), np.zeros((7, 5))]
+    biases = [np.zeros(7), np.zeros(5)]
+    # same element count, other shape: a flat buffer would reshape it silently
+    layers = [{"w": [7, 5], "b": [7]}, {"w": [7, 5], "b": [5]}]
+    write_npz(tmp_path / "model.npz", weights, biases, layers)
+    with pytest.raises(ValueError, match="manifest"):
+        load_checkpoint(tmp_path / "model.npz")
+
+
+def test_checkpoint_rejects_layers_that_do_not_chain(tmp_path):
+    weights = [np.zeros((5, 7)), np.zeros((6, 5))]
+    biases = [np.zeros(7), np.zeros(5)]
+    layers = [{"w": list(w.shape), "b": list(b.shape)} for w, b in zip(weights, biases)]
+    write_npz(tmp_path / "model.npz", weights, biases, layers)
+    with pytest.raises(ValueError, match="chain"):
+        load_checkpoint(tmp_path / "model.npz")
 
 
 def test_training_log_csv(tmp_path):

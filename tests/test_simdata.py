@@ -27,6 +27,7 @@ from dghm.simdata import (
     iou_matrix,
     load_corpus,
     regression_target,
+    minibatch_quota,
     sample_minibatch,
     save_corpus,
     scene_spec_from_dict,
@@ -414,7 +415,7 @@ def make_toy_pool(n_pos, n_neg, dim=4):
 
 def test_minibatch_1_to_3_ratio():
     pool = make_toy_pool(50, 150)
-    idx = sample_minibatch(pool, 8, np.random.default_rng(0))
+    idx = sample_minibatch(minibatch_quota(pool, 8), np.random.default_rng(0))
     labels = pool.p_star[idx]
     assert labels.sum() == 2 and len(idx) == 8  # 2 positives, 6 negatives
 
@@ -422,9 +423,8 @@ def test_minibatch_1_to_3_ratio():
 def test_minibatch_fallback_warns(caplog):
     pool = make_toy_pool(1, 100)
     with caplog.at_level(logging.WARNING, logger="dghm.simdata"):
-        import dghm.simdata as sd
-        sd._warned_quotas.clear()
-        idx = sample_minibatch(pool, 16, np.random.default_rng(0))
+        quota = minibatch_quota(pool, 16)
+    idx = sample_minibatch(quota, np.random.default_rng(0))
     assert pool.p_star[idx].sum() == 1
     assert len(idx) == 4  # 1 positive + 3 negatives
     assert any("positives" in rec.message for rec in caplog.records)
@@ -433,18 +433,56 @@ def test_minibatch_fallback_warns(caplog):
 def test_minibatch_no_positives(caplog):
     pool = make_toy_pool(0, 50)
     with caplog.at_level(logging.WARNING, logger="dghm.simdata"):
-        import dghm.simdata as sd
-        sd._warned_quotas.clear()
-        idx = sample_minibatch(pool, 8, np.random.default_rng(0))
+        quota = minibatch_quota(pool, 8)
+    idx = sample_minibatch(quota, np.random.default_rng(0))
     assert len(idx) == 8
     assert pool.p_star[idx].sum() == 0
     assert caplog.records
 
 
+def reference_sample_minibatch(pool, batch_size, rng):
+    """The sampler as it was before its index sets moved out of the step loop."""
+    pos_idx = np.flatnonzero(pool.p_star == 1)
+    neg_idx = np.flatnonzero(pool.p_star == 0)
+    n_pos = max(int(round(batch_size / 4)), 1) if pos_idx.size else 0
+    if pos_idx.size == 0:
+        chosen_pos = np.array([], dtype=np.int64)
+        n_neg = batch_size
+    elif pos_idx.size < n_pos:
+        chosen_pos = pos_idx
+        n_neg = 3 * pos_idx.size
+    else:
+        chosen_pos = rng.choice(pos_idx, size=n_pos, replace=False)
+        n_neg = batch_size - n_pos
+    n_neg = min(n_neg, neg_idx.size)
+    chosen_neg = rng.choice(neg_idx, size=n_neg, replace=False)
+    return np.concatenate([chosen_pos, chosen_neg])
+
+
+@pytest.mark.parametrize("n_pos,n_neg,batch_size", [
+    (50, 150, 16), (4, 150, 16), (3, 150, 16), (1, 100, 16), (0, 50, 8),
+    (6, 5, 16), (2, 3, 8), (9, 40, 2),
+])
+def test_minibatch_matches_reference_stream(n_pos, n_neg, batch_size):
+    # same indices and the same generator state after each of 30 steps
+    pool = make_toy_pool(n_pos, n_neg)
+    shuffled = np.random.default_rng(n_pos).permutation(pool.size)
+    pool.p_star = pool.p_star[shuffled]
+    quota = minibatch_quota(pool, batch_size)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(30):
+        idx = sample_minibatch(quota, rng)
+        ref = reference_sample_minibatch(pool, batch_size, ref_rng)
+        np.testing.assert_array_equal(idx, ref)
+        assert idx.dtype == ref.dtype
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_minibatch_deterministic():
     pool = make_toy_pool(50, 150)
-    a = sample_minibatch(pool, 16, np.random.default_rng(99))
-    b = sample_minibatch(pool, 16, np.random.default_rng(99))
+    quota = minibatch_quota(pool, 16)
+    a = sample_minibatch(quota, np.random.default_rng(99))
+    b = sample_minibatch(quota, np.random.default_rng(99))
     np.testing.assert_array_equal(a, b)
 
 
