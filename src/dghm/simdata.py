@@ -15,6 +15,7 @@ the corpus seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -232,6 +233,16 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
+
+# the same arithmetic on uint64 columns; every constant is np.uint64, so that
+# numpy 1.x value-based casting and NEP 50 promote alike
+_U32 = np.uint64(_MASK32)
+_MULT_HI = np.uint64(_PCG64_MULT >> 64)
+_MULT_LO = np.uint64(_PCG64_MULT & 0xFFFFFFFFFFFFFFFF)
+_MULT_LO_0, _MULT_LO_1 = np.uint64(_PCG64_MULT & _MASK32), np.uint64(_PCG64_MULT >> 32 & _MASK32)
+_ZIGGURAT_ABS = np.uint64((1 << 52) - 1)
+_CHUNK = 4096  # anchors drawn per array pass; bounds the temporaries' memory
 
 
 def _entropy_words(n: int) -> list:
@@ -245,15 +256,16 @@ def _entropy_words(n: int) -> list:
     return words
 
 
-def _seed_states(prefix: list, last: np.ndarray) -> np.ndarray:
-    """SeedSequence(prefix + [w]).generate_state(4, np.uint64) for every word w of last.
+def _seed_states(entropy: list) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, np.uint64) for every row of entropy words.
 
-    The entropy is the words `prefix` shared by every row, then one word per row.
-    The mixing is numpy's fixed uint32 arithmetic, run on (n,) columns at once;
-    uint32 arrays wrap mod 2**32 as the C code does.  Returns (n, 4) uint64.
+    Each entry of entropy is one uint32 word: an int shared by every row or an
+    (n,) column.  The mixing is numpy's fixed uint32 arithmetic, run on (n,)
+    columns at once; uint32 arrays wrap mod 2**32 as the C code does.
+    Returns (n, 4) uint64.
     """
-    n = last.size
-    entropy = [np.full(n, w, dtype=np.uint32) for w in prefix] + [last.astype(np.uint32)]
+    n = max(np.size(word) for word in entropy)
+    entropy = [np.broadcast_to(np.asarray(word, dtype=np.uint32), n) for word in entropy]
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -286,7 +298,26 @@ def _seed_states(prefix: list, last: np.ndarray) -> np.ndarray:
         value *= np.uint32(hash_const)
         value ^= value >> np.uint32(16)
         state[:, i] = value
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _anchor_seeds(corpus_seed: int, scene_id: np.ndarray, anchor_index: np.ndarray):
+    """generate_state(4, np.uint64) of SeedSequence([corpus_seed, scene_id, idx]) per row.
+
+    A scene id of 2**32 or more is two entropy words, so rows are seeded in
+    groups of equal scene-id width.
+    """
+    if scene_id.min() < 0:
+        raise ValueError("expected non-negative integer")
+    corpus_words = _entropy_words(corpus_seed)
+    seeds = np.empty((scene_id.size, 4), dtype=np.uint64)
+    wide = scene_id > _MASK32
+    for rows, n_words in ((~wide, 1), (wide, 2)):
+        if rows.any():
+            sid = scene_id[rows]
+            sid_words = [sid & _MASK32, sid >> 32] if n_words == 2 else [sid]
+            seeds[rows] = _seed_states([*corpus_words, *sid_words, anchor_index[rows]])
+    return seeds
 
 
 def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
@@ -301,33 +332,136 @@ def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def _anchor_features(best_iou: np.ndarray, spec: SceneSpec, corpus_seed: int,
-                     scene_id: int, rng) -> np.ndarray:
-    """Features of a scene's anchors: attenuated IoU signal on channels 0-1 plus noise.
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(a_hi, a_lo) + (b_hi, b_lo) mod 2**128 on uint64 words."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _mul128_pcg(hi, lo):
+    """(hi, lo) * the PCG64 multiplier mod 2**128 on uint64 columns.
+
+    The high word of lo * _MULT_LO is summed from 32-bit half products, each
+    of which fits in 64 bits.
+    """
+    a0, a1 = lo & _U32, lo >> np.uint64(32)
+    p00, p01, p10 = a0 * _MULT_LO_0, a0 * _MULT_LO_1, a1 * _MULT_LO_0
+    mid = (p00 >> np.uint64(32)) + (p01 & _U32) + (p10 & _U32)
+    carry = (a1 * _MULT_LO_1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32))
+             + (mid >> np.uint64(32)))
+    return carry + hi * _MULT_LO + lo * _MULT_HI, lo * _MULT_LO
+
+
+def _pcg64_outputs(seeds: np.ndarray, k: int) -> np.ndarray:
+    """The first k raw outputs of each row's seeded PCG64 stream, (n, k) uint64.
+
+    PCG64 XSL-RR: seed as _pcg64_state; each output steps the LCG and returns
+    rotr64(hi ^ lo, hi >> 58) of the new state.
+    """
+    s_hi, s_lo, i_hi, i_lo = seeds.T
+    one = np.uint64(1)
+    inc_hi, inc_lo = i_hi << one | i_lo >> np.uint64(63), i_lo << one | one
+    hi, lo = _mul128_pcg(*_add128(inc_hi, inc_lo, s_hi, s_lo))
+    hi, lo = _add128(hi, lo, inc_hi, inc_lo)
+    out = np.empty((seeds.shape[0], k), dtype=np.uint64)
+    for j in range(k):
+        hi, lo = _add128(*_mul128_pcg(hi, lo), inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        # the left shift is taken mod 64, so that rot = 0 never shifts by 64
+        out[:, j] = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return out
+
+
+def _state_before(r: int) -> dict:
+    """A PCG64 ``.state`` whose next raw output is r (0 <= r < 2**64).
+
+    Its next state is r itself: the high word 0 makes the output rotation 0.
+    """
+    return {"bit_generator": "PCG64",
+            "state": {"state": (r - 1) * _PCG64_MULT_INV & _MASK128, "inc": 1},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _crafted_normal(rng, r: int):
+    """rng.standard_normal() when r is the next raw output, and whether r was the only one used."""
+    rng.bit_generator.state = _state_before(r)
+    x = rng.standard_normal()
+    return x, rng.bit_generator.state["state"]["state"] == r
+
+
+@functools.cache
+def _ziggurat_tables():
+    """numpy's normal-ziggurat widths wi and verified lower bounds of its thresholds ki.
+
+    numpy's standard_normal turns a raw output r into idx = r & 0xff, a sign
+    bit 8 and rabs = (r >> 9) & (2**52 - 1), and returns +-rabs * wi[idx] at
+    once when rabs < ki[idx].  Both tables are read off numpy by crafted draws:
+    rabs = 1 returns wi[idx]; a threshold candidate round(wi[idx - 1] / wi[idx]
+    * 2**52) (wi[255] / wi[0] for the tail) is kept only when a draw at
+    candidate - 1 used one output, and is 0 (never fast) otherwise.  Index 1
+    is never fast.  Returns (wi (256,) float64, bound (256,) uint64).
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    draws = [_crafted_normal(rng, 1 << 9 | idx) for idx in range(256)]
+    wi = np.array([x for x, _ in draws])
+    bound = np.zeros(256, dtype=np.uint64)
+    for idx, (_, fast) in enumerate(draws):
+        candidate = min(round(float(wi[idx - 1] / wi[idx]) * 2**52), 1 << 52) if fast else 0
+        if candidate > 0 and _crafted_normal(rng, (candidate - 1) << 9 | idx)[1]:
+            bound[idx] = candidate
+    wi.flags.writeable = bound.flags.writeable = False  # shared by every caller
+    return wi, bound
+
+
+def _draw_streams(seeds: np.ndarray, spec: SceneSpec):
+    """Each row's standard normals (n, d) and two uniforms (n, 2) off its PCG64 stream.
+
+    One array pass reads the normals off the ziggurat's fast path and the
+    uniforms as (r >> 11) * 2**-53.  A row any of whose d normals leaves the
+    fast path is replayed with numpy's own generator; the second uniform is
+    drawn there only when the first is below spec.hard_fraction, as for the
+    stream it stands for.
+    """
+    d = spec.feature_dim
+    raw = _pcg64_outputs(seeds, d + 2)
+    wi, bound = _ziggurat_tables()
+    r = raw[:, :d]
+    idx = (r & np.uint64(0xFF)).astype(np.intp)
+    rabs = (r >> np.uint64(9)) & _ZIGGURAT_ABS
+    normals = rabs * wi[idx]
+    np.negative(normals, out=normals, where=(r & np.uint64(1 << 8)).astype(bool))
+    uniforms = (raw[:, d:] >> np.uint64(11)) * 2.0**-53
+    rng = np.random.Generator(np.random.PCG64(0))
+    bitgen = rng.bit_generator
+    replay = np.flatnonzero((rabs >= bound[idx]).any(axis=1))
+    for row, words in zip(replay.tolist(), seeds[replay].tolist()):
+        bitgen.state = _pcg64_state(*words)
+        rng.standard_normal(out=normals[row])
+        uniforms[row, 0] = u = rng.random()
+        if u < spec.hard_fraction:
+            uniforms[row, 1] = rng.random()
+    return normals, uniforms
+
+
+def _anchor_features(best_iou: np.ndarray, scene_id: np.ndarray, anchor_index: np.ndarray,
+                     spec: SceneSpec, corpus_seed: int) -> np.ndarray:
+    """Features of anchor rows: attenuated IoU signal on channels 0-1 plus noise.
 
     A fraction of anchors is "hard": their signal is multiplied by a factor
     drawn from spec.hard_attenuation, pushing positives toward the background
-    distribution.  Anchor idx draws from its own stream, the one
-    ``np.random.default_rng([corpus_seed, scene_id, idx])`` would give: its
-    SeedSequence words are computed for every anchor at once, then each
-    anchor's PCG64 state is set on the one reused generator ``rng``.
+    distribution.  Each row draws from its own stream, the one
+    ``np.random.default_rng([corpus_seed, scene_id, anchor_index])`` would
+    give; the streams are drawn _CHUNK rows at a time by _draw_streams.
     """
-    n = best_iou.size
-    seeds = _seed_states(_entropy_words(corpus_seed) + _entropy_words(scene_id),
-                         np.arange(n))
-    normals = np.empty((n, spec.feature_dim))
-    u_hard = np.empty(n)
-    u_attenuation = np.zeros(n)
-    bitgen = rng.bit_generator
-    for idx, words in enumerate(seeds.tolist()):
-        bitgen.state = _pcg64_state(*words)
-        rng.standard_normal(out=normals[idx])
-        u_hard[idx] = u = rng.random()
-        if u < spec.hard_fraction:  # the attenuation is drawn for hard anchors only
-            u_attenuation[idx] = rng.random()
+    feats = np.empty((best_iou.size, spec.feature_dim))  # the normals, scaled in place
+    u = np.empty((best_iou.size, 2))
+    for start in range(0, best_iou.size, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        seeds = _anchor_seeds(corpus_seed, scene_id[rows], anchor_index[rows])
+        feats[rows], u[rows] = _draw_streams(seeds, spec)
     lo, hi = spec.hard_attenuation
-    attenuation = np.where(u_hard < spec.hard_fraction, lo + (hi - lo) * u_attenuation, 1.0)
-    feats = normals * spec.noise_level
+    attenuation = np.where(u[:, 0] < spec.hard_fraction, lo + (hi - lo) * u[:, 1], 1.0)
+    feats *= spec.noise_level
     q = best_iou * attenuation
     feats[:, 0] += spec.signal_background + spec.signal_gain * q
     feats[:, 1] += (spec.secondary_gain * spec.signal_gain) * q
@@ -362,22 +496,26 @@ class AnchorPool:
         return self.p_star.size
 
 
-def _scene_block(scene: Scene, spec: SceneSpec, corpus_seed: int, rng) -> AnchorPool:
-    """One scene's anchors, labeled against its annotated and full box sets."""
+def _scene_block(scene: Scene, spec: SceneSpec) -> dict:
+    """One scene's AnchorPool columns except the features, plus each anchor's best IoU.
+
+    p_star is labeled against the annotated columns of the one IoU matrix
+    against all of the scene's boxes.
+    """
     anchors = build_anchor_grid(scene, spec)
     n = len(anchors)
-    kept = box_array(scene.annotated_boxes())
-    iou_kept = iou_matrix(anchors, kept)
+    boxes = box_array(scene.gt_boxes)
+    iou_all = iou_matrix(anchors, boxes)
+    kept, iou_kept = boxes[scene.annotated], iou_all[:, scene.annotated]
     # IoU is never negative, so an initial 0 only matters for a scene without boxes
-    best_full = np.max(iou_matrix(anchors, box_array(scene.gt_boxes)), axis=1, initial=0.0)
+    best_full = np.max(iou_all, axis=1, initial=0.0)
     p_star = (np.max(iou_kept, axis=1, initial=0.0) >= IOU_POSITIVE).astype(np.int64)
-    features = _anchor_features(best_full, spec, corpus_seed, scene.scene_id, rng)
     targets = np.zeros((n, 4))
     pos = np.flatnonzero(p_star)
     if pos.size:  # without positives, kept may have no column for argmax
         targets[pos] = regression_target(anchors[pos], kept[iou_kept[pos].argmax(axis=1)])
-    return AnchorPool(
-        features=features, p_star=p_star,
+    return dict(
+        best_iou=best_full, p_star=p_star,
         a=np.full(n, int(scene.is_abnormal), dtype=np.int64),
         ideal_p_star=(best_full >= IOU_POSITIVE).astype(np.int64),
         scene_id=np.full(n, scene.scene_id, dtype=np.int64),
@@ -391,11 +529,14 @@ def build_pool(scenes, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
     the features against all of its boxes, so only p_star and the regression
     targets depend on the annotation mask.
     """
-    rng = np.random.Generator(np.random.PCG64(0))  # reseeded per anchor
-    blocks = [_scene_block(scene, spec, corpus_seed, rng) for scene in scenes]
-    return AnchorPool(**{
-        f.name: np.concatenate([getattr(b, f.name) for b in blocks])
-        for f in dataclasses.fields(AnchorPool)})
+    if not scenes:
+        raise ValueError("build_pool needs a non-empty scene list")
+    blocks = [_scene_block(scene, spec) for scene in scenes]
+    columns = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+    del blocks  # frees the per-scene copies before the features are drawn
+    features = _anchor_features(columns.pop("best_iou"), columns["scene_id"],
+                                columns["anchor_index"], spec, corpus_seed)
+    return AnchorPool(features=features, **columns)
 
 
 def minibatch_quota(pool: AnchorPool, batch_size: int):

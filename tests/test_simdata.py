@@ -33,6 +33,7 @@ from dghm.simdata import (
     scene_spec_from_dict,
     scene_spec_to_dict,
 )
+from dghm import simdata
 from dghm.simdata import _entropy_words, _pcg64_state, _seed_states
 
 SMALL_SPEC = SceneSpec(extent=(32.0, 32.0), objects_per_ap_scene=(2, 4))
@@ -305,20 +306,38 @@ def reference_features(best_iou, spec, rng):
     return feats
 
 
+def reference_pool_features(scenes, spec, corpus_seed):
+    """Every anchor's features from its own default_rng([corpus_seed, scene_id, idx])."""
+    expected = []
+    for scene in scenes:
+        for idx, row in enumerate(build_anchor_grid(scene, spec)):
+            anchor = Box(*row)
+            best = max((iou(anchor, gt) for gt in scene.gt_boxes), default=0.0)
+            rng = np.random.default_rng([corpus_seed, scene.scene_id, idx])
+            expected.append(reference_features(best, spec, rng))
+    return np.array(expected)
+
+
 @pytest.mark.parametrize("hard_fraction", [0.0, 0.5, 1.0])
 def test_pool_features_match_scalar_reference(hard_fraction):
     spec = dataclasses.replace(SMALL_SPEC, hard_fraction=hard_fraction)
     for corpus_seed in (0, 8, 2**32 + 5, 2**64 + 1):
         scenes = generate_corpus(spec, 2, 1, seed=corpus_seed)
         pool = build_pool(scenes, spec, corpus_seed)
-        expected = []
-        for scene in scenes:
-            for idx, row in enumerate(build_anchor_grid(scene, spec)):
-                anchor = Box(*row)
-                best = max((iou(anchor, gt) for gt in scene.gt_boxes), default=0.0)
-                rng = np.random.default_rng([corpus_seed, scene.scene_id, idx])
-                expected.append(reference_features(best, spec, rng))
-        np.testing.assert_array_equal(pool.features, np.array(expected))
+        np.testing.assert_array_equal(pool.features,
+                                      reference_pool_features(scenes, spec, corpus_seed))
+
+
+@pytest.mark.parametrize("corpus_seed", [0, 2**64 + 1])
+def test_pool_features_mixed_scene_id_widths(corpus_seed):
+    """Scene ids of one and of two entropy words side by side in one build."""
+    ids = [0, 5, 2**32 - 1, 2**32 + 3]
+    scenes = [dataclasses.replace(scene, scene_id=sid) for scene, sid in
+              zip(generate_corpus(SMALL_SPEC, 2, 2, seed=corpus_seed), ids)]
+    pool = build_pool(scenes, SMALL_SPEC, corpus_seed)
+    assert pool.scene_id.tolist() == [sid for sid in ids for _ in range(64)]
+    np.testing.assert_array_equal(pool.features,
+                                  reference_pool_features(scenes, SMALL_SPEC, corpus_seed))
 
 
 def test_seed_states_match_default_rng():
@@ -329,7 +348,7 @@ def test_seed_states_match_default_rng():
     idx = np.array([0, 1, 255, 2**32 - 1, *rs.integers(0, 2**32, 8).tolist()])
     for corpus_seed in corpus_seeds:
         for scene_id in scene_ids:
-            words = _seed_states(_entropy_words(corpus_seed) + _entropy_words(scene_id), idx)
+            words = _seed_states([*_entropy_words(corpus_seed), *_entropy_words(scene_id), idx])
             for i, row in zip(idx.tolist(), words.tolist()):
                 expected = np.random.default_rng([corpus_seed, scene_id, i]).bit_generator.state
                 assert _pcg64_state(*row) == expected, (corpus_seed, scene_id, i)
@@ -341,6 +360,106 @@ def test_negative_corpus_seed_rejected_like_default_rng():
         np.random.default_rng([-1, 0, 0])
     with pytest.raises(ValueError, match="expected non-negative integer"):
         build_pool(scenes, SMALL_SPEC, corpus_seed=-1)
+
+
+def test_negative_scene_id_rejected_like_default_rng():
+    scene = dataclasses.replace(generate_corpus(SMALL_SPEC, 1, 0, seed=0)[0], scene_id=-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng([0, -1, 0])
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        build_pool([scene], SMALL_SPEC, corpus_seed=0)
+
+
+def test_build_pool_rejects_empty_scene_list():
+    with pytest.raises(ValueError, match="non-empty scene list"):
+        build_pool([], SMALL_SPEC, corpus_seed=0)
+
+
+def test_crafted_state_yields_raw_output():
+    bitgen = np.random.PCG64(0)
+    for r in (0, 1, 2**63, 2**64 - 1, 0x0123456789ABCDEF):
+        bitgen.state = simdata._state_before(r)
+        assert int(bitgen.random_raw()) == r
+
+
+def test_pcg64_outputs_match_numpy_raw_stream():
+    seeds = _seed_states([0, np.arange(5), 2**32 - 1])
+    raw = simdata._pcg64_outputs(seeds, 7)
+    for row, words in zip(raw, seeds.tolist()):
+        bitgen = np.random.PCG64(0)
+        bitgen.state = _pcg64_state(*words)
+        np.testing.assert_array_equal(row, bitgen.random_raw(7))
+
+
+def test_ziggurat_bounds_take_the_fast_path():
+    """A draw at bound - 1 uses one raw output and returns +-rabs * wi[idx]."""
+    wi, bound = simdata._ziggurat_tables()
+    assert np.flatnonzero(bound == 0).tolist() == [1]  # index 1 is never fast
+    assert bound.max() <= 2**52
+    rng = np.random.Generator(np.random.PCG64(0))
+    for idx in np.flatnonzero(bound).tolist():
+        rabs = int(bound[idx]) - 1
+        for sign in (0, 1):
+            x, one_output = simdata._crafted_normal(rng, (rabs << 1 | sign) << 8 | idx)
+            assert one_output, idx
+            assert x == (-1.0) ** sign * (rabs * wi[idx]), idx
+
+
+def seeds_with_first_output(outputs):
+    """generate_state words whose PCG64 stream starts with each raw output r."""
+    inv = pow(simdata._PCG64_MULT, -1, 2**128)
+    rows = []
+    for r in outputs:
+        state = (r - 1) * inv % 2**128  # steps to r, whose output is r (rotation 0)
+        init = ((state - 1) * inv - 1) % 2**128  # seeded with inc = 1: (inc + init) * M + inc
+        rows.append([init >> 64, init & (2**64 - 1), 0, 0])
+    return np.array(rows, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("hard_fraction", [0.0, 0.5, 1.0])
+def test_draw_streams_at_the_fast_path_boundary(hard_fraction):
+    """A first normal at rabs = bound - 1 is fast; at rabs = bound the row is replayed."""
+    spec = dataclasses.replace(SMALL_SPEC, hard_fraction=hard_fraction)
+    _, bound = simdata._ziggurat_tables()
+    outputs = [(int(bound[idx]) + delta) << 9 | sign << 8 | idx
+               for idx in (0, 2, 128, 255) for delta in (-1, 0) for sign in (0, 1)]
+    outputs.append(1 << 9 | 1)  # index 1 is never fast
+    seeds = seeds_with_first_output(outputs)
+    assert simdata._pcg64_outputs(seeds, 1)[:, 0].tolist() == outputs
+    normals, uniforms = simdata._draw_streams(seeds, spec)
+    for row, words in enumerate(seeds.tolist()):
+        rng = np.random.Generator(np.random.PCG64(0))
+        rng.bit_generator.state = _pcg64_state(*words)
+        assert normals[row].tobytes() == rng.standard_normal(spec.feature_dim).tobytes()
+        assert uniforms[row, 0] == rng.random()
+        if uniforms[row, 0] < hard_fraction:
+            assert uniforms[row, 1] == rng.random()
+
+
+def test_pool_features_equal_with_every_anchor_replayed(monkeypatch):
+    spec = dataclasses.replace(SMALL_SPEC, hard_fraction=0.3)
+    scenes = generate_corpus(spec, 3, 2, seed=4)
+    fast = build_pool(scenes, spec, corpus_seed=4)
+    wi, bound = simdata._ziggurat_tables()
+    monkeypatch.setattr(simdata, "_ziggurat_tables", lambda: (wi, np.zeros_like(bound)))
+    replayed = build_pool(scenes, spec, corpus_seed=4)
+    for f in dataclasses.fields(AnchorPool):
+        assert getattr(fast, f.name).tobytes() == getattr(replayed, f.name).tobytes(), f.name
+
+
+def test_replayed_anchor_share_stays_low(monkeypatch):
+    """Anchors that leave the ziggurat's fast path are a minority on the default corpus."""
+    spec = SceneSpec()
+    scenes = generate_corpus(spec, 64, 64, seed=0)
+    calls = []
+
+    def counted(*words):
+        calls.append(words)
+        return _pcg64_state(*words)
+
+    monkeypatch.setattr(simdata, "_pcg64_state", counted)
+    pool = build_pool(scenes, spec, corpus_seed=0)
+    assert 0 < len(calls) < 0.3 * pool.size
 
 
 PROPERTY_SCENES, _ = corrupt_annotations(generate_corpus(SMALL_SPEC, 4, 2, seed=21),
