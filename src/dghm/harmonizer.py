@@ -111,7 +111,8 @@ def valid_length(g, bin_count: int):
 
 
 def _check_unit_range(g):
-    if g.size and (g.min() < 0.0 or g.max() > 1.0):
+    # written so that a NaN, which compares false, fails it too
+    if g.size and not (g.min() >= 0.0 and g.max() <= 1.0):
         raise ValueError("gradient norms must lie in [0, 1]")
 
 
@@ -120,7 +121,11 @@ def histogram_counts(g, codes, n_partitions: int, bin_count: int):
 
     Bins are half-open [k/B, (k+1)/B) except the last, which is closed at 1.
     """
-    flat = np.asarray(codes, dtype=np.int64) * bin_count + bin_index(g, bin_count)
+    return _bin_counts(bin_index(g, bin_count), codes, n_partitions, bin_count)
+
+
+def _bin_counts(bins, codes, n_partitions: int, bin_count: int):
+    flat = np.asarray(codes, dtype=np.int64) * bin_count + bins
     counts = np.bincount(flat, minlength=n_partitions * bin_count)
     return counts.reshape(n_partitions, bin_count)
 
@@ -168,9 +173,12 @@ def gradient_density(counts, g, codes=0):
     counts = np.atleast_2d(counts)
     g = np.asarray(g, dtype=np.float64)
     _check_unit_range(g)
-    bin_count = counts.shape[1]
-    count = np.maximum(counts[codes, bin_index(g, bin_count)], 1.0)
-    return count / valid_length(g, bin_count)
+    return _density(counts, g, bin_index(g, counts.shape[1]), codes)
+
+
+def _density(counts, g, bins, codes):
+    """gradient_density of float64 g already checked and binned to counts' width."""
+    return np.maximum(counts[codes, bins], 1.0) / valid_length(g, counts.shape[1])
 
 
 def partition_of(p_star, a, mode: Mode):
@@ -212,23 +220,32 @@ class HarmonizedBatch:
     histograms: np.ndarray | None = None
 
 
-def harmonize_weights(g, codes, cfg: HarmonizerConfig, histograms=None) -> HarmonizedBatch:
+def harmonize_weights(g, codes, cfg: HarmonizerConfig, histograms=None,
+                      ema=None) -> HarmonizedBatch:
     """Compute beta_i = N' / GD(g_i)^{gamma_i} for every example.
 
     N' is the total batch size under the "total" convention or the size of the
     example's partition in this batch under "partition".  GD is evaluated on
     the example's own histogram row (the pooled row in GHM mode), taken from
-    `histograms` when given and from this batch otherwise.  In GHM mode the
-    exponent is always 1.
+    `histograms` when given and from this batch otherwise; ema, an
+    EmaHistograms, smooths this batch's counts first (given histograms are
+    used as they are).  In GHM mode the exponent is always 1.
     """
     g = np.asarray(g, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.int64)
     if g.shape != codes.shape:
         raise ValueError("g and codes must have equal length")
-    if histograms is None:
-        histograms = build_histograms(g, codes, cfg)
+    _check_unit_range(g)
     m, n = len(MODE_PARTITIONS[cfg.mode]), g.size
-    gd = gradient_density(histograms, g, codes)
+    # g is checked and binned once, for the counts and the density alike
+    if histograms is None:
+        bins = bin_index(g, cfg.bin_count)
+        histograms = _bin_counts(bins, codes, m, cfg.bin_count).astype(np.float64)
+        if ema is not None:
+            histograms = ema.update(histograms)
+    else:
+        bins = bin_index(g, np.shape(histograms)[-1])
+    gd = _density(np.atleast_2d(histograms), g, bins, codes)
     gamma = np.ones(n, dtype=np.float64)
     if cfg.mode is not Mode.GHM:
         outlier = g >= cfg.outlier_threshold
@@ -270,7 +287,8 @@ class LossSpec:
         return self.kind in HARMONIZED_MODES
 
 
-def classification_loss_and_grad(logits, p_star, a, spec: LossSpec, ema=None, beta=None):
+def classification_loss_and_grad(logits, p_star, codes, spec: LossSpec, ema=None,
+                                 beta=None):
     """Batch classification loss, per-example d(loss)/d(logit) and batch record.
 
     Returns (loss, dlogit, HarmonizedBatch).  Un-harmonized kinds take the
@@ -279,9 +297,11 @@ def classification_loss_and_grad(logits, p_star, a, spec: LossSpec, ema=None, be
     current logits and then frozen: the returned gradient treats it as
     constant.  GHM is the one-partition case, M = 1.
 
-    ema, an EmaHistograms carried across batches, smooths this batch's counts
-    before the weights are computed.  A fixed beta skips harmonizing: the
-    kernel only applies the given weights.
+    codes are the examples' partition codes under spec.harmonizer.mode
+    (partition_of); only harmonized kinds read them.  ema, an EmaHistograms
+    carried across batches, smooths this batch's counts before the weights
+    are computed.  A fixed beta skips harmonizing: the kernel only applies the
+    given weights.
     """
     logits = np.asarray(logits, dtype=np.float64)
     n = logits.size
@@ -301,15 +321,11 @@ def classification_loss_and_grad(logits, p_star, a, spec: LossSpec, ema=None, be
         return float(np.mean(per)), grad / n, HarmonizedBatch(g=g, N=n)
     cfg = spec.harmonizer
     if beta is None:
-        codes = partition_of(p_star, a, cfg.mode)
-        counts = build_histograms(g, codes, cfg)
-        if ema is not None:
-            counts = ema.update(counts)
-        batch = harmonize_weights(g, codes, cfg, histograms=counts)
+        batch = harmonize_weights(g, codes, cfg, ema=ema)
     else:
         batch = HarmonizedBatch(g=g, N=n, M=len(MODE_PARTITIONS[cfg.mode]),
                                 beta=np.asarray(beta, dtype=np.float64))
-    loss = float(np.sum(batch.beta * ce_loss(p, p_star)) / (batch.M * n))
+    loss = float((batch.beta * ce_loss(p, p_star)).sum() / (batch.M * n))
     dlogit = batch.beta * ce_grad_logit(p, p_star) / (batch.M * n)
     return loss, dlogit, batch
 

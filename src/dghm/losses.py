@@ -24,7 +24,7 @@ def sigmoid(logit):
     neg = np.exp(np.minimum(logit, 0.0))
     pos = np.exp(-np.maximum(logit, 0.0))
     p = np.where(logit >= 0, 1.0 / (1.0 + pos), neg / (1.0 + neg))
-    return np.clip(p, EPS, 1.0 - EPS)
+    return np.minimum(np.maximum(p, EPS), 1.0 - EPS)  # np.clip, without its call overhead
 
 
 @dataclass(frozen=True)

@@ -118,19 +118,16 @@ def backward(model: Predictor, activations, dlogit, doffsets):
 
 @dataclass
 class Batch:
-    """Training mini-batch as flat arrays."""
+    """Training mini-batch as flat arrays, its positives in the leading rows.
 
-    features: np.ndarray
-    p_star: np.ndarray
-    a: np.ndarray
-    targets: np.ndarray
-    is_positive: np.ndarray  # regression computed over these only
+    The regression term covers the first len(targets) rows, as sample_minibatch
+    puts every positive first.
+    """
 
-    @classmethod
-    def from_pool(cls, pool: AnchorPool, idx) -> "Batch":
-        return cls(features=pool.features[idx], p_star=pool.p_star[idx],
-                   a=pool.a[idx], targets=pool.targets[idx],
-                   is_positive=pool.p_star[idx] == 1)
+    features: np.ndarray  # (n, d)
+    p_star: np.ndarray  # (n,) float64 given labels
+    codes: np.ndarray  # (n,) partition codes under the loss spec's mode
+    targets: np.ndarray  # (k, 4) regression targets of the k leading positives
 
 
 def batch_loss_and_grads(model: Predictor, batch: Batch, spec: LossSpec,
@@ -144,14 +141,14 @@ def batch_loss_and_grads(model: Predictor, batch: Batch, spec: LossSpec,
     """
     logits, offsets, cache = forward(model, batch.features)
     cls_loss, dlogit, harmonized = classification_loss_and_grad(
-        logits, batch.p_star, batch.a, spec, ema=ema, beta=beta)
-    n_pos = int(np.count_nonzero(batch.is_positive))
+        logits, batch.p_star, batch.codes, spec, ema=ema, beta=beta)
+    k = len(batch.targets)
     doffsets = np.zeros_like(offsets)
     reg_loss = 0.0
-    if n_pos:
-        diff = offsets[batch.is_positive] - batch.targets[batch.is_positive]
-        reg_loss = float(np.sum(smooth_l1(diff)) / n_pos)
-        doffsets[batch.is_positive] = reg_weight * smooth_l1_grad(diff) / n_pos
+    if k:
+        diff = offsets[:k] - batch.targets
+        reg_loss = float(smooth_l1(diff).sum() / k)
+        doffsets[:k] = reg_weight * smooth_l1_grad(diff) / k
     grad = backward(model, cache, dlogit, doffsets)
     return cls_loss + reg_weight * reg_loss, grad, harmonized
 
@@ -168,15 +165,10 @@ def finite_difference_check(model: Predictor, batch: Batch, spec: LossSpec,
     """
     batch = replace(batch, targets=batch.targets.copy())
     logits0, offsets0, _ = forward(model, batch.features)
-    if np.any(batch.is_positive):
-        diff = offsets0[batch.is_positive] - batch.targets[batch.is_positive]
-        near_kink = np.abs(np.abs(diff) - 1.0) < 1e-3
-        if np.any(near_kink):
-            t = batch.targets[batch.is_positive]
-            t[near_kink] += 0.01
-            batch.targets[batch.is_positive] = t
+    diff = offsets0[:len(batch.targets)] - batch.targets
+    batch.targets[np.abs(np.abs(diff) - 1.0) < 1e-3] += 0.01
 
-    beta = classification_loss_and_grad(logits0, batch.p_star, batch.a, spec)[2].beta
+    beta = classification_loss_and_grad(logits0, batch.p_star, batch.codes, spec)[2].beta
 
     def loss_and_grads(params_model):
         return batch_loss_and_grads(params_model, batch, spec, reg_weight, beta=beta)
@@ -218,11 +210,14 @@ class AdamState:
 
 
 def adam_step(model: Predictor, state: AdamState, grad, lr: float):
-    """Standard Adam update of the flat gradient, in place on model.params."""
+    """Standard Adam update of the flat gradient, in place on model.params and
+    on the state's moments."""
     state.step += 1
     t = state.step
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += ((1.0 - state.beta2) * grad) * grad
     m_hat = state.m / (1.0 - state.beta1**t)
     v_hat = state.v / (1.0 - state.beta2**t)
     model.params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
@@ -278,7 +273,7 @@ def pool_gradient_histograms(model: Predictor, pool: AnchorPool, mode: Mode,
 
 
 def _check_finite(what: str, arr, epoch: int, step: int):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise TrainingDiverged(f"non-finite {what} at epoch {epoch}, step {step}")
 
 
@@ -288,11 +283,24 @@ def train(pool: AnchorPool, cfg: TrainConfig):
     Returns (trained model, TrainLog).  Raises TrainingDiverged on a non-finite
     batch feature, loss or gradient before the update and on a non-finite
     parameter after it, naming the epoch and the 0-based step.
+
+    What depends only on the pool is computed once per call: the partition
+    codes, the float labels, which rows hold a non-finite feature and the
+    number k of leading positives in every batch.  A step gathers its rows.
     """
     model = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     state = AdamState.for_model(model)
     rng = np.random.default_rng([cfg.seed, 0xD64])
     quota = minibatch_quota(pool, cfg.batch_size)
+    pos_idx, _, n_pos, _ = quota
+    k = pos_idx.size if n_pos is None else n_pos
+    two_way = partition_of(pool.p_star, pool.a, Mode.DGHM)
+    codes = two_way  # only harmonized kinds read the codes
+    mode = cfg.loss_spec.harmonizer.mode
+    if cfg.loss_spec.is_harmonized and mode is not Mode.DGHM:
+        codes = partition_of(pool.p_star, pool.a, mode)
+    p_star = pool.p_star.astype(np.float64)
+    bad_rows = ~np.isfinite(pool.features).all(axis=1)
     lr = cfg.learning_rate
     ema = EmaHistograms(cfg.loss_spec.harmonizer)
     records = []
@@ -305,9 +313,11 @@ def train(pool: AnchorPool, cfg: TrainConfig):
         for _ in range(cfg.steps_per_epoch):
             step = state.step
             idx = sample_minibatch(quota, rng)
-            batch = Batch.from_pool(pool, idx)
             # a NaN feature would reach the harmonizer's histogram bins first
-            _check_finite("feature", batch.features, epoch, step)
+            if bad_rows[idx].any():
+                raise TrainingDiverged(f"non-finite feature at epoch {epoch}, step {step}")
+            batch = Batch(features=pool.features[idx], p_star=p_star[idx],
+                          codes=codes[idx], targets=pool.targets[idx[:k]])
             loss, grad, harmonized = batch_loss_and_grads(
                 model, batch, cfg.loss_spec, reg_weight=cfg.reg_weight, ema=ema)
             if not np.isfinite(loss):
@@ -315,8 +325,7 @@ def train(pool: AnchorPool, cfg: TrainConfig):
                     f"non-finite loss {loss!r} at epoch {epoch}, step {step}")
             _check_finite("gradient", grad, epoch, step)
             # clean/noisy gradient-norm bookkeeping for the per-epoch log
-            hist_acc += histogram_counts(
-                harmonized.g, partition_of(batch.p_star, batch.a, Mode.DGHM), 2, 10)
+            hist_acc += histogram_counts(harmonized.g, two_way[idx], 2, 10)
             adam_step(model, state, grad, lr)
             _check_finite("parameter", model.params, epoch, step)
             losses.append(loss)

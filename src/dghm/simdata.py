@@ -496,13 +496,12 @@ class AnchorPool:
         return self.p_star.size
 
 
-def _scene_block(scene: Scene, spec: SceneSpec) -> dict:
+def _scene_block(scene: Scene, anchors: np.ndarray) -> dict:
     """One scene's AnchorPool columns except the features, plus each anchor's best IoU.
 
-    p_star is labeled against the annotated columns of the one IoU matrix
-    against all of the scene's boxes.
+    anchors is the scene's build_anchor_grid.  p_star is labeled against the
+    annotated columns of the one IoU matrix against all of the scene's boxes.
     """
-    anchors = build_anchor_grid(scene, spec)
     n = len(anchors)
     boxes = box_array(scene.gt_boxes)
     iou_all = iou_matrix(anchors, boxes)
@@ -531,7 +530,13 @@ def build_pool(scenes, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
     """
     if not scenes:
         raise ValueError("build_pool needs a non-empty scene list")
-    blocks = [_scene_block(scene, spec) for scene in scenes]
+    grids = {}  # the anchor grid depends only on the extent and the spec
+    blocks = []
+    for scene in scenes:
+        extent = tuple(scene.extent)
+        if extent not in grids:
+            grids[extent] = build_anchor_grid(scene, spec)
+        blocks.append(_scene_block(scene, grids[extent]))
     columns = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
     del blocks  # frees the per-scene copies before the features are drawn
     features = _anchor_features(columns.pop("best_iou"), columns["scene_id"],

@@ -17,6 +17,7 @@ from dghm.harmonizer import (
     build_histograms,
     gradient_density,
     harmonize_weights,
+    partition_of,
     reformulated_gradient_curve,
     valid_length,
 )
@@ -63,16 +64,18 @@ ALL_SPECS = [
 ]
 
 
-def _random_batch(rng, n, dim):
+def _random_batch(rng, n, dim, mode):
     p_star = (rng.random(n) < 0.35).astype(float)
     a = (rng.random(n) < 0.6).astype(int)
     a[p_star == 1] = 1  # annotated positives only occur in abnormal scenes
+    features = rng.normal(size=(n, dim))
+    targets = rng.normal(size=(n, 4))
+    order = np.argsort(p_star == 0, kind="stable")  # positives lead, as in training
     return Batch(
-        features=rng.normal(size=(n, dim)),
-        p_star=p_star,
-        a=a,
-        targets=rng.normal(size=(n, 4)),
-        is_positive=p_star == 1,
+        features=features[order],
+        p_star=p_star[order],
+        codes=partition_of(p_star[order], a[order], mode),
+        targets=targets[order][:np.count_nonzero(p_star)],
     )
 
 
@@ -89,7 +92,8 @@ def test_criterion_1_gradient_correctness():
         model.biases[-1] += rng.normal(scale=0.2, size=model.biases[-1].shape)
         for bi in range(n_batches):
             spec = ALL_SPECS[(mi * n_batches + bi) % len(ALL_SPECS)]
-            batch = _random_batch(rng, int(rng.integers(8, 17)), dim)
+            batch = _random_batch(rng, int(rng.integers(8, 17)), dim,
+                                  spec.harmonizer.mode)
             err = finite_difference_check(model, batch, spec, max_params=60,
                                           seed=mi * 1000 + bi)
             worst = max(worst, err)

@@ -297,7 +297,8 @@ def ghm_c_loss(logits, p_star):
 def dghm_c_loss(logits, p_star, a, cfg):
     kind = "dghm_c_star" if cfg.mode is Mode.DGHM_STAR else "dghm_c"
     loss, _, batch = classification_loss_and_grad(
-        logits, p_star, a, LossSpec(kind=kind, harmonizer=cfg))
+        logits, p_star, partition_of(p_star, a, cfg.mode),
+        LossSpec(kind=kind, harmonizer=cfg))
     return loss, batch
 
 

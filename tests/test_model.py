@@ -9,8 +9,27 @@ import numpy as np
 import pytest
 
 from dghm import model as model_module
-from dghm.harmonizer import FocalParams, HarmonizerConfig, LossSpec, Mode
-from dghm.losses import SceParams
+from dghm.harmonizer import (
+    EmaHistograms,
+    FocalParams,
+    HarmonizerConfig,
+    LossSpec,
+    Mode,
+    build_histograms,
+    classification_loss_and_grad,
+    harmonize_weights,
+    histogram_counts,
+    partition_of,
+)
+from dghm.losses import (
+    SceParams,
+    ce_grad_logit,
+    ce_loss,
+    gradient_norm,
+    sigmoid,
+    smooth_l1,
+    smooth_l1_grad,
+)
 from dghm.model import (
     AdamState,
     Batch,
@@ -28,7 +47,15 @@ from dghm.model import (
     save_training_log_csv,
     train,
 )
-from dghm.simdata import CorruptionSpec, SceneSpec, build_pool, corrupt_annotations, generate_corpus
+from dghm.simdata import (
+    CorruptionSpec,
+    SceneSpec,
+    build_pool,
+    corrupt_annotations,
+    generate_corpus,
+    minibatch_quota,
+    sample_minibatch,
+)
 
 ALL_SPECS = [
     LossSpec(kind="ce"),
@@ -40,17 +67,21 @@ ALL_SPECS = [
 ]
 
 
-def random_batch(rng, n, dim, all_negative=False):
+def random_batch(rng, n, dim, all_negative=False, mode=Mode.DGHM):
     a = (rng.uniform(size=n) < 0.7).astype(np.int64)
     p_star = np.where(a == 1, (rng.uniform(size=n) < 0.5).astype(np.int64), 0)
     if all_negative:
         p_star = np.zeros(n, dtype=np.int64)
+    features = rng.normal(size=(n, dim))
+    targets = rng.normal(size=(n, 4)) * 0.5
+    # positives lead, as sample_minibatch orders a batch
+    order = np.argsort(p_star == 0, kind="stable")
+    p_star, a, features, targets = p_star[order], a[order], features[order], targets[order]
     return Batch(
-        features=rng.normal(size=(n, dim)),
-        p_star=p_star,
-        a=a,
-        targets=rng.normal(size=(n, 4)) * 0.5,
-        is_positive=p_star == 1,
+        features=features,
+        p_star=p_star.astype(np.float64),
+        codes=partition_of(p_star, a, mode),
+        targets=targets[:np.count_nonzero(p_star)],
     )
 
 
@@ -120,7 +151,7 @@ def test_finite_difference_small_model(spec):
     model = Predictor.create(6, hidden=(8,), seed=10)
     for w in model.weights:
         w += rng.normal(size=w.shape) * 0.2
-    batch = random_batch(rng, 24, 6)
+    batch = random_batch(rng, 24, 6, mode=spec.harmonizer.mode)
     err = finite_difference_check(model, batch, spec)
     assert err < 1e-6
 
@@ -369,6 +400,191 @@ def test_train_runs_one_forward_per_step(monkeypatch, spec):
     assert len(calls) == cfg.epochs * cfg.steps_per_epoch + 2
 
 
+def reference_classification(logits, p_star, a, spec, ema):
+    """The classification kernel as it was before it took partition codes:
+    codes from the scene attributes, counts binned, then binned again for
+    the density."""
+    if not spec.is_harmonized:
+        return classification_loss_and_grad(logits, p_star, None, spec)
+    cfg = spec.harmonizer
+    p_star = np.asarray(p_star, dtype=np.float64)
+    p = sigmoid(logits)
+    g = gradient_norm(p, p_star)
+    codes = partition_of(p_star, a, cfg.mode)
+    counts = ema.update(build_histograms(g, codes, cfg))
+    batch = harmonize_weights(g, codes, cfg, histograms=counts)
+    n = logits.size
+    loss = float(np.sum(batch.beta * ce_loss(p, p_star)) / (batch.M * n))
+    return loss, batch.beta * ce_grad_logit(p, p_star) / (batch.M * n), batch
+
+
+def reference_train(pool, cfg):
+    """train() as it was before the pool-invariant columns were hoisted: every
+    step gathers the labels and scene attributes, re-derives both partition
+    codes, the positive mask and the feature check from them, and Adam
+    allocates new moments."""
+    model = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
+    m, v = [np.zeros_like(model.params)], [np.zeros_like(model.params)]
+    rng = np.random.default_rng([cfg.seed, 0xD64])
+    quota = minibatch_quota(pool, cfg.batch_size)
+    lr, t = cfg.learning_rate, 0
+    ema = EmaHistograms(cfg.loss_spec.harmonizer)
+    losses, epoch_hists = [], []
+    for epoch in range(cfg.epochs):
+        if epoch in cfg.decay_epochs:
+            lr *= cfg.decay_factor
+        step_losses, hist_acc = [], np.zeros((2, 10), dtype=np.int64)
+        for _ in range(cfg.steps_per_epoch):
+            idx = sample_minibatch(quota, rng)
+            features, p_star, a = pool.features[idx], pool.p_star[idx], pool.a[idx]
+            targets, is_positive = pool.targets[idx], pool.p_star[idx] == 1
+            assert np.all(np.isfinite(features))
+            logits, offsets, cache = forward(model, features)
+            cls_loss, dlogit, harmonized = reference_classification(
+                logits, p_star, a, cfg.loss_spec, ema)
+            n_pos = int(np.count_nonzero(is_positive))
+            doffsets = np.zeros_like(offsets)
+            reg_loss = 0.0
+            if n_pos:
+                diff = offsets[is_positive] - targets[is_positive]
+                reg_loss = float(np.sum(smooth_l1(diff)) / n_pos)
+                doffsets[is_positive] = cfg.reg_weight * smooth_l1_grad(diff) / n_pos
+            grad = backward(model, cache, dlogit, doffsets)
+            hist_acc += histogram_counts(
+                harmonized.g, partition_of(p_star, a, Mode.DGHM), 2, 10)
+            t += 1
+            reference_adam([model.params], m, v, [grad], t, lr)
+            step_losses.append(cls_loss + cfg.reg_weight * reg_loss)
+        losses.append(float(np.mean(step_losses)))
+        epoch_hists.append(hist_acc)
+    return model, losses, epoch_hists
+
+
+def short_pool():
+    """A pool whose positives cannot fill the quota, and its batch size."""
+    pool = tiny_pool(eta=0.5)
+    return pool, 4 * (int(np.count_nonzero(pool.p_star == 1)) + 1)
+
+
+def negative_pool():
+    """A pool with no positives: every annotation dropped."""
+    return tiny_pool(eta=1.0), 16
+
+
+HARMONIZER_CASES = [
+    HarmonizerConfig(momentum=0.0, n_convention="total"),
+    HarmonizerConfig(momentum=0.0, n_convention="partition"),
+    HarmonizerConfig(momentum=0.7, n_convention="total"),
+    HarmonizerConfig(momentum=0.7, n_convention="partition", outlier_threshold=0.3),
+]
+HOISTED_CASES = [
+    *[(dataclasses.replace(spec, harmonizer=h), "full")
+      for spec in ALL_SPECS
+      for h in (HARMONIZER_CASES if spec.is_harmonized else HARMONIZER_CASES[:1])],
+    *[(spec, pool) for spec in [ALL_SPECS[0], *ALL_SPECS[3:]]
+      for pool in ("short", "negative")],
+]
+
+
+def case_id(case):
+    if isinstance(case, LossSpec):
+        return f"{case.kind}-m{case.harmonizer.momentum}-{case.harmonizer.n_convention}"
+    return case
+
+
+@pytest.mark.parametrize("spec, pool_kind", HOISTED_CASES, ids=case_id)
+def test_train_matches_the_per_step_reference(spec, pool_kind):
+    if pool_kind == "full":
+        pool, batch_size = tiny_pool(eta=0.3), 16
+    elif pool_kind == "short":
+        pool, batch_size = short_pool()
+    else:
+        pool, batch_size = negative_pool()
+        assert not np.any(pool.p_star)
+    cfg = TrainConfig(loss_spec=spec, epochs=3, steps_per_epoch=4, batch_size=batch_size,
+                      learning_rate=3e-3, seed=5)
+    model, log = train(pool, cfg)
+    ref_model, ref_losses, ref_hists = reference_train(pool, cfg)
+    np.testing.assert_array_equal(model.params, ref_model.params)
+    assert [r.mean_loss for r in log.epochs] == ref_losses
+    np.testing.assert_array_equal(log.epoch_histograms, ref_hists)
+    np.testing.assert_array_equal(log.final_histograms_two_way,
+                                  pool_gradient_histograms(ref_model, pool, Mode.DGHM))
+    np.testing.assert_array_equal(log.final_histograms_three_way,
+                                  pool_gradient_histograms(ref_model, pool, Mode.DGHM_STAR))
+
+
+def sampled_steps(pool, cfg):
+    """The row indices each step of train(pool, cfg) draws, in step order."""
+    rng = np.random.default_rng([cfg.seed, 0xD64])
+    quota = minibatch_quota(pool, cfg.batch_size)
+    return [sample_minibatch(quota, rng) for _ in range(cfg.epochs * cfg.steps_per_epoch)]
+
+
+def counted_adam(monkeypatch):
+    real_adam = model_module.adam_step
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real_adam(*args)
+
+    monkeypatch.setattr(model_module, "adam_step", counted)
+    return calls
+
+
+def test_nan_feature_first_sampled_late_names_its_step(monkeypatch):
+    pool = tiny_pool(eta=0.5)
+    cfg = TrainConfig(epochs=3, steps_per_epoch=3, batch_size=16,
+                      learning_rate=1e-3, seed=0)
+    steps = sampled_steps(pool, cfg)
+    step = cfg.steps_per_epoch + 1  # epoch 1's second step
+    # a row this step draws and no earlier step did
+    row = np.setdiff1d(steps[step], np.concatenate(steps[:step]))[0]
+    pool.features[row, 3] = np.nan
+    calls = counted_adam(monkeypatch)
+    with pytest.raises(TrainingDiverged, match=f"^non-finite feature at epoch 1, "
+                                               f"step {step}$"):
+        train(pool, cfg)
+    assert len(calls) == step  # every earlier step reached Adam
+
+
+def test_nan_feature_in_a_row_never_sampled_leaves_the_steps_alone(monkeypatch):
+    pool = tiny_pool(eta=0.5)
+    cfg = TrainConfig(epochs=2, steps_per_epoch=3, batch_size=16,
+                      learning_rate=1e-3, seed=0)
+    drawn = np.unique(np.concatenate(sampled_steps(pool, cfg)))
+    row = np.setdiff1d(np.arange(pool.size), drawn)[0]
+    pool.features[row, 0] = np.nan
+    calls = counted_adam(monkeypatch)
+    # every step runs; only the final whole-pool histograms see the row
+    with pytest.raises(ValueError, match="gradient norms must lie in"):
+        train(pool, cfg)
+    assert len(calls) == cfg.epochs * cfg.steps_per_epoch
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_partition_codes_are_computed_once_per_train_call(monkeypatch, spec):
+    pool = tiny_pool(eta=0.5)
+    real = model_module.partition_of
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(model_module, "partition_of", counted)
+    counts = []
+    for steps in (1, 7):
+        calls.clear()
+        train(pool, TrainConfig(loss_spec=spec, epochs=2, steps_per_epoch=steps,
+                                batch_size=16, learning_rate=1e-3, seed=1))
+        counts.append(len(calls))
+    # the loss mode's codes (GHM and DGHM* only), the two-way codes, and the
+    # two final whole-pool histograms
+    assert counts == [4 if spec.harmonizer.mode is not Mode.DGHM else 3] * 2
+
+
 def test_sanity_recall_on_separable_corpus():
     # noiseless, no hard anchors: CE should almost solve the task
     spec = dataclasses.replace(TINY_SPEC, noise_level=0.01, hard_fraction=0.0,
@@ -378,7 +594,6 @@ def test_sanity_recall_on_separable_corpus():
     cfg = TrainConfig(epochs=8, steps_per_epoch=30, batch_size=32,
                       learning_rate=3e-3, seed=6)
     model, _ = train(pool, cfg)
-    from dghm.losses import sigmoid
     logits, _, _ = forward(model, pool.features)
     p = sigmoid(logits)
     # training-set separation: positives score above negatives

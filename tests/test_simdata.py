@@ -482,6 +482,30 @@ def test_scene_block_independent_of_other_scenes(order, pick):
         np.testing.assert_array_equal(getattr(pool, f.name)[rows], getattr(alone, f.name))
 
 
+def test_build_pool_with_mixed_extents_matches_each_scene_alone(monkeypatch):
+    """The anchor grid is built once per distinct extent, a list extent (as a
+    loaded corpus gives) keyed like the equal tuple."""
+    wide = dataclasses.replace(PROPERTY_SCENES[1], extent=(48.0, 32.0))
+    listed = dataclasses.replace(PROPERTY_SCENES[2], extent=list(PROPERTY_SCENES[2].extent))
+    scenes = [PROPERTY_SCENES[0], wide, listed, PROPERTY_SCENES[3]]
+    real = simdata.build_anchor_grid
+    grids = []
+
+    def counted(scene, spec):
+        grids.append(tuple(scene.extent))
+        return real(scene, spec)
+
+    monkeypatch.setattr(simdata, "build_anchor_grid", counted)
+    pool = build_pool(scenes, SMALL_SPEC, corpus_seed=21)
+    assert grids == [(32.0, 32.0), (48.0, 32.0)]
+    for scene in scenes:
+        alone = build_pool([scene], SMALL_SPEC, corpus_seed=21)
+        rows = pool.scene_id == scene.scene_id
+        assert rows.sum() == len(real(scene, SMALL_SPEC))
+        for f in dataclasses.fields(AnchorPool):
+            np.testing.assert_array_equal(getattr(pool, f.name)[rows], getattr(alone, f.name))
+
+
 def linear_probe_accuracy(features, labels):
     """Best balanced accuracy of a least-squares linear readout."""
     X = np.concatenate([features, np.ones((features.shape[0], 1))], axis=1)
