@@ -200,11 +200,20 @@ def kfold_split(scenes, k: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def predict_scenes(model, pool):
-    """Detections for a pool's scenes: forward every anchor, decode, suppress."""
+def predict_scenes(model, pool, min_score: float = 0.0):
+    """Detections for a pool's scenes at score >= min_score: forward every
+    anchor, then decode and suppress only those rows.
+
+    Equal to the detections of all rows filtered to score >= min_score, row
+    for row: greedy NMS drops a row only for a higher-ranked row of its scene,
+    which scores at least as high, and the subset keeps the tie order.  A NaN
+    score is not below min_score, so it is kept and Detections rejects it.
+    """
     logits, offsets, _ = forward(model, pool.features)
     scores = sigmoid(logits)
-    return M.decode_and_suppress(pool.boxes, pool.scene_id, scores, offsets)
+    keep = ~(scores < min_score)
+    return M.decode_and_suppress(pool.boxes[keep], pool.scene_id[keep], scores[keep],
+                                 offsets[keep])
 
 
 def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes, removed,
@@ -214,6 +223,9 @@ def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes, remov
     The operating threshold is chosen on the test fold (precision >= 0.2) and
     reused for the training-scene recalls, predicted from the pool the model
     was trained on: its features and boxes do not depend on the annotations.
+    Every test-fold detection is kept, as the threshold and FROC sweeps read
+    all scores; the training pool is suppressed only at scores >= threshold,
+    the only detections T/R-recall counts.
     """
     test_dets = predict_scenes(model, build_pool(test_scenes, spec, corpus_seed))
     gt_by_scene = {s.scene_id: list(s.gt_boxes) for s in test_scenes if s.is_abnormal}
@@ -236,7 +248,7 @@ def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes, remov
     nfps_value = M.nfps(test_dets, np_ids, thr) if np_ids else None
     froc_value = M.froc(test_dets, gt_by_scene, np_ids) if np_ids else None
 
-    train_dets = predict_scenes(model, train_pool)
+    train_dets = predict_scenes(model, train_pool, min_score=thr)
     kept_by_scene = {}
     removed_by_scene = {}
     removed_set = set(removed)

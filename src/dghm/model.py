@@ -263,13 +263,14 @@ class TrainLog:
     epoch_histograms: list  # per epoch: (2, 10) clean/noisy counts over training batches
 
 
-def pool_gradient_histograms(model: Predictor, pool: AnchorPool, mode: Mode,
-                             bin_count: int = 10):
-    """(M, B) gradient-norm histograms of the current model over the whole pool."""
+def pool_gradient_histograms(model: Predictor, pool: AnchorPool, bin_count: int = 10):
+    """Gradient-norm histograms of the current model over the whole pool, from
+    one forward: the two-way (2, B) and the three-way (3, B) counts."""
     logits, _, _ = forward(model, pool.features)
     g = gradient_norm(sigmoid(logits), pool.p_star)
-    codes = partition_of(pool.p_star, pool.a, mode)
-    return build_histograms(g, codes, HarmonizerConfig(mode=mode, bin_count=bin_count))
+    return tuple(build_histograms(g, partition_of(pool.p_star, pool.a, mode),
+                                  HarmonizerConfig(mode=mode, bin_count=bin_count))
+                 for mode in (Mode.DGHM, Mode.DGHM_STAR))
 
 
 def _check_finite(what: str, arr, epoch: int, step: int):
@@ -282,7 +283,9 @@ def train(pool: AnchorPool, cfg: TrainConfig):
 
     Returns (trained model, TrainLog).  Raises TrainingDiverged on a non-finite
     batch feature, loss or gradient before the update and on a non-finite
-    parameter after it, naming the epoch and the 0-based step.
+    parameter after it, naming the epoch and the 0-based step; and after the
+    last step on a non-finite feature in a row no batch drew, naming the row,
+    before the whole-pool histograms read it.
 
     What depends only on the pool is computed once per call: the partition
     codes, the float labels, which rows hold a non-finite feature and the
@@ -331,10 +334,14 @@ def train(pool: AnchorPool, cfg: TrainConfig):
             losses.append(loss)
         records.append(EpochRecord(epoch=epoch, mean_loss=float(np.mean(losses)), lr=lr))
         epoch_hists.append(hist_acc)
+    if bad_rows.any():
+        raise TrainingDiverged(f"non-finite feature in pool row "
+                               f"{np.flatnonzero(bad_rows)[0]}, which no step drew")
+    two_way_hists, three_way_hists = pool_gradient_histograms(model, pool)
     log = TrainLog(
         epochs=records,
-        final_histograms_two_way=pool_gradient_histograms(model, pool, Mode.DGHM),
-        final_histograms_three_way=pool_gradient_histograms(model, pool, Mode.DGHM_STAR),
+        final_histograms_two_way=two_way_hists,
+        final_histograms_three_way=three_way_hists,
         epoch_histograms=epoch_hists,
     )
     return model, log

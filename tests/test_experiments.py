@@ -7,6 +7,7 @@ file stays fast; the full-scale trend checks live in the acceptance tests.
 import csv
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dghm.experiments import (
     experiment_config_from_dict,
     experiment_config_to_dict,
     kfold_split,
+    predict_scenes,
     read_run_rows,
     run_single,
     summarize,
@@ -31,8 +33,10 @@ from dghm.experiments import (
     write_run_rows,
 )
 from dghm.harmonizer import HarmonizerConfig
-from dghm.metrics import MetricsReport
-from dghm.simdata import SceneSpec, generate_corpus
+from dghm.losses import sigmoid
+from dghm.metrics import NMS_IOU, MetricsReport
+from dghm.model import Predictor
+from dghm.simdata import SceneSpec, generate_corpus, iou_matrix
 
 TINY_SPEC = SceneSpec(extent=(24.0, 24.0), objects_per_ap_scene=(1, 2),
                       object_size=(6.0, 8.0), anchor_stride=4.0,
@@ -338,3 +342,79 @@ def test_cmd_export_figures(tmp_path):
 def test_cmd_export_figures_missing_artifacts(tmp_path):
     with pytest.raises(FileNotFoundError):
         cmd_export_figures(tmp_path / "nope", tmp_path / "figs")
+
+
+# ---------------------------------------------------------------------------
+# predict_scenes at a score floor
+# ---------------------------------------------------------------------------
+
+#: the score levels of score_floor_case, as logits
+LEVEL_LOGITS = np.log(np.arange(1, 10) / np.arange(9, 0, -1))
+#: the model's score at each level
+LEVEL_SCORES = sigmoid(LEVEL_LOGITS)
+
+
+def score_floor_case(seed):
+    """A linear model and pool whose score is sigmoid(feature 0) and whose
+    offsets are 0, so each detection keeps its anchor's integer box.
+
+    Five scenes of 40 anchors on a coarse grid, so many boxes overlap; every
+    fourth anchor and the next form a pair at IoU exactly NMS_IOU.  Logits
+    take 9 levels (scores near 0.1, ..., 0.9), so scores tie; scene 4 only
+    scores at the lowest two.
+    """
+    rng = np.random.default_rng(seed)
+    scene_id = np.repeat(np.arange(5), 40)
+    n = scene_id.size
+    boxes = np.column_stack([rng.integers(0, 12, (n, 2)),
+                             rng.integers(2, 7, (n, 2))]).astype(np.float64)
+    # (cx, cy, 6, 4) and (cx + 2, cy, 6, 4) overlap in 16 of 32
+    pairs = np.arange(0, n, 4)
+    boxes[pairs, 2:] = boxes[pairs + 1, 2:] = (6.0, 4.0)
+    boxes[pairs + 1, :2] = boxes[pairs, :2] + (2.0, 0.0)
+    assert np.all(iou_matrix(boxes[pairs], boxes[pairs + 1]).diagonal() == NMS_IOU)
+    levels = rng.integers(0, 9, n)
+    levels[scene_id == 4] = rng.integers(0, 2, 40)
+    features = rng.normal(size=(n, 3))
+    features[:, 0] = LEVEL_LOGITS[levels]
+    w = np.zeros((3, 5))
+    w[0, 0] = 1.0
+    model = Predictor.from_layers([w], [np.zeros(5)])
+    return model, SimpleNamespace(features=features, boxes=boxes, scene_id=scene_id)
+
+
+SCORE_FLOORS = {
+    "at_a_tied_score": LEVEL_SCORES[4],
+    "just_above_a_tied_score": np.nextafter(LEVEL_SCORES[4], 1.0),
+    "just_below_a_tied_score": np.nextafter(LEVEL_SCORES[4], 0.0),
+    "above_all_of_scene_4": LEVEL_SCORES[2],
+    "above_every_score": np.nextafter(LEVEL_SCORES[-1], 1.0),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("floor", sorted(SCORE_FLOORS))
+def test_predict_scenes_at_a_floor_equals_the_filtered_full_pass(seed, floor):
+    model, pool = score_floor_case(seed)
+    full = predict_scenes(model, pool)
+    assert len(full) < pool.scene_id.size  # NMS suppressed rows
+    assert np.count_nonzero(full.score == LEVEL_SCORES[4]) > 1  # the floors' tie
+    assert np.any(full.scene_id == 4)
+    thr = SCORE_FLOORS[floor]
+    expected = full[full.score >= thr]
+    got = predict_scenes(model, pool, min_score=thr)
+    for column in ("scene_id", "boxes", "score"):
+        want, have = getattr(expected, column), getattr(got, column)
+        assert (have.dtype, have.shape) == (want.dtype, want.shape)
+        assert have.tobytes() == want.tobytes()
+    if floor.startswith("above"):
+        assert not np.any(got.scene_id == 4)
+    assert len(got) == 0 if floor == "above_every_score" else 0 < len(got) < len(full)
+
+
+def test_predict_scenes_rejects_a_nan_score_at_any_floor():
+    model, pool = score_floor_case(0)
+    pool.features[7, 0] = np.nan
+    for floor in (0.0, LEVEL_SCORES[4]):
+        with pytest.raises(ValueError, match="score must be in"):
+            predict_scenes(model, pool, min_score=floor)

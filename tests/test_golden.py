@@ -23,6 +23,9 @@ from dghm.experiments import (
     read_run_rows,
 )
 from dghm.harmonizer import NOISY_ROWS, HarmonizerConfig, Mode, harmonize_weights
+from dghm.losses import sigmoid
+from dghm.metrics import decode_and_suppress
+from dghm.model import forward
 from dghm.simdata import (
     CorruptionSpec,
     SceneSpec,
@@ -248,3 +251,28 @@ def test_run_single_builds_one_pool_per_scene_set(monkeypatch):
     monkeypatch.setattr(experiments, "build_pool", counted_build_pool)
     experiments.run_single(golden_config(), "ce", 0.7, fold=0, seed=0)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("loss", golden_config().losses)
+def test_training_pool_is_suppressed_only_at_the_threshold(monkeypatch, loss):
+    # T/R-recall reads the training detections at score >= threshold only, so
+    # only those rows reach NMS; the test fold's sweeps read every score
+    calls = []
+
+    def counted(anchor_boxes, scene_ids, scores, offsets):
+        calls.append(scores.size)
+        return decode_and_suppress(anchor_boxes, scene_ids, scores, offsets)
+
+    monkeypatch.setattr(experiments.M, "decode_and_suppress", counted)
+    cfg = golden_config()
+    record, model, _, pool = experiments.run_single(cfg, loss, cfg.eta, fold=0, seed=0,
+                                                    return_model=True)
+    scenes = generate_corpus(cfg.corpus.scene_spec, cfg.corpus.n_ap, cfg.corpus.n_np,
+                             cfg.corpus.seed)
+    test_ids = experiments.kfold_split(scenes, cfg.folds, cfg.corpus.seed)[0]
+    test_pool = build_pool([s for s in scenes if s.scene_id in test_ids],
+                           cfg.corpus.scene_spec, cfg.corpus.seed)
+    scores = sigmoid(forward(model, pool.features)[0])
+    above = int(np.count_nonzero(scores >= record.report.threshold))
+    assert calls == [test_pool.size, above]
+    assert 0 < above < pool.size

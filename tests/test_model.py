@@ -396,8 +396,8 @@ def test_train_runs_one_forward_per_step(monkeypatch, spec):
 
     monkeypatch.setattr(model_module, "forward", counted_forward)
     train(pool, cfg)
-    # one per step, plus the two final pool histograms (two- and three-way)
-    assert len(calls) == cfg.epochs * cfg.steps_per_epoch + 2
+    # one per step, plus one shared by the final two- and three-way pool histograms
+    assert len(calls) == cfg.epochs * cfg.steps_per_epoch + 1
 
 
 def reference_classification(logits, p_star, a, spec, ema):
@@ -508,10 +508,9 @@ def test_train_matches_the_per_step_reference(spec, pool_kind):
     np.testing.assert_array_equal(model.params, ref_model.params)
     assert [r.mean_loss for r in log.epochs] == ref_losses
     np.testing.assert_array_equal(log.epoch_histograms, ref_hists)
-    np.testing.assert_array_equal(log.final_histograms_two_way,
-                                  pool_gradient_histograms(ref_model, pool, Mode.DGHM))
-    np.testing.assert_array_equal(log.final_histograms_three_way,
-                                  pool_gradient_histograms(ref_model, pool, Mode.DGHM_STAR))
+    ref_two_way, ref_three_way = pool_gradient_histograms(ref_model, pool)
+    np.testing.assert_array_equal(log.final_histograms_two_way, ref_two_way)
+    np.testing.assert_array_equal(log.final_histograms_three_way, ref_three_way)
 
 
 def sampled_steps(pool, cfg):
@@ -557,8 +556,9 @@ def test_nan_feature_in_a_row_never_sampled_leaves_the_steps_alone(monkeypatch):
     row = np.setdiff1d(np.arange(pool.size), drawn)[0]
     pool.features[row, 0] = np.nan
     calls = counted_adam(monkeypatch)
-    # every step runs; only the final whole-pool histograms see the row
-    with pytest.raises(ValueError, match="gradient norms must lie in"):
+    # every step runs; the row is named before the whole-pool histograms read it
+    with pytest.raises(TrainingDiverged, match=f"^non-finite feature in pool row {row}, "
+                                               f"which no step drew$"):
         train(pool, cfg)
     assert len(calls) == cfg.epochs * cfg.steps_per_epoch
 
@@ -581,7 +581,7 @@ def test_partition_codes_are_computed_once_per_train_call(monkeypatch, spec):
                                 batch_size=16, learning_rate=1e-3, seed=1))
         counts.append(len(calls))
     # the loss mode's codes (GHM and DGHM* only), the two-way codes, and the
-    # two final whole-pool histograms
+    # two-way and three-way codes of the final whole-pool histograms
     assert counts == [4 if spec.harmonizer.mode is not Mode.DGHM else 3] * 2
 
 
@@ -604,11 +604,12 @@ def test_sanity_recall_on_separable_corpus():
 def test_pool_histograms_partition_counts():
     pool = tiny_pool(eta=0.5)
     model = Predictor.create(pool.features.shape[1], seed=0)
-    hists = pool_gradient_histograms(model, pool, Mode.DGHM)
-    total = hists.sum()
-    assert total == pool.size
+    two_way, three_way = pool_gradient_histograms(model, pool)
+    assert two_way.shape == (2, 10) and three_way.shape == (3, 10)
+    assert two_way.sum() == three_way.sum() == pool.size
     noisy = int(np.count_nonzero((pool.p_star == 0) & (pool.a == 1)))
-    assert hists[1].sum() == noisy  # row 1 is the noisy partition
+    assert two_way[1].sum() == three_way[1].sum() == noisy  # abnormal-scene negatives
+    assert three_way[0].sum() == np.count_nonzero(pool.p_star == 1)
 
 
 def test_train_config_validation():
