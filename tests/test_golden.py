@@ -19,6 +19,7 @@ from dghm.experiments import (
     cmd_ablate,
     cmd_compare_losses,
     cmd_export_figures,
+    cmd_gen,
     cmd_train,
     read_run_rows,
 )
@@ -32,6 +33,8 @@ from dghm.simdata import (
     build_pool,
     corrupt_annotations,
     generate_corpus,
+    load_corpus,
+    save_corpus,
 )
 
 
@@ -140,10 +143,28 @@ FULL_BATCH = {
 CURVES = (
     "4358ed2f4c8e45040cc1b946d0e5c5fa264ff40374c06ac3bb0a67b544250bc5")
 
+#: cmd_gen of the default config
+CORPUS = {
+    "corpus.txt":
+        "d33506bc5039645d4979587b8e38a6f78cde62d5d03a97e64e4af119c64a0b31",
+    "corpus_manifest.json":
+        "d2d5be2d179362dd81fe42af1eec862835752c41589982cf4093943b1a3eafeb",
+}
+
 
 def test_compare_csvs_match_golden(tmp_path):
     cmd_compare_losses(golden_config(), tmp_path)
     assert {name: digest(tmp_path / name) for name in COMPARE} == COMPARE
+
+
+def test_corpus_files_match_golden(tmp_path):
+    cfg = ExperimentConfig()
+    cmd_gen(cfg, tmp_path)
+    assert {name: digest(tmp_path / name) for name in CORPUS} == CORPUS
+    # a loaded corpus writes back the same bytes
+    save_corpus(tmp_path / "again.txt", load_corpus(tmp_path / "corpus.txt"),
+                cfg.corpus.scene_spec, cfg.corpus.seed)
+    assert digest(tmp_path / "again.txt") == CORPUS["corpus.txt"]
 
 
 def test_ablate_csvs_match_golden(tmp_path):
