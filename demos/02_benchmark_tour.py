@@ -9,7 +9,7 @@ Run:  python3 demos/02_benchmark_tour.py
 
 import numpy as np
 
-from dghm import Box, CorruptionSpec, SceneSpec, corrupt_annotations
+from dghm import CorruptionSpec, SceneSpec, corrupt_annotations
 from dghm.simdata import build_pool, generate_corpus
 
 

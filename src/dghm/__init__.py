@@ -35,10 +35,10 @@ from .losses import (
 )
 from .metrics import Detections, MetricsReport, froc, match_detections, nfps, operating_point
 from .model import Predictor, TrainConfig, finite_difference_check, train
-from .simdata import Box, CorruptionSpec, Scene, SceneSpec, corrupt_annotations, iou
+from .simdata import CorruptionSpec, Scene, SceneSpec, corrupt_annotations, iou
 
 __all__ = [
-    "MODE_PARTITIONS", "Box", "CorruptionSpec", "Detections", "FocalParams",
+    "MODE_PARTITIONS", "CorruptionSpec", "Detections", "FocalParams",
     "HarmonizerConfig", "LossSpec", "MetricsReport", "Mode", "Partition",
     "Predictor", "SceParams", "Scene", "SceneSpec", "TrainConfig",
     "build_histograms", "ce_grad_logit", "ce_loss",

@@ -122,7 +122,7 @@ def main(argv=None) -> int:
         elif args.command == "split":
             scenes = generate_corpus(cfg.corpus.scene_spec, cfg.corpus.n_ap,
                                      cfg.corpus.n_np, cfg.corpus.seed)
-            k = args.k or cfg.folds
+            k = cfg.folds if args.k is None else args.k
             for i, fold in enumerate(kfold_split(scenes, k, cfg.corpus.seed)):
                 print(f"fold {i}: {' '.join(str(s) for s in fold)}")
     except TrainingDiverged as exc:

@@ -228,7 +228,7 @@ def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes, remov
     the only detections T/R-recall counts.
     """
     test_dets = predict_scenes(model, build_pool(test_scenes, spec, corpus_seed))
-    gt_by_scene = {s.scene_id: list(s.gt_boxes) for s in test_scenes if s.is_abnormal}
+    gt_by_scene = {s.scene_id: s.gt_boxes for s in test_scenes if s.is_abnormal}
     np_ids = [s.scene_id for s in test_scenes if not s.is_abnormal]
     flags = []
     if not test_dets:
@@ -249,16 +249,13 @@ def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes, remov
     froc_value = M.froc(test_dets, gt_by_scene, np_ids) if np_ids else None
 
     train_dets = predict_scenes(model, train_pool, min_score=thr)
-    kept_by_scene = {}
-    removed_by_scene = {}
-    removed_set = set(removed)
-    for s in train_scenes_corrupted:
-        if not s.is_abnormal:
-            continue
-        kept_by_scene[s.scene_id] = s.annotated_boxes()
-        rem = [b for j, b in enumerate(s.gt_boxes) if (s.scene_id, j) in removed_set]
-        if rem:
-            removed_by_scene[s.scene_id] = rem
+    train_ap = [s for s in train_scenes_corrupted if s.is_abnormal]
+    kept_by_scene = {s.scene_id: s.gt_boxes[s.annotated] for s in train_ap}
+    removed_rows = {}
+    for sid, j in removed:
+        removed_rows.setdefault(sid, []).append(j)
+    removed_by_scene = {s.scene_id: s.gt_boxes[removed_rows[s.scene_id]]
+                        for s in train_ap if s.scene_id in removed_rows}
     t_rec, r_rec, rr_flag = M.t_r_recall(train_dets, kept_by_scene, removed_by_scene, thr)
     if rr_flag:
         flags.append("r_recall_undefined")

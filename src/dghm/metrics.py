@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simdata import box_array, iou_matrix
+from .simdata import iou_matrix
 
 EVAL_IOU = 0.3
 NMS_IOU = 0.5
@@ -105,9 +105,10 @@ def decode_and_suppress(anchor_boxes, scene_ids, scores, offsets):
 def _greedy_claims(dets, gt_by_scene, iou_thr):
     """Greedy one-to-one matching behind every match count and curve sweep.
 
-    Detections are visited by descending score, ties in input order; each
-    claims the unclaimed gt of its scene with the highest IoU >= iou_thr (the
-    first one on ties).  Returns (order, is_tp): the visiting order as indices
+    gt_by_scene maps a scene id to its (n, 4) gt array.  Detections are
+    visited by descending score, ties in input order; each claims the
+    unclaimed gt of its scene with the highest IoU >= iou_thr (the first one
+    on ties).  Returns (order, is_tp): the visiting order as indices
     into dets, and per rank whether that detection claimed a gt.
     """
     order = np.argsort(-dets.score, kind="stable")
@@ -115,7 +116,7 @@ def _greedy_claims(dets, gt_by_scene, iou_thr):
     is_tp = np.zeros(len(dets), dtype=bool)
     for sid, gts in gt_by_scene.items():
         ranks = np.flatnonzero(ranked_scene_ids == sid)
-        ious = iou_matrix(dets.boxes[order[ranks]], box_array(gts))
+        ious = iou_matrix(dets.boxes[order[ranks]], gts)
         ious = np.where((ious >= iou_thr) & (ious > 0), ious, -np.inf)
         # only rows with a candidate gt can claim; a claim closes its column
         for r in np.flatnonzero(ious.max(axis=1, initial=-np.inf) > -np.inf):
@@ -127,7 +128,7 @@ def _greedy_claims(dets, gt_by_scene, iou_thr):
 
 
 def match_detections(dets, gt_boxes, iou_thr: float = EVAL_IOU) -> MatchReport:
-    """Greedy one-to-one matching of every detection against one gt list.
+    """Greedy one-to-one matching of every detection against one (n, 4) gt array.
 
     Scene ids are ignored.  Detections are processed by descending score; each
     claims the unmatched gt with the highest IoU >= iou_thr.
@@ -244,7 +245,7 @@ def t_r_recall(dets, kept_by_scene, removed_by_scene, threshold: float,
     above = dets[dets.score >= threshold]
     t_rep = aggregate_match(above, kept_by_scene, iou_thr)
     t_rec, _ = recall(t_rep)
-    if not any(removed_by_scene.values()):
+    if not any(map(len, removed_by_scene.values())):
         return t_rec, None, True
     r_rep = aggregate_match(above[np.isin(above.scene_id, list(removed_by_scene))],
                             removed_by_scene, iou_thr)

@@ -30,51 +30,15 @@ NP_CLASS = "NP"
 IOU_POSITIVE = 0.5  # anchor is positive iff best IoU >= this
 
 
-@dataclass(frozen=True)
-class Box:
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError("box sides must be positive")
-
-    @property
-    def x1(self) -> float:
-        return self.cx - self.w / 2
-
-    @property
-    def y1(self) -> float:
-        return self.cy - self.h / 2
-
-    @property
-    def x2(self) -> float:
-        return self.cx + self.w / 2
-
-    @property
-    def y2(self) -> float:
-        return self.cy + self.h / 2
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+def iou(a, b) -> float:
+    """Intersection over union of two (cx, cy, w, h) rows."""
+    (acx, acy, aw, ah), (bcx, bcy, bw, bh) = a, b
+    ix = min(acx + aw / 2, bcx + bw / 2) - max(acx - aw / 2, bcx - bw / 2)
+    iy = min(acy + ah / 2, bcy + bh / 2) - max(acy - ah / 2, bcy - bh / 2)
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
-
-
-def box_array(boxes) -> np.ndarray:
-    """A Box list as (n, 4) rows of (cx, cy, w, h)."""
-    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    return inter / (aw * ah + bw * bh - inter)
 
 
 def iou_matrix(boxes_a, boxes_b):
@@ -97,23 +61,23 @@ def iou_matrix(boxes_a, boxes_b):
 class Scene:
     scene_id: int
     image_class: str  # AP or NP
-    gt_boxes: list
+    gt_boxes: np.ndarray  # (n, 4) rows of (cx, cy, w, h)
     annotated: np.ndarray  # boolean mask over gt_boxes
     extent: tuple
 
     def __post_init__(self):
+        self.gt_boxes = np.asarray(self.gt_boxes, dtype=np.float64).reshape(-1, 4)
         self.annotated = np.asarray(self.annotated, dtype=bool)
-        if self.image_class == NP_CLASS and self.gt_boxes:
+        if self.image_class == NP_CLASS and len(self.gt_boxes):
             raise ValueError("NP scenes must have no ground-truth boxes")
         if len(self.annotated) != len(self.gt_boxes):
             raise ValueError("annotated mask length must match gt_boxes")
+        if not np.all(self.gt_boxes[:, 2:] > 0):
+            raise ValueError("box sides must be positive")
 
     @property
     def is_abnormal(self) -> bool:
         return self.image_class == AP
-
-    def annotated_boxes(self):
-        return [b for b, keep in zip(self.gt_boxes, self.annotated) if keep]
 
 
 @dataclass(frozen=True)
@@ -170,7 +134,7 @@ def generate_scene(spec: SceneSpec, image_class: str, rng) -> Scene:
             h = float(rng.uniform(*spec.object_size))
             cx = float(rng.uniform(w / 2, width - w / 2))
             cy = float(rng.uniform(h / 2, height - h / 2))
-            boxes.append(Box(cx, cy, w, h))
+            boxes.append((cx, cy, w, h))
     elif image_class != NP_CLASS:
         raise ValueError(f"unknown image class {image_class!r}")
     return Scene(scene_id=-1, image_class=image_class, gt_boxes=boxes,
@@ -503,9 +467,8 @@ def _scene_block(scene: Scene, anchors: np.ndarray) -> dict:
     annotated columns of the one IoU matrix against all of the scene's boxes.
     """
     n = len(anchors)
-    boxes = box_array(scene.gt_boxes)
-    iou_all = iou_matrix(anchors, boxes)
-    kept, iou_kept = boxes[scene.annotated], iou_all[:, scene.annotated]
+    iou_all = iou_matrix(anchors, scene.gt_boxes)
+    kept, iou_kept = scene.gt_boxes[scene.annotated], iou_all[:, scene.annotated]
     # IoU is never negative, so an initial 0 only matters for a scene without boxes
     best_full = np.max(iou_all, axis=1, initial=0.0)
     p_star = (np.max(iou_kept, axis=1, initial=0.0) >= IOU_POSITIVE).astype(np.int64)
@@ -588,8 +551,9 @@ def save_corpus(path, scenes, spec: SceneSpec, seed: int, manifest_path=None):
     with open(path, "w") as fh:
         for s in scenes:
             fh.write(f"scene {s.scene_id} {s.image_class} {s.extent[0]!r} {s.extent[1]!r}\n")
-            for box, keep in zip(s.gt_boxes, s.annotated):
-                fh.write(f"box {box.cx!r} {box.cy!r} {box.w!r} {box.h!r} {int(keep)}\n")
+            # Python floats: the repr of an np.float64 is np.float64(...) under numpy 2
+            for (cx, cy, w, h), keep in zip(s.gt_boxes.tolist(), s.annotated.tolist()):
+                fh.write(f"box {cx!r} {cy!r} {w!r} {h!r} {int(keep)}\n")
     if manifest_path is not None:
         manifest = {
             "seed": seed,
@@ -603,38 +567,50 @@ def save_corpus(path, scenes, spec: SceneSpec, seed: int, manifest_path=None):
             fh.write("\n")
 
 
+#: fields after the record name
+_RECORD_FIELDS = {"scene": 4, "box": 5}
+
+
 def load_corpus(path):
-    scenes = []
-    current = None
+    """The scenes of a save_corpus file.
+
+    A malformed record raises ValueError naming its line; a scene that Scene
+    rejects (a box side <= 0, say) names the line of its scene record.
+    """
+    records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "scene":
-                if current is not None:
-                    scenes.append(_finish_scene(current))
-                current = {
-                    "scene_id": int(parts[1]),
-                    "image_class": parts[2],
-                    "extent": (float(parts[3]), float(parts[4])),
-                    "boxes": [],
-                    "annotated": [],
-                }
-            elif parts[0] == "box":
-                current["boxes"].append(Box(*(float(v) for v in parts[1:5])))
-                current["annotated"].append(bool(int(parts[5])))
-            else:
-                raise ValueError(f"unknown record {parts[0]!r}")
-    if current is not None:
-        scenes.append(_finish_scene(current))
-    return scenes
+            kind, fields = parts[0], parts[1:]
+            try:
+                if kind not in _RECORD_FIELDS:
+                    raise ValueError(f"unknown record {kind!r}")
+                if len(fields) != _RECORD_FIELDS[kind]:
+                    raise ValueError(f"{kind} record needs {_RECORD_FIELDS[kind]} fields, "
+                                     f"got {len(fields)}")
+                if kind == "scene":
+                    records.append(dict(line=lineno, scene_id=int(fields[0]),
+                                        image_class=fields[1],
+                                        extent=(float(fields[2]), float(fields[3])),
+                                        gt_boxes=[], annotated=[]))
+                elif not records:
+                    raise ValueError("box record before any scene record")
+                else:
+                    records[-1]["gt_boxes"].append([float(v) for v in fields[:4]])
+                    records[-1]["annotated"].append(bool(int(fields[4])))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from exc
+    return [_finish_scene(path, rec) for rec in records]
 
 
-def _finish_scene(rec) -> Scene:
-    return Scene(scene_id=rec["scene_id"], image_class=rec["image_class"],
-                 gt_boxes=rec["boxes"], annotated=np.array(rec["annotated"], dtype=bool),
-                 extent=rec["extent"])
+def _finish_scene(path, rec) -> Scene:
+    lineno = rec.pop("line")
+    try:
+        return Scene(**rec)
+    except ValueError as exc:
+        raise ValueError(f"{path} line {lineno}: {exc}") from exc
 
 
 def scene_spec_to_dict(spec: SceneSpec) -> dict:

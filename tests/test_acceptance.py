@@ -192,27 +192,22 @@ def test_criterion_4_outlier_modulation():
 
 def _random_detection_sets(rng):
     """Detection sets with quantised scores so threshold ties occur."""
-    from dghm.simdata import Box
-
     n_scenes = int(rng.integers(4, 10))
     n_np = int(rng.integers(1, 4))
     gt_by_scene, rows = {}, []
     for sid in range(n_scenes):
         n_gt = 0 if sid < n_np else int(rng.integers(0, 5))
-        gt_by_scene[sid] = [
-            Box(float(rng.uniform(10, 50)), float(rng.uniform(10, 50)),
-                8.0, 8.0)
-            for _ in range(n_gt)]
+        gts = np.array([(rng.uniform(10, 50), rng.uniform(10, 50), 8.0, 8.0)
+                        for _ in range(n_gt)]).reshape(-1, 4)
+        gt_by_scene[sid] = gts
         for k in range(int(rng.integers(0, 7))):
-            if gt_by_scene[sid] and rng.random() < 0.6:
-                gt = gt_by_scene[sid][int(rng.integers(n_gt))]
-                box = Box(gt.cx + rng.normal(scale=1.5),
-                          gt.cy + rng.normal(scale=1.5), gt.w, gt.h)
+            if n_gt and rng.random() < 0.6:
+                cx, cy, w, h = gts[int(rng.integers(n_gt))]
+                box = (cx + rng.normal(scale=1.5), cy + rng.normal(scale=1.5), w, h)
             else:
-                box = Box(float(rng.uniform(0, 64)),
-                          float(rng.uniform(0, 64)), 8.0, 8.0)
+                box = (rng.uniform(0, 64), rng.uniform(0, 64), 8.0, 8.0)
             score = round(float(rng.random()), 1)
-            rows.append((sid, box.cx, box.cy, box.w, box.h, score))
+            rows.append((sid, *box, score))
     rows = np.array(rows, dtype=np.float64).reshape(-1, 6)
     dets = Detections(rows[:, 0].astype(np.int64), rows[:, 1:5], rows[:, 5])
     np_ids = set(range(n_np))

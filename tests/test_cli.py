@@ -141,6 +141,12 @@ def test_split_k_override(config_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_split_rejects_fewer_than_two_folds(config_path, capsys, k):
+    assert run(["--config", config_path, "split", "-k", k]) == EXIT_CONFIG
+    assert "fold count" in capsys.readouterr().err
+
+
 def test_seed_override(config_path, tmp_path):
     assert run(["--config", config_path, "--seed", "9", "--out",
                 tmp_path / "t", "train"]) == EXIT_OK

@@ -31,13 +31,18 @@ from dghm.metrics import (
     t_r_recall,
     write_report,
 )
-from dghm.simdata import Box, box_array, iou, iou_matrix
+from dghm.simdata import iou, iou_matrix
 
 
 def det(*rows):
     """Detections from (scene, cx, cy, w, h, score) rows."""
     rows = np.array(rows, dtype=np.float64).reshape(-1, 6)
     return Detections(rows[:, 0].astype(np.int64), rows[:, 1:5], rows[:, 5])
+
+
+def gt(*rows):
+    """Ground-truth boxes as an (n, 4) array of (cx, cy, w, h) rows."""
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
 def random_detection_sets(seed, n_sets):
@@ -51,24 +56,24 @@ def random_detection_sets(seed, n_sets):
         for sid in range(n_scenes):
             gts = []
             for _ in range(int(rng.integers(0, 5))):
-                gts.append(Box(rng.uniform(5, 55), rng.uniform(5, 55),
-                               rng.uniform(4, 10), rng.uniform(4, 10)))
-            gt_by_scene[sid] = gts
+                gts.append((rng.uniform(5, 55), rng.uniform(5, 55),
+                            rng.uniform(4, 10), rng.uniform(4, 10)))
+            gt_by_scene[sid] = gt(*gts)
         for sid in list(range(n_scenes)) + np_ids:
             for _ in range(int(rng.integers(0, 8))):
                 base = None
-                if gt_by_scene.get(sid) and rng.uniform() < 0.6:
+                if len(gt_by_scene.get(sid, ())) and rng.uniform() < 0.6:
                     base = gt_by_scene[sid][int(rng.integers(len(gt_by_scene[sid])))]
                 if base is not None:
-                    box = Box(base.cx + rng.normal(0, 2), base.cy + rng.normal(0, 2),
-                              max(base.w + rng.normal(0, 1), 1.0),
-                              max(base.h + rng.normal(0, 1), 1.0))
+                    cx, cy, w, h = base
+                    box = (cx + rng.normal(0, 2), cy + rng.normal(0, 2),
+                           max(w + rng.normal(0, 1), 1.0), max(h + rng.normal(0, 1), 1.0))
                 else:
-                    box = Box(rng.uniform(5, 55), rng.uniform(5, 55),
-                              rng.uniform(4, 10), rng.uniform(4, 10))
+                    box = (rng.uniform(5, 55), rng.uniform(5, 55),
+                           rng.uniform(4, 10), rng.uniform(4, 10))
                 # quantized scores so ties occur
                 score = float(np.round(rng.uniform(), 2))
-                rows.append((sid, box.cx, box.cy, box.w, box.h, score))
+                rows.append((sid, *box, score))
         yield det(*rows), gt_by_scene, np_ids
 
 
@@ -78,19 +83,19 @@ def random_detection_sets(seed, n_sets):
 
 
 def test_perfect_match():
-    gts = [Box(10, 10, 6, 6), Box(30, 30, 6, 6)]
+    gts = gt((10, 10, 6, 6), (30, 30, 6, 6))
     dets = det((0, 10, 10, 6, 6, 0.9), (0, 30, 30, 6, 6, 0.8))
     rep = match_detections(dets, gts)
     assert (rep.tp, rep.fp, rep.fn) == (2, 0, 0)
 
 
 def test_no_detections():
-    rep = match_detections(det(), [Box(10, 10, 6, 6)] * 3)
+    rep = match_detections(det(), gt(*[(10, 10, 6, 6)] * 3))
     assert (rep.tp, rep.fp, rep.fn) == (0, 0, 3)
 
 
 def test_two_matched_one_stray():
-    gts = [Box(10, 10, 6, 6), Box(30, 30, 6, 6), Box(50, 50, 6, 6)]
+    gts = gt((10, 10, 6, 6), (30, 30, 6, 6), (50, 50, 6, 6))
     dets = det((0, 10, 10, 6, 6, 0.9), (0, 30, 30, 6, 6, 0.8),
                (0, 5, 50, 3, 3, 0.7))
     rep = match_detections(dets, gts)
@@ -99,21 +104,21 @@ def test_two_matched_one_stray():
 
 def test_matching_is_one_to_one():
     # two detections on one gt: only the higher-scored one claims it
-    gts = [Box(10, 10, 6, 6)]
+    gts = gt((10, 10, 6, 6))
     dets = det((0, 10, 10, 6, 6, 0.9), (0, 10.5, 10, 6, 6, 0.8))
     rep = match_detections(dets, gts)
     assert (rep.tp, rep.fp, rep.fn) == (1, 1, 0)
 
 
 def test_matching_respects_iou_threshold():
-    gts = [Box(10, 10, 6, 6)]
+    gts = gt((10, 10, 6, 6))
     dets = det((0, 20, 20, 6, 6, 0.9))  # zero overlap
     rep = match_detections(dets, gts)
     assert (rep.tp, rep.fp, rep.fn) == (0, 1, 1)
 
 
 def test_aggregate_match_counts_np_scene_fp():
-    gt_by_scene = {0: [Box(10, 10, 6, 6)]}
+    gt_by_scene = {0: gt((10, 10, 6, 6))}
     dets = det((0, 10, 10, 6, 6, 0.9), (5, 10, 10, 6, 6, 0.8))
     rep = aggregate_match(dets, gt_by_scene)
     assert (rep.tp, rep.fp, rep.fn) == (1, 1, 0)
@@ -203,7 +208,7 @@ def brute_force_operating_point(dets, gt_by_scene, min_precision=0.2):
 
 def test_froc_simple_mean():
     # recalls 0.5..1.0 achieved exactly at W = 1, 2, 4, 8, 16, 32
-    gts = {0: [Box(8 * i + 4, 8, 4, 4) for i in range(10)]}
+    gts = {0: gt(*[(8 * i + 4, 8, 4, 4) for i in range(10)])}
     scores = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4]
     hits = [5, 6, 7, 8, 9, 10]  # cumulative TP at each score step
     rows = []
@@ -225,13 +230,13 @@ def test_froc_simple_mean():
 
 
 def test_froc_zero_fp_detector():
-    gts = {0: [Box(10, 10, 6, 6)]}
+    gts = {0: gt((10, 10, 6, 6))}
     dets = det((0, 10, 10, 6, 6, 0.9))
     assert froc(dets, gts, [5]) == 1.0
 
 
 def test_froc_empty_detections():
-    assert froc(det(), {0: [Box(10, 10, 6, 6)]}, [5]) == 0.0
+    assert froc(det(), {0: gt((10, 10, 6, 6))}, [5]) == 0.0
 
 
 def test_froc_range_property():
@@ -263,7 +268,7 @@ def test_operating_point_matches_brute_force_100_random_sets():
 
 
 def test_operating_point_perfect_detector():
-    gts = {0: [Box(10, 10, 6, 6)]}
+    gts = {0: gt((10, 10, 6, 6))}
     dets = det((0, 10, 10, 6, 6, 0.05))
     thr, flagged = operating_point(dets, gts)
     assert thr == pytest.approx(0.05)
@@ -271,7 +276,7 @@ def test_operating_point_perfect_detector():
 
 
 def test_operating_point_all_fp_flagged():
-    gts = {0: [Box(10, 10, 6, 6)]}
+    gts = {0: gt((10, 10, 6, 6))}
     dets = det(*[(0, 40, 40, 3, 3, s) for s in (0.9, 0.8)])
     thr, flagged = operating_point(dets, gts, min_precision=0.2)
     assert flagged
@@ -305,32 +310,33 @@ def test_monotone_curves_property():
 # ---------------------------------------------------------------------------
 
 
-def test_t_r_recall_empty_removed_flagged():
+@pytest.mark.parametrize("removed", [{}, {0: np.empty((0, 4))}])
+def test_t_r_recall_empty_removed_flagged(removed):
     dets = det((0, 10, 10, 6, 6, 0.9))
-    t, r, flagged = t_r_recall(dets, {0: [Box(10, 10, 6, 6)]}, {}, threshold=0.5)
+    t, r, flagged = t_r_recall(dets, {0: gt((10, 10, 6, 6))}, removed, threshold=0.5)
     assert t == 1.0 and r is None and flagged
 
 
 def test_t_r_recall_independent_pools():
-    kept = {0: [Box(10, 10, 6, 6)]}
-    removed = {0: [Box(30, 30, 6, 6)]}
+    kept = {0: gt((10, 10, 6, 6))}
+    removed = {0: gt((30, 30, 6, 6))}
     dets = det((0, 10, 10, 6, 6, 0.9), (0, 30, 30, 6, 6, 0.8))
     t, r, flagged = t_r_recall(dets, kept, removed, threshold=0.5)
     assert t == 1.0 and r == 1.0 and not flagged
 
 
 def test_t_r_recall_annotated_only_detector():
-    kept = {0: [Box(10, 10, 6, 6)]}
-    removed = {0: [Box(30, 30, 6, 6)], 1: [Box(40, 40, 6, 6)]}
+    kept = {0: gt((10, 10, 6, 6))}
+    removed = {0: gt((30, 30, 6, 6)), 1: gt((40, 40, 6, 6))}
     dets = det((0, 10, 10, 6, 6, 0.9))
     t, r, flagged = t_r_recall(dets, kept, removed, threshold=0.5)
     assert t == 1.0 and r == 0.0 and not flagged
 
 
 def test_t_r_recall_threshold_applied():
-    kept = {0: [Box(10, 10, 6, 6)]}
+    kept = {0: gt((10, 10, 6, 6))}
     dets = det((0, 10, 10, 6, 6, 0.3))
-    t, _, _ = t_r_recall(dets, kept, {0: [Box(30, 30, 6, 6)]}, threshold=0.5)
+    t, _, _ = t_r_recall(dets, kept, {0: gt((30, 30, 6, 6))}, threshold=0.5)
     assert t == 0.0
 
 
@@ -376,7 +382,7 @@ def test_suppress_keeps_disjoint_and_cross_scene():
 
 def nms_oracle(anchor_boxes, scene_ids, scores, offsets):
     """Greedy NMS as a keep-by-kept-list loop, one scalar ``iou`` per pair."""
-    boxes = [Box(*row) for row in decode_boxes(anchor_boxes, offsets)]
+    boxes = decode_boxes(anchor_boxes, offsets)
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], scene_ids[i], i))
     kept_by_scene = {}
     out = []
@@ -384,7 +390,7 @@ def nms_oracle(anchor_boxes, scene_ids, scores, offsets):
         kept = kept_by_scene.setdefault(int(scene_ids[i]), [])
         if all(iou(boxes[i], boxes[k]) < NMS_IOU for k in kept):
             kept.append(i)
-            out.append((int(scene_ids[i]), boxes[i], float(scores[i])))
+            out.append((int(scene_ids[i]), tuple(boxes[i].tolist()), float(scores[i])))
     return out
 
 
@@ -403,26 +409,26 @@ def test_suppress_matches_scalar_oracle():
         dets = decode_and_suppress(anchors, scene_ids, scores, offsets)
         expected = nms_oracle(anchors, scene_ids, scores, offsets)
         rows = zip(dets.scene_id, dets.boxes, dets.score)
-        assert [(int(s), Box(*b), float(p)) for s, b, p in rows] == expected
+        assert [(int(s), tuple(b.tolist()), float(p)) for s, b, p in rows] == expected
         suppressed += n - len(dets)
     assert suppressed > 0
     # 3x3 squares one apart overlap at IoU 0.5 exactly: the later one goes
     anchors = np.array([[10.0, 10.0, 3.0, 3.0], [11.0, 10.0, 3.0, 3.0]])
-    assert iou(Box(*anchors[0]), Box(*anchors[1])) == NMS_IOU
+    assert iou(anchors[0], anchors[1]) == NMS_IOU
     assert len(decode_and_suppress(anchors, np.zeros(2, dtype=int), np.array([0.9, 0.8]),
                                    np.zeros((2, 4)))) == 1
 
 
 def greedy_oracle(dets, gt_by_scene, iou_thr):
     """The scalar matcher: one ``iou`` per (detection, unclaimed gt) pair."""
-    boxes = [Box(*row) for row in dets.boxes]
+    boxes = dets.boxes
     order = sorted(range(len(dets)), key=lambda i: -dets.score[i])
     claimed = {sid: [False] * len(gts) for sid, gts in gt_by_scene.items()}
     is_tp = np.zeros(len(dets), dtype=bool)
     for rank, i in enumerate(order):
         sid = int(dets.scene_id[i])
-        gts = gt_by_scene.get(sid)
-        if not gts:
+        gts = gt_by_scene.get(sid, ())
+        if not len(gts):
             continue
         taken = claimed[sid]
         best_j, best_iou = -1, iou_thr
@@ -447,9 +453,9 @@ def random_claim_inputs(rng):
 
     n_scenes = int(rng.integers(1, 5))
     # the last scene has an empty gt list; scene n_scenes has no entry at all
-    gt_by_scene = {sid: [Box(*box()) for _ in range(int(rng.integers(1, 8)))]
+    gt_by_scene = {sid: gt(*[box() for _ in range(int(rng.integers(1, 8)))])
                    for sid in range(n_scenes - 1)}
-    gt_by_scene[n_scenes - 1] = []
+    gt_by_scene[n_scenes - 1] = gt()
     rows = [(int(rng.integers(0, n_scenes + 1)), *box(), np.round(rng.uniform(), 1))
             for _ in range(int(rng.integers(1, 60)))]
     return det(*rows), gt_by_scene
@@ -466,20 +472,20 @@ def test_greedy_claims_match_scalar_oracle():
             assert order.tolist() == expected_order
             assert is_tp.tolist() == expected_tp.tolist()
             tp += int(is_tp.sum())
-        all_gts = [b for gts in gt_by_scene.values() for b in gts]
-        exact += int(np.sum(iou_matrix(dets.boxes, box_array(all_gts)) == EVAL_IOU))
+        all_gts = np.concatenate(list(gt_by_scene.values()))
+        exact += int(np.sum(iou_matrix(dets.boxes, all_gts) == EVAL_IOU))
     assert exact > 0 and tp > 0
     # 13x1 boxes 7 apart overlap at IoU 0.3 exactly, and a detection halfway
     # between two such gts ties: it takes the first, leaving the second
-    gts = [Box(3, 0, 13, 1), Box(17, 0, 13, 1)]
-    assert iou(gts[0], Box(10, 0, 13, 1)) == iou(gts[1], Box(10, 0, 13, 1)) == EVAL_IOU
+    gts = gt((3, 0, 13, 1), (17, 0, 13, 1))
+    assert iou(gts[0], (10, 0, 13, 1)) == iou(gts[1], (10, 0, 13, 1)) == EVAL_IOU
     dets = det((0, 10, 0, 13, 1, 0.9), (0, 17, 0, 13, 1, 0.8), (0, 3, 0, 13, 1, 0.7))
     for claims in (_greedy_claims, greedy_oracle):
         assert claims(dets, {0: gts}, EVAL_IOU)[1].tolist() == [True, True, False]
 
 
 def test_match_detections_ignores_scene_ids():
-    gts = [Box(10, 10, 6, 6), Box(30, 30, 6, 6)]
+    gts = gt((10, 10, 6, 6), (30, 30, 6, 6))
     rep = match_detections(det((3, 10, 10, 6, 6, 0.9), (7, 30, 30, 6, 6, 0.8)), gts)
     assert (rep.tp, rep.fp, rep.fn) == (2, 0, 0)
 

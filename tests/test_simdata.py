@@ -13,11 +13,9 @@ from dghm.simdata import (
     IOU_POSITIVE,
     NP_CLASS,
     AnchorPool,
-    Box,
     CorruptionSpec,
     Scene,
     SceneSpec,
-    box_array,
     build_anchor_grid,
     build_pool,
     corrupt_annotations,
@@ -44,44 +42,49 @@ SMALL_SPEC = SceneSpec(extent=(32.0, 32.0), objects_per_ap_scene=(2, 4))
 # ---------------------------------------------------------------------------
 
 
-def test_box_validation():
-    with pytest.raises(ValueError):
-        Box(0, 0, -1, 1)
-    with pytest.raises(ValueError):
-        Box(0, 0, 1, 0)
+@pytest.mark.parametrize("box", [(0, 0, -1, 1), (0, 0, 1, 0), (0, 0, 1, np.nan)])
+def test_scene_rejects_non_positive_box_sides(box):
+    with pytest.raises(ValueError, match="box sides must be positive"):
+        Scene(0, AP, [box], [True], (32.0, 32.0))
+
+
+def test_scene_coerces_gt_boxes_to_rows():
+    scene = Scene(0, AP, [(1, 2, 3, 4)], [True], (32.0, 32.0))
+    assert scene.gt_boxes.dtype == np.float64 and scene.gt_boxes.shape == (1, 4)
+    assert Scene(1, NP_CLASS, [], [], (32.0, 32.0)).gt_boxes.shape == (0, 4)
 
 
 def test_iou_identity_disjoint_analytic():
-    a = Box(1, 1, 2, 2)
+    a = (1, 1, 2, 2)
     assert iou(a, a) == 1.0
-    assert iou(a, Box(10, 10, 2, 2)) == 0.0
+    assert iou(a, (10, 10, 2, 2)) == 0.0
     # half-overlapping unit-offset squares: inter 2, union 6
-    assert iou(a, Box(2, 1, 2, 2)) == pytest.approx(1.0 / 3.0)
+    assert iou(a, (2, 1, 2, 2)) == pytest.approx(1.0 / 3.0)
 
 
 def test_iou_matrix_agrees_with_scalar():
     rng = np.random.default_rng(0)
-    boxes_a = [Box(rng.uniform(5, 25), rng.uniform(5, 25), rng.uniform(2, 8),
-                   rng.uniform(2, 8)) for _ in range(7)]
-    boxes_b = [Box(rng.uniform(5, 25), rng.uniform(5, 25), rng.uniform(2, 8),
-                   rng.uniform(2, 8)) for _ in range(5)]
+    boxes_a = [(rng.uniform(5, 25), rng.uniform(5, 25), rng.uniform(2, 8),
+                rng.uniform(2, 8)) for _ in range(7)]
+    boxes_b = [(rng.uniform(5, 25), rng.uniform(5, 25), rng.uniform(2, 8),
+                rng.uniform(2, 8)) for _ in range(5)]
     # touching (shared edge, shared corner) and disjoint pairs
-    boxes_a += [Box(10, 10, 4, 4), Box(40, 40, 2, 2)]
-    boxes_b += [Box(14, 10, 4, 4), Box(14, 14, 4, 4), Box(50, 50, 3, 3)]
-    m = iou_matrix(box_array(boxes_a), box_array(boxes_b))
+    boxes_a = np.array(boxes_a + [(10, 10, 4, 4), (40, 40, 2, 2)])
+    boxes_b = np.array(boxes_b + [(14, 10, 4, 4), (14, 14, 4, 4), (50, 50, 3, 3)])
+    m = iou_matrix(boxes_a, boxes_b)
     assert m.shape == (len(boxes_a), len(boxes_b))
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
             assert m[i, j] == iou(a, b)
-    assert iou_matrix(box_array([]), box_array(boxes_b)).shape == (0, len(boxes_b))
-    assert iou_matrix(box_array(boxes_a), box_array([])).shape == (len(boxes_a), 0)
+    assert iou_matrix(np.empty((0, 4)), boxes_b).shape == (0, len(boxes_b))
+    assert iou_matrix(boxes_a, np.empty((0, 4))).shape == (len(boxes_a), 0)
 
 
 @given(cx=st.floats(1, 30), cy=st.floats(1, 30), w=st.floats(0.5, 10),
        h=st.floats(0.5, 10))
 def test_iou_symmetric_and_bounded(cx, cy, w, h):
-    a = Box(10, 10, 5, 5)
-    b = Box(cx, cy, w, h)
+    a = (10, 10, 5, 5)
+    b = (cx, cy, w, h)
     assert iou(a, b) == pytest.approx(iou(b, a))
     assert 0.0 <= iou(a, b) <= 1.0
 
@@ -93,7 +96,7 @@ def test_iou_symmetric_and_bounded(cx, cy, w, h):
 
 def test_np_scene_empty():
     scene = generate_scene(SMALL_SPEC, NP_CLASS, np.random.default_rng(0))
-    assert scene.gt_boxes == []
+    assert scene.gt_boxes.shape == (0, 4)
     assert not scene.is_abnormal
 
 
@@ -106,16 +109,15 @@ def test_ap_scene_object_count_range():
 def test_scene_determinism():
     a = generate_scene(SMALL_SPEC, AP, np.random.default_rng(123))
     b = generate_scene(SMALL_SPEC, AP, np.random.default_rng(123))
-    assert [dataclasses.astuple(x) for x in a.gt_boxes] == \
-           [dataclasses.astuple(x) for x in b.gt_boxes]
+    np.testing.assert_array_equal(a.gt_boxes, b.gt_boxes, strict=True)
 
 
 def test_boxes_inside_extent():
     for seed in range(10):
         scene = generate_scene(SMALL_SPEC, AP, np.random.default_rng(seed))
-        for b in scene.gt_boxes:
-            assert b.x1 >= 0 and b.y1 >= 0
-            assert b.x2 <= 32 and b.y2 <= 32
+        for cx, cy, w, h in scene.gt_boxes:
+            assert cx - w / 2 >= 0 and cy - h / 2 >= 0
+            assert cx + w / 2 <= 32 and cy + h / 2 <= 32
 
 
 def test_impossible_geometry_rejected():
@@ -126,7 +128,7 @@ def test_impossible_geometry_rejected():
 
 def test_np_scene_with_boxes_rejected():
     with pytest.raises(ValueError):
-        Scene(scene_id=0, image_class=NP_CLASS, gt_boxes=[Box(5, 5, 2, 2)],
+        Scene(scene_id=0, image_class=NP_CLASS, gt_boxes=[(5, 5, 2, 2)],
               annotated=np.array([True]), extent=(32, 32))
 
 
@@ -136,8 +138,7 @@ def test_corpus_layout_and_determinism():
     assert [s.scene_id for s in scenes] == list(range(7))
     again = generate_corpus(SMALL_SPEC, 4, 3, seed=9)
     for s1, s2 in zip(scenes, again):
-        assert [dataclasses.astuple(b) for b in s1.gt_boxes] == \
-               [dataclasses.astuple(b) for b in s2.gt_boxes]
+        np.testing.assert_array_equal(s1.gt_boxes, s2.gt_boxes, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ def test_label_assignment_cases():
     spec = SceneSpec(extent=(32.0, 32.0), anchor_stride=4.0, anchor_sizes=(8.0,),
                      object_size=(6.0, 10.0))
     # one annotated box centered on an anchor site, one removed box elsewhere
-    boxes = [Box(10.0, 10.0, 8.0, 8.0), Box(26.0, 26.0, 8.0, 8.0)]
+    boxes = [(10.0, 10.0, 8.0, 8.0), (26.0, 26.0, 8.0, 8.0)]
     scene = Scene(0, AP, boxes, np.array([True, False]), (32.0, 32.0))
     pool = build_pool([scene], spec, corpus_seed=0)
     row = {(cx, cy): i for i, (cx, cy) in enumerate(pool.boxes[:, :2].tolist())}
@@ -311,8 +312,7 @@ def reference_pool_features(scenes, spec, corpus_seed):
     expected = []
     for scene in scenes:
         for idx, row in enumerate(build_anchor_grid(scene, spec)):
-            anchor = Box(*row)
-            best = max((iou(anchor, gt) for gt in scene.gt_boxes), default=0.0)
+            best = max((iou(row, gt) for gt in scene.gt_boxes), default=0.0)
             rng = np.random.default_rng([corpus_seed, scene.scene_id, idx])
             expected.append(reference_features(best, spec, rng))
     return np.array(expected)
@@ -646,9 +646,26 @@ def test_corpus_round_trip(tmp_path):
         assert a.scene_id == b.scene_id and a.image_class == b.image_class
         assert a.extent == b.extent
         np.testing.assert_array_equal(a.annotated, b.annotated)
-        for ba, bb in zip(a.gt_boxes, b.gt_boxes):
-            assert dataclasses.astuple(ba) == dataclasses.astuple(bb)
+        np.testing.assert_array_equal(a.gt_boxes, b.gt_boxes, strict=True)
     assert manifest.exists()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("box 10 10 4 4 1\n", 1),  # a box before any scene
+    ("scene 0 AP 32.0 32.0\nbox 10 10 4 1\n", 2),  # too few fields
+    ("scene 0 AP 32.0\n", 1),
+    ("scene 0 AP 32.0 32.0\nbox 10 10 4 4 1 7\n", 2),  # too many fields
+    ("scene 0 AP 32.0 32.0\nbox 10 10 four 4 1\n", 2),
+    ("scene 0 AP 32.0 32.0\n\nshape 10 10 4 4 1\n", 3),
+    # a non-positive side names the scene record
+    ("scene 0 NP 32.0 32.0\nscene 1 AP 32.0 32.0\nbox 10 10 0 4 1\n", 2),
+    ("scene 0 AP 32.0 32.0\nbox 10 10 4 -4 0\n", 1),
+])
+def test_load_corpus_rejects_malformed_records(tmp_path, text, line):
+    path = tmp_path / "corpus.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"line {line}: "):
+        load_corpus(path)
 
 
 def test_corpus_file_is_byte_stable(tmp_path):
