@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .losses import (
     ce_loss,
     focal_grad_logit,
     focal_loss,
-    gradient_norm,
     sce_grad_logit,
     sce_loss,
     sigmoid,
@@ -96,6 +96,14 @@ class HarmonizerConfig:
             raise ValueError("momentum must be in [0, 1)")
         object.__setattr__(self, "mode", Mode(self.mode))
 
+    @cached_property
+    def gamma_by_code(self) -> np.ndarray:
+        """The exponent of an outlier (g >= lambda) by partition code: mu_n on
+        noisy rows, mu_c on clean ones, and 1 in GHM mode."""
+        if self.mode is Mode.GHM:
+            return np.ones(1)
+        return np.where(NOISY_ROWS[self.mode], self.mu_n, self.mu_c)
+
 
 def bin_index(g, bin_count: int):
     """Bin of g under the half-open convention; g = 1 falls in the last bin."""
@@ -121,11 +129,16 @@ def histogram_counts(g, codes, n_partitions: int, bin_count: int):
 
     Bins are half-open [k/B, (k+1)/B) except the last, which is closed at 1.
     """
-    return _bin_counts(bin_index(g, bin_count), codes, n_partitions, bin_count)
+    flat = _flat_bins(codes, bin_index(g, bin_count), bin_count)
+    return _bin_counts(flat, n_partitions, bin_count)
 
 
-def _bin_counts(bins, codes, n_partitions: int, bin_count: int):
-    flat = np.asarray(codes, dtype=np.int64) * bin_count + bins
+def _flat_bins(codes, bins, bin_count: int):
+    """Index of each (code, bin) pair in the raveled (M, B) counts."""
+    return np.asarray(codes, dtype=np.int64) * bin_count + bins
+
+
+def _bin_counts(flat, n_partitions: int, bin_count: int):
     counts = np.bincount(flat, minlength=n_partitions * bin_count)
     return counts.reshape(n_partitions, bin_count)
 
@@ -173,12 +186,14 @@ def gradient_density(counts, g, codes=0):
     counts = np.atleast_2d(counts)
     g = np.asarray(g, dtype=np.float64)
     _check_unit_range(g)
-    return _density(counts, g, bin_index(g, counts.shape[1]), codes)
+    bin_count = counts.shape[1]
+    return _density(counts, g, _flat_bins(codes, bin_index(g, bin_count), bin_count))
 
 
-def _density(counts, g, bins, codes):
-    """gradient_density of float64 g already checked and binned to counts' width."""
-    return np.maximum(counts[codes, bins], 1.0) / valid_length(g, counts.shape[1])
+def _density(counts, g, flat):
+    """gradient_density of float64 g already checked, with flat its
+    _flat_bins index into the (M, B) counts."""
+    return np.maximum(counts.ravel().take(flat), 1.0) / valid_length(g, counts.shape[1])
 
 
 def partition_of(p_star, a, mode: Mode):
@@ -206,15 +221,17 @@ class HarmonizedBatch:
     """Per-example outputs of the classification kernel plus the batch constants.
 
     g is set for every loss kind.  beta, and M for the normalizer, are set for
-    harmonized kinds; codes, gamma_applied and histograms (the (M, B) counts
-    beta was computed from) only when the weights were harmonized here rather
-    than fixed by the caller.
+    harmonized kinds; codes, bins (each g's bin at the histograms' width),
+    gamma_applied and histograms (the (M, B) counts beta was computed from)
+    only when the weights were harmonized here rather than fixed by the
+    caller.
     """
 
     g: np.ndarray
     N: int  # batch size
     M: int = 1  # number of gradient-norm distributions (1, 2 or 3 by mode)
     codes: np.ndarray | None = None
+    bins: np.ndarray | None = None
     beta: np.ndarray | None = None
     gamma_applied: np.ndarray | None = None
     histograms: np.ndarray | None = None
@@ -237,21 +254,19 @@ def harmonize_weights(g, codes, cfg: HarmonizerConfig, histograms=None,
         raise ValueError("g and codes must have equal length")
     _check_unit_range(g)
     m, n = len(MODE_PARTITIONS[cfg.mode]), g.size
-    # g is checked and binned once, for the counts and the density alike
+    # g is checked and binned once: one flat (code, bin) index serves the
+    # counts and the density alike
+    bin_count = cfg.bin_count if histograms is None else np.shape(histograms)[-1]
+    bins = bin_index(g, bin_count)
+    flat = _flat_bins(codes, bins, bin_count)
     if histograms is None:
-        bins = bin_index(g, cfg.bin_count)
-        histograms = _bin_counts(bins, codes, m, cfg.bin_count).astype(np.float64)
+        histograms = _bin_counts(flat, m, bin_count).astype(np.float64)
         if ema is not None:
             histograms = ema.update(histograms)
-    else:
-        bins = bin_index(g, np.shape(histograms)[-1])
-    gd = _density(np.atleast_2d(histograms), g, bins, codes)
-    gamma = np.ones(n, dtype=np.float64)
-    if cfg.mode is not Mode.GHM:
-        outlier = g >= cfg.outlier_threshold
-        gamma[outlier] = np.where(NOISY_ROWS[cfg.mode][codes[outlier]], cfg.mu_n, cfg.mu_c)
-    n_prime = n if cfg.n_convention == "total" else np.bincount(codes, minlength=m)[codes]
-    return HarmonizedBatch(g=g, N=n, M=m, codes=codes, beta=n_prime / gd**gamma,
+    gd = _density(np.atleast_2d(histograms), g, flat)
+    gamma = np.where(g >= cfg.outlier_threshold, cfg.gamma_by_code.take(codes), 1.0)
+    n_prime = n if cfg.n_convention == "total" else np.bincount(codes, minlength=m).take(codes)
+    return HarmonizedBatch(g=g, N=n, M=m, codes=codes, bins=bins, beta=n_prime / gd**gamma,
                            gamma_applied=gamma, histograms=histograms)
 
 
@@ -309,10 +324,11 @@ def classification_loss_and_grad(logits, p_star, codes, spec: LossSpec, ema=None
         raise ValueError("empty batch")
     p = sigmoid(logits)
     p_star = np.asarray(p_star, dtype=np.float64)
-    g = gradient_norm(p, p_star)
+    residual = ce_grad_logit(p, p_star)
+    g = np.abs(residual)  # gradient_norm(p, p_star), from the one subtraction
     if not spec.is_harmonized:
         if spec.kind == "ce":
-            per, grad = ce_loss(p, p_star), ce_grad_logit(p, p_star)
+            per, grad = ce_loss(p, p_star), residual
         elif spec.kind == "focal":
             per = focal_loss(p, p_star, spec.focal)
             grad = focal_grad_logit(p, p_star, spec.focal)
@@ -326,7 +342,7 @@ def classification_loss_and_grad(logits, p_star, codes, spec: LossSpec, ema=None
         batch = HarmonizedBatch(g=g, N=n, M=len(MODE_PARTITIONS[cfg.mode]),
                                 beta=np.asarray(beta, dtype=np.float64))
     loss = float((batch.beta * ce_loss(p, p_star)).sum() / (batch.M * n))
-    dlogit = batch.beta * ce_grad_logit(p, p_star) / (batch.M * n)
+    dlogit = batch.beta * residual / (batch.M * n)
     return loss, dlogit, batch
 
 
@@ -362,10 +378,7 @@ def reformulated_gradient_curve(spec: LossSpec, histograms=None, partition: int 
     cfg = spec.harmonizer
     counts = np.atleast_2d(histograms)
     gd = gradient_density(counts, g, partition)
-    gamma = np.ones_like(g)
-    if cfg.mode is not Mode.GHM:
-        outlier = g >= cfg.outlier_threshold
-        gamma[outlier] = cfg.mu_n if NOISY_ROWS[cfg.mode][partition] else cfg.mu_c
+    gamma = np.where(g >= cfg.outlier_threshold, cfg.gamma_by_code[partition], 1.0)
     n_prime = counts.sum() if cfg.n_convention == "total" else counts[partition].sum()
     beta = n_prime / gd**gamma
     return g, beta * g

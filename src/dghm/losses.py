@@ -13,17 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Probabilities are kept strictly inside (EPS, 1 - EPS) before any log.
+# Probabilities are clamped to [EPS, 1 - EPS] before any log.
 EPS = 1e-12
 
 
 def sigmoid(logit):
-    """Clamped sigmoid: output is strictly inside (EPS, 1 - EPS)."""
+    """Clamped sigmoid: output lies in [EPS, 1 - EPS]."""
     logit = np.asarray(logit, dtype=np.float64)
-    # evaluate exp only on the non-overflowing side of each branch
-    neg = np.exp(np.minimum(logit, 0.0))
-    pos = np.exp(-np.maximum(logit, 0.0))
-    p = np.where(logit >= 0, 1.0 / (1.0 + pos), neg / (1.0 + neg))
+    # e = exp(-|x|) never overflows: exp(-x) on the x >= 0 side, exp(x) on the
+    # other; min(x, -x) is -|x| that keeps a NaN's sign, as -abs would not
+    e = np.exp(np.minimum(logit, -logit))
+    d = 1.0 + e
+    p = np.where(logit >= 0, 1.0 / d, e / d)
     return np.minimum(np.maximum(p, EPS), 1.0 - EPS)  # np.clip, without its call overhead
 
 
@@ -136,12 +137,17 @@ def sce_grad_logit(p, p_star, params: SceParams = SceParams()):
 
 def smooth_l1(x):
     """0.5 x^2 for |x| < 1, |x| - 0.5 otherwise (transition fixed at 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    ax = np.abs(x)
-    return np.where(ax < 1.0, 0.5 * x * x, ax - 0.5)
+    return smooth_l1_and_grad(x)[0]
 
 
 def smooth_l1_grad(x):
     """Derivative of smooth_l1: x inside the quadratic zone, sign(x) outside."""
+    return smooth_l1_and_grad(x)[1]
+
+
+def smooth_l1_and_grad(x):
+    """(smooth_l1(x), smooth_l1_grad(x)), the quadratic zone found once."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(np.abs(x) < 1.0, x, np.sign(x))
+    ax = np.abs(x)
+    quadratic = ax < 1.0
+    return np.where(quadratic, 0.5 * x * x, ax - 0.5), np.where(quadratic, x, np.sign(x))

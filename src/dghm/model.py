@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,12 +22,12 @@ from .harmonizer import (
     HarmonizerConfig,
     LossSpec,
     Mode,
+    bin_index,
     build_histograms,
     classification_loss_and_grad,
-    histogram_counts,
     partition_of,
 )
-from .losses import gradient_norm, sigmoid, smooth_l1, smooth_l1_grad
+from .losses import gradient_norm, sigmoid, smooth_l1_and_grad
 from .simdata import AnchorPool, minibatch_quota, sample_minibatch
 
 
@@ -53,7 +55,8 @@ class Predictor:
         sizes = [m * n for m, n in shapes] + list(self.dims[1:])
         if self.params.shape != (sum(sizes),):
             raise ValueError(f"params shape {self.params.shape} != ({sum(sizes)},)")
-        parts = np.split(self.params, np.cumsum(sizes)[:-1])
+        bounds = list(accumulate(sizes, initial=0))
+        parts = [self.params[a:b] for a, b in zip(bounds, bounds[1:])]
         self.weights = [part.reshape(shape) for part, shape in zip(parts, shapes)]
         self.biases = parts[len(shapes):]
 
@@ -84,36 +87,87 @@ class Predictor:
         return Predictor(dims=self.dims, params=self.params.copy())
 
 
-def forward(model: Predictor, features):
-    """Returns (logits (n,), offsets (n, 4), cache) for a batch of features."""
+@dataclass
+class StepBuffers:
+    """Every array a training step writes, for batches of n rows.
+
+    train() allocates one set per call and each step overwrites it.  Given
+    none, forward and adam_step allocate what they write and backward a
+    fresh set.
+    """
+
+    layers: list  # per dense layer, its (n, width) output
+    delta: np.ndarray  # (n, 5) output-layer gradient: [dlogit, doffsets]
+    hidden: list  # per hidden layer, its (n, width) backpropagated gradient
+    slopes: list  # per hidden layer, (n, width) scratch for 1 - tanh^2
+    grad: Predictor  # the flat gradient and its per-layer views
+    adam: np.ndarray  # (2, P) scratch for adam_step
+
+    @classmethod
+    def for_model(cls, model: Predictor, n: int) -> "StepBuffers":
+        widths = model.dims[1:]
+        return cls(layers=[np.empty((n, w)) for w in widths],
+                   delta=np.empty((n, widths[-1])),
+                   hidden=[np.empty((n, w)) for w in widths[:-1]],
+                   slopes=[np.empty((n, w)) for w in widths[:-1]],
+                   grad=Predictor(dims=model.dims, params=np.empty_like(model.params)),
+                   adam=np.empty((2, model.params.size)))
+
+
+def forward(model: Predictor, features, buffers: StepBuffers | None = None):
+    """Returns (logits (n,), offsets (n, 4), cache) for a batch of features.
+
+    cache is [input, every layer's output]; with buffers the outputs are
+    buffers.layers, overwritten.
+    """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != model.dims[0]:
         raise ValueError(f"feature dim {x.shape[1]} != model dim {model.dims[0]}")
+    if buffers is None:
+        outs = [np.empty((len(x), w)) for w in model.dims[1:]]
+    else:
+        outs = buffers.layers
     activations = [x]
-    n_layers = len(model.weights)
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = activations[-1] @ w + b
-        activations.append(z if i == n_layers - 1 else np.tanh(z))
+    last = len(outs) - 1
+    for i, (w, b, z) in enumerate(zip(model.weights, model.biases, outs)):
+        np.matmul(activations[-1], w, out=z)
+        z += b
+        if i < last:
+            np.tanh(z, out=z)
+        activations.append(z)
     out = activations[-1]
     return out[:, 0], out[:, 1:5], activations
 
 
-def backward(model: Predictor, activations, dlogit, doffsets):
+def backward(model: Predictor, activations, dlogit, doffsets,
+             buffers: StepBuffers | None = None):
     """Backpropagate per-example output gradients into parameter gradients.
 
-    dlogit is (n,), doffsets (n, 4); both already include loss normalizers.
-    Returns one flat gradient laid out like model.params.
+    dlogit is (n,) and doffsets (k, 4) for the k <= n leading rows, the rest
+    having none; both already include loss normalizers.  Returns one flat
+    gradient laid out like model.params: buffers.grad.params when given,
+    overwritten.
     """
-    delta = np.concatenate([np.asarray(dlogit)[:, None], np.asarray(doffsets)], axis=1)
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    if buffers is None:
+        buffers = StepBuffers.for_model(model, len(dlogit))
+    delta = buffers.delta
+    k = len(doffsets)
+    delta[:, 0] = dlogit
+    delta[:k, 1:] = doffsets
+    delta[k:, 1:] = 0.0
+    grad = buffers.grad
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(activations[i].T, delta, out=grad.weights[i])
+        grad.biases[i][...] = delta.sum(axis=0)
         if i > 0:
-            # activations[i] is tanh(z_i) for hidden layers
-            delta = (delta @ model.weights[i].T) * (1.0 - activations[i] ** 2)
-    return np.concatenate([g.ravel() for g in grads_w + grads_b])
+            # activations[i] is tanh(z_i) for hidden layers; slope = 1 - tanh^2
+            back, slope = buffers.hidden[i - 1], buffers.slopes[i - 1]
+            np.matmul(delta, model.weights[i].T, out=back)
+            np.square(activations[i], out=slope)
+            np.subtract(1.0, slope, out=slope)
+            back *= slope
+            delta = back
+    return grad.params
 
 
 @dataclass
@@ -131,25 +185,26 @@ class Batch:
 
 
 def batch_loss_and_grads(model: Predictor, batch: Batch, spec: LossSpec,
-                         reg_weight: float = 1.0, ema=None, beta=None):
+                         reg_weight: float = 1.0, ema=None, beta=None,
+                         buffers: StepBuffers | None = None):
     """Total loss of the selected spec plus analytic parameter gradients.
 
     Returns (loss, flat gradient, HarmonizedBatch): the last is the
     classification kernel's record of the batch (gradient norms for every
     kind; beta and the harmonizer counts for harmonized kinds).  ema and beta
-    go to classification_loss_and_grad.
+    go to classification_loss_and_grad; buffers go to forward and backward,
+    so the gradient returned is then buffers.grad.params.
     """
-    logits, offsets, cache = forward(model, batch.features)
+    logits, offsets, cache = forward(model, batch.features, buffers)
     cls_loss, dlogit, harmonized = classification_loss_and_grad(
         logits, batch.p_star, batch.codes, spec, ema=ema, beta=beta)
     k = len(batch.targets)
-    doffsets = np.zeros_like(offsets)
-    reg_loss = 0.0
+    reg_loss, doffsets = 0.0, offsets[:0]  # no positive, no offset gradient
     if k:
-        diff = offsets[:k] - batch.targets
-        reg_loss = float(smooth_l1(diff).sum() / k)
-        doffsets[:k] = reg_weight * smooth_l1_grad(diff) / k
-    grad = backward(model, cache, dlogit, doffsets)
+        per, slope = smooth_l1_and_grad(offsets[:k] - batch.targets)
+        reg_loss = float(per.sum() / k)
+        doffsets = reg_weight * slope / k
+    grad = backward(model, cache, dlogit, doffsets, buffers)
     return cls_loss + reg_weight * reg_loss, grad, harmonized
 
 
@@ -170,10 +225,13 @@ def finite_difference_check(model: Predictor, batch: Batch, spec: LossSpec,
 
     beta = classification_loss_and_grad(logits0, batch.p_star, batch.codes, spec)[2].beta
 
-    def loss_and_grads(params_model):
-        return batch_loss_and_grads(params_model, batch, spec, reg_weight, beta=beta)
+    buffers = StepBuffers.for_model(model, len(batch.features))
 
-    analytic = loss_and_grads(model)[1]
+    def loss_and_grads(params_model):
+        return batch_loss_and_grads(params_model, batch, spec, reg_weight, beta=beta,
+                                    buffers=buffers)
+
+    analytic = loss_and_grads(model)[1].copy()  # every later call overwrites the buffers
     coords = range(model.params.size)
     if len(coords) > max_params:
         coords = np.random.default_rng(seed).choice(len(coords), size=max_params,
@@ -209,18 +267,27 @@ class AdamState:
         return cls(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
 
 
-def adam_step(model: Predictor, state: AdamState, grad, lr: float):
+def adam_step(model: Predictor, state: AdamState, grad, lr: float, scratch=None):
     """Standard Adam update of the flat gradient, in place on model.params and
-    on the state's moments."""
+    on the state's moments.  scratch, a (2, P) array, holds the temporaries;
+    without it they are allocated."""
     state.step += 1
     t = state.step
+    step, denom = np.empty((2, grad.size)) if scratch is None else scratch
+    np.multiply(grad, 1.0 - state.beta1, out=step)
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
+    state.m += step
+    np.multiply(grad, 1.0 - state.beta2, out=step)
+    step *= grad
     state.v *= state.beta2
-    state.v += ((1.0 - state.beta2) * grad) * grad
-    m_hat = state.m / (1.0 - state.beta1**t)
-    v_hat = state.v / (1.0 - state.beta2**t)
-    model.params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.v += step
+    np.divide(state.v, 1.0 - state.beta2**t, out=denom)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(state.m, 1.0 - state.beta1**t, out=step)  # m_hat
+    step *= lr
+    step /= denom
+    model.params -= step
 
 
 @dataclass
@@ -263,6 +330,10 @@ class TrainLog:
     epoch_histograms: list  # per epoch: (2, 10) clean/noisy counts over training batches
 
 
+#: Bins of the per-epoch clean/noisy gradient-norm counts in TrainLog.
+EPOCH_BINS = 10
+
+
 def pool_gradient_histograms(model: Predictor, pool: AnchorPool, bin_count: int = 10):
     """Gradient-norm histograms of the current model over the whole pool, from
     one forward: the two-way (2, B) and the three-way (3, B) counts."""
@@ -271,6 +342,14 @@ def pool_gradient_histograms(model: Predictor, pool: AnchorPool, bin_count: int 
     return tuple(build_histograms(g, partition_of(pool.p_star, pool.a, mode),
                                   HarmonizerConfig(mode=mode, bin_count=bin_count))
                  for mode in (Mode.DGHM, Mode.DGHM_STAR))
+
+
+def _epoch_bins(harmonized):
+    """Each gradient norm's bin among EPOCH_BINS: the harmonizer's own bins
+    when it binned at that width, else binned here."""
+    if harmonized.bins is not None and harmonized.histograms.shape[-1] == EPOCH_BINS:
+        return harmonized.bins
+    return bin_index(harmonized.g, EPOCH_BINS)
 
 
 def _check_finite(what: str, arr, epoch: int, step: int):
@@ -289,19 +368,23 @@ def train(pool: AnchorPool, cfg: TrainConfig):
 
     What depends only on the pool is computed once per call: the partition
     codes, the float labels, which rows hold a non-finite feature and the
-    number k of leading positives in every batch.  A step gathers its rows.
+    number k of leading positives in every batch.  So are the StepBuffers,
+    as every batch has the same size.  A step gathers its rows.
     """
     model = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     state = AdamState.for_model(model)
     rng = np.random.default_rng([cfg.seed, 0xD64])
     quota = minibatch_quota(pool, cfg.batch_size)
-    pos_idx, _, n_pos, _ = quota
+    pos_idx, _, n_pos, n_neg = quota
     k = pos_idx.size if n_pos is None else n_pos
+    buffers = StepBuffers.for_model(model, k + n_neg)
     two_way = partition_of(pool.p_star, pool.a, Mode.DGHM)
     codes = two_way  # only harmonized kinds read the codes
     mode = cfg.loss_spec.harmonizer.mode
     if cfg.loss_spec.is_harmonized and mode is not Mode.DGHM:
         codes = partition_of(pool.p_star, pool.a, mode)
+    # each row's offset into the flat (2, 10) per-epoch clean/noisy counts
+    epoch_offsets = two_way * EPOCH_BINS
     p_star = pool.p_star.astype(np.float64)
     bad_rows = ~np.isfinite(pool.features).all(axis=1)
     lr = cfg.learning_rate
@@ -312,28 +395,30 @@ def train(pool: AnchorPool, cfg: TrainConfig):
         if epoch in cfg.decay_epochs:
             lr *= cfg.decay_factor
         losses = []
-        hist_acc = np.zeros((2, 10), dtype=np.int64)
+        hist_acc = np.zeros(2 * EPOCH_BINS, dtype=np.int64)
         for _ in range(cfg.steps_per_epoch):
             step = state.step
             idx = sample_minibatch(quota, rng)
             # a NaN feature would reach the harmonizer's histogram bins first
-            if bad_rows[idx].any():
+            if bad_rows.take(idx).any():
                 raise TrainingDiverged(f"non-finite feature at epoch {epoch}, step {step}")
-            batch = Batch(features=pool.features[idx], p_star=p_star[idx],
-                          codes=codes[idx], targets=pool.targets[idx[:k]])
+            batch = Batch(features=pool.features.take(idx, axis=0), p_star=p_star.take(idx),
+                          codes=codes.take(idx), targets=pool.targets.take(idx[:k], axis=0))
             loss, grad, harmonized = batch_loss_and_grads(
-                model, batch, cfg.loss_spec, reg_weight=cfg.reg_weight, ema=ema)
-            if not np.isfinite(loss):
+                model, batch, cfg.loss_spec, reg_weight=cfg.reg_weight, ema=ema,
+                buffers=buffers)
+            if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss {loss!r} at epoch {epoch}, step {step}")
             _check_finite("gradient", grad, epoch, step)
             # clean/noisy gradient-norm bookkeeping for the per-epoch log
-            hist_acc += histogram_counts(harmonized.g, two_way[idx], 2, 10)
-            adam_step(model, state, grad, lr)
+            hist_acc += np.bincount(epoch_offsets.take(idx) + _epoch_bins(harmonized),
+                                    minlength=2 * EPOCH_BINS)
+            adam_step(model, state, grad, lr, buffers.adam)
             _check_finite("parameter", model.params, epoch, step)
             losses.append(loss)
         records.append(EpochRecord(epoch=epoch, mean_loss=float(np.mean(losses)), lr=lr))
-        epoch_hists.append(hist_acc)
+        epoch_hists.append(hist_acc.reshape(2, EPOCH_BINS))
     if bad_rows.any():
         raise TrainingDiverged(f"non-finite feature in pool row "
                                f"{np.flatnonzero(bad_rows)[0]}, which no step drew")

@@ -57,7 +57,7 @@ def iou_matrix(boxes_a, boxes_b):
     return inter / (aw * ah + bw * bh - inter)
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: == would compare them elementwise
 class Scene:
     scene_id: int
     image_class: str  # AP or NP

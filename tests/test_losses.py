@@ -18,6 +18,7 @@ from dghm.losses import (
     sce_loss,
     sigmoid,
     smooth_l1,
+    smooth_l1_and_grad,
     smooth_l1_grad,
 )
 
@@ -44,6 +45,33 @@ def test_sigmoid_is_clamped_away_from_0_and_1():
     assert sigmoid(-1e6) >= EPS
     assert sigmoid(1e6) <= 1.0 - EPS
     assert np.isfinite(ce_loss(sigmoid(-1e6), 1.0))
+
+
+def two_exp_sigmoid(logit):
+    """The clamped sigmoid as it was written with one exp per branch."""
+    logit = np.asarray(logit, dtype=np.float64)
+    neg = np.exp(np.minimum(logit, 0.0))
+    pos = np.exp(-np.maximum(logit, 0.0))
+    p = np.where(logit >= 0, 1.0 / (1.0 + pos), neg / (1.0 + neg))
+    return np.minimum(np.maximum(p, EPS), 1.0 - EPS)
+
+
+def test_sigmoid_equals_the_two_exp_form_bit_for_bit():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0, 745.0, -745.0,
+                      tiny, -tiny, 1e3 * tiny, -1e3 * tiny, np.finfo(np.float64).tiny / 2])
+    rng = np.random.default_rng(0)
+    logits = np.concatenate([edges, rng.normal(scale=20.0, size=100_000)])
+    with np.errstate(over="raise"):  # exp(-|x|) must never overflow
+        got = sigmoid(logits)
+    np.testing.assert_array_equal(got.view(np.uint64), two_exp_sigmoid(logits).view(np.uint64))
+    assert np.isnan(got[4:6]).all()  # NaN in, NaN out, with its sign
+    assert sigmoid(-0.0) == 0.5
+
+
+def test_sigmoid_output_reaches_the_clamp_bounds():
+    np.testing.assert_array_equal(sigmoid([-800.0, -40.0, 40.0, 800.0]),
+                                  [EPS, EPS, 1.0 - EPS, 1.0 - EPS])
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +233,14 @@ def test_smooth_l1_grad_matches_finite_difference(x):
 def test_smooth_l1_even_and_nonnegative(x):
     assert smooth_l1(x) >= 0.0
     assert smooth_l1(x) == pytest.approx(smooth_l1(-x))
+
+
+def test_smooth_l1_and_grad_equals_the_two_where_forms_bit_for_bit():
+    rng = np.random.default_rng(1)
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), 1e-300],
+                        rng.normal(scale=2.0, size=10_000)]).reshape(-1, 2)
+    loss, grad = smooth_l1_and_grad(x)
+    ax = np.abs(x)
+    np.testing.assert_array_equal(loss, np.where(ax < 1.0, 0.5 * x * x, ax - 0.5))
+    np.testing.assert_array_equal(grad, np.where(ax < 1.0, x, np.sign(x)))
+    assert loss.shape == grad.shape == x.shape

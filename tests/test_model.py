@@ -34,6 +34,7 @@ from dghm.model import (
     AdamState,
     Batch,
     Predictor,
+    StepBuffers,
     TrainConfig,
     TrainingDiverged,
     adam_step,
@@ -138,6 +139,64 @@ def test_no_positives_zero_regression_gradient():
                                                   reg_weight=0.0)
     assert loss_with == pytest.approx(loss_without)
     np.testing.assert_allclose(grad, grad0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# step buffers
+# ---------------------------------------------------------------------------
+
+
+def buffer_batches(rng, mode):
+    """Batches of one size n = 24 as one StepBuffers serves them in turn: with
+    positives, with a single one, with none; then one of 7 rows."""
+    yield random_batch(rng, 24, 5, mode=mode)
+    one = random_batch(rng, 24, 5, all_negative=True, mode=mode)
+    one.p_star[0] = 1.0
+    yield dataclasses.replace(one, targets=rng.normal(size=(1, 4)))
+    yield random_batch(rng, 24, 5, all_negative=True, mode=mode)
+    yield random_batch(rng, 7, 5, mode=mode)
+
+
+def assert_same_record(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y)
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 4)], ids=len)
+def test_buffered_step_equals_the_allocating_step_bit_for_bit(spec, hidden):
+    rng = np.random.default_rng(21)
+    model = Predictor.create(5, hidden=hidden, seed=21)
+    model.params += rng.normal(scale=0.3, size=model.params.size)
+    buffers = {}
+    for batch in buffer_batches(rng, spec.harmonizer.mode):
+        n = len(batch.features)
+        bufs = buffers.setdefault(n, StepBuffers.for_model(model, n))
+        # forward alone
+        got, want = forward(model, batch.features, bufs), forward(model, batch.features)
+        for x, y in zip(got[:2], want[:2]):
+            np.testing.assert_array_equal(x, y)
+        assert [a is b for a, b in zip(got[2][1:], bufs.layers)] == [True] * len(bufs.layers)
+        for x, y in zip(got[2], want[2]):
+            np.testing.assert_array_equal(x, y)
+        # backward alone, offsets for the leading rows only and for all rows
+        dlogit = rng.normal(size=n)
+        for doffsets in (rng.normal(size=(3, 4)), rng.normal(size=(n, 4))):
+            grad = backward(model, got[2], dlogit, doffsets, bufs)
+            assert grad is bufs.grad.params
+            full = np.zeros((n, 4))
+            full[:len(doffsets)] = doffsets
+            np.testing.assert_array_equal(grad, backward(model, want[2], dlogit, full))
+        # the whole loss, its gradient and the kernel's record
+        loss, grad, record = batch_loss_and_grads(model, batch, spec, 1.5, buffers=bufs)
+        want_loss, want_grad, want_record = batch_loss_and_grads(model, batch, spec, 1.5)
+        assert loss == want_loss
+        np.testing.assert_array_equal(grad, want_grad)
+        assert_same_record(record, want_record)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +459,35 @@ def test_train_runs_one_forward_per_step(monkeypatch, spec):
     assert len(calls) == cfg.epochs * cfg.steps_per_epoch + 1
 
 
+def test_train_allocates_its_step_buffers_once(monkeypatch):
+    pool = tiny_pool(eta=0.5)
+    cfg = TrainConfig(loss_spec=LossSpec(kind="dghm_c"), epochs=2, steps_per_epoch=3,
+                      batch_size=16, learning_rate=1e-3, seed=1)
+    real_forward, real_backward = model_module.forward, model_module.backward
+    caches, grads = [], []
+
+    def recorded_forward(*args):
+        out = real_forward(*args)
+        caches.append(out[2])
+        return out
+
+    def recorded_backward(*args):
+        grads.append(real_backward(*args))
+        return grads[-1]
+
+    monkeypatch.setattr(model_module, "forward", recorded_forward)
+    monkeypatch.setattr(model_module, "backward", recorded_backward)
+    train(pool, cfg)
+    steps = cfg.epochs * cfg.steps_per_epoch
+    assert len(caches) == steps + 1 and len(grads) == steps
+    # every step writes the same layer outputs and the same gradient; the
+    # final whole-pool forward allocates its own
+    for cache in caches[1:steps]:
+        assert all(a is b for a, b in zip(cache[1:], caches[0][1:]))
+    assert all(g is grads[0] for g in grads)
+    assert not any(a is b for a, b in zip(caches[steps][1:], caches[0][1:]))
+
+
 def reference_classification(logits, p_star, a, spec, ema):
     """The classification kernel as it was before it took partition codes:
     codes from the scene attributes, counts binned, then binned again for
@@ -477,23 +565,31 @@ HARMONIZER_CASES = [
     HarmonizerConfig(momentum=0.7, n_convention="total"),
     HarmonizerConfig(momentum=0.7, n_convention="partition", outlier_threshold=0.3),
 ]
+
+
+def spec_id(spec):
+    return f"{spec.kind}-m{spec.harmonizer.momentum}-{spec.harmonizer.n_convention}"
+
+
+def hoisted_case(spec, pool_kind, hidden=(32,)):
+    depth = "" if hidden == (32,) else f"-hidden{'x'.join(map(str, hidden)) or 'none'}"
+    return pytest.param(spec, pool_kind, hidden, id=f"{spec_id(spec)}-{pool_kind}{depth}")
+
+
 HOISTED_CASES = [
-    *[(dataclasses.replace(spec, harmonizer=h), "full")
+    *[hoisted_case(dataclasses.replace(spec, harmonizer=h), "full")
       for spec in ALL_SPECS
       for h in (HARMONIZER_CASES if spec.is_harmonized else HARMONIZER_CASES[:1])],
-    *[(spec, pool) for spec in [ALL_SPECS[0], *ALL_SPECS[3:]]
+    *[hoisted_case(spec, pool) for spec in [ALL_SPECS[0], *ALL_SPECS[3:]]
       for pool in ("short", "negative")],
+    # the per-layer step buffers at depth 0 (no hidden layer) and depth 2
+    *[hoisted_case(spec, pool, hidden) for hidden in ((), (8, 8))
+      for spec in ALL_SPECS for pool in ("full", "short")],
 ]
 
 
-def case_id(case):
-    if isinstance(case, LossSpec):
-        return f"{case.kind}-m{case.harmonizer.momentum}-{case.harmonizer.n_convention}"
-    return case
-
-
-@pytest.mark.parametrize("spec, pool_kind", HOISTED_CASES, ids=case_id)
-def test_train_matches_the_per_step_reference(spec, pool_kind):
+@pytest.mark.parametrize("spec, pool_kind, hidden", HOISTED_CASES)
+def test_train_matches_the_per_step_reference(spec, pool_kind, hidden):
     if pool_kind == "full":
         pool, batch_size = tiny_pool(eta=0.3), 16
     elif pool_kind == "short":
@@ -502,7 +598,7 @@ def test_train_matches_the_per_step_reference(spec, pool_kind):
         pool, batch_size = negative_pool()
         assert not np.any(pool.p_star)
     cfg = TrainConfig(loss_spec=spec, epochs=3, steps_per_epoch=4, batch_size=batch_size,
-                      learning_rate=3e-3, seed=5)
+                      hidden=hidden, learning_rate=3e-3, seed=5)
     model, log = train(pool, cfg)
     ref_model, ref_losses, ref_hists = reference_train(pool, cfg)
     np.testing.assert_array_equal(model.params, ref_model.params)

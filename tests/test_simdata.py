@@ -42,6 +42,16 @@ SMALL_SPEC = SceneSpec(extent=(32.0, 32.0), objects_per_ap_scene=(2, 4))
 # ---------------------------------------------------------------------------
 
 
+def test_comparing_scenes_does_not_raise():
+    first = generate_corpus(SceneSpec(), 2, 0, 1)
+    again = generate_corpus(SceneSpec(), 2, 0, 1)
+    # equal ids and classes: a field-wise == would reach the box arrays and
+    # raise on their elementwise truth value; scenes compare by identity
+    assert [s.scene_id for s in first] == [s.scene_id for s in again]
+    assert first[0] == first[0] and first[0] != again[0]
+    assert first != again and first[1] not in again
+
+
 @pytest.mark.parametrize("box", [(0, 0, -1, 1), (0, 0, 1, 0), (0, 0, 1, np.nan)])
 def test_scene_rejects_non_positive_box_sides(box):
     with pytest.raises(ValueError, match="box sides must be positive"):
