@@ -23,13 +23,12 @@ def main():
           f"{n_objects} objects")
 
     for eta in (0.0, 0.3, 0.7):
-        corrupted, removed = corrupt_annotations(scenes,
-                                                 CorruptionSpec(eta=eta, seed=0))
+        corrupted, k = corrupt_annotations(scenes, CorruptionSpec(eta=eta, seed=0))
         pool = build_pool(corrupted, spec, corpus_seed=42)
         pos = int((pool.p_star == 1).sum())
         noisy = int(((pool.p_star == 0) & (pool.ideal_p_star == 1)).sum())
         ap_neg = int(((pool.p_star == 0) & (pool.a == 1)).sum())
-        print(f"\neta = {eta:3.1f}: removed {len(removed):3d} annotations")
+        print(f"\neta = {eta:3.1f}: removed {k:3d} annotations")
         print(f"  anchors: {pool.size} total, {pos} positive, "
               f"{ap_neg} abnormal-scene negatives")
         print(f"  mislabeled anchors (true objects labeled negative): {noisy}")

@@ -20,7 +20,7 @@ from .experiments import (
     cmd_gen,
     cmd_sweep_eta,
     cmd_train,
-    experiment_config_to_dict,
+    config_to_dict,
     kfold_split,
     validate_config_dict,
 )
@@ -94,7 +94,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "check-config":
-            print(json.dumps(experiment_config_to_dict(cfg), indent=2, sort_keys=True))
+            print(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True))
             print(f"config ok (hash {cfg.config_hash()})")
         elif args.command == "gen":
             path = cmd_gen(cfg, args.out, force=args.force)

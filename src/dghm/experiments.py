@@ -14,6 +14,7 @@ import hashlib
 import json
 import shutil
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -44,7 +45,6 @@ from .simdata import (
     corrupt_annotations,
     generate_corpus,
     save_corpus,
-    scene_spec_from_dict,
 )
 
 DEFAULT_LOSSES = ("ce", "focal", "ghm_c", "sce", "dghm_c")
@@ -81,7 +81,7 @@ class ExperimentConfig:
     include_dghm_star: bool = False
 
     def config_hash(self) -> str:
-        payload = json.dumps(experiment_config_to_dict(self), sort_keys=True)
+        payload = json.dumps(config_to_dict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -96,46 +96,57 @@ class RunRecord:
     wall_time: float
 
 
-def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
-    def convert(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {k: convert(v) for k, v in dataclasses.asdict(obj).items()}
-        if isinstance(obj, (tuple, list)):
-            return [convert(v) for v in obj]
-        if isinstance(obj, Mode):
-            return obj.value
-        return obj
+def config_to_dict(obj):
+    """A config dataclass as JSON-ready values: dicts, lists and scalars."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: config_to_dict(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, (tuple, list)):
+        return [config_to_dict(v) for v in obj]
+    if isinstance(obj, Mode):
+        return obj.value
+    return obj
 
-    return convert(cfg)
+
+def _freeze(value):
+    return tuple(map(_freeze, value)) if isinstance(value, (list, tuple)) else value
 
 
-def experiment_config_from_dict(d: dict) -> ExperimentConfig:
-    kwargs = dict(d)
-    if "corpus" in kwargs:
-        c = dict(kwargs["corpus"])
-        if "scene_spec" in c:
-            c["scene_spec"] = scene_spec_from_dict(c["scene_spec"])
-        kwargs["corpus"] = CorpusConfig(**{
-            k: tuple(v) if isinstance(v, list) and k != "scene_spec" else v
-            for k, v in c.items()})
-    if "harmonizer" in kwargs:
-        kwargs["harmonizer"] = HarmonizerConfig(**kwargs["harmonizer"])
-    for key in ("losses", "eta_grid", "lambda_grid", "seeds", "hidden"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    if "mu_grid" in kwargs:
-        kwargs["mu_grid"] = tuple(tuple(pair) for pair in kwargs["mu_grid"])
-    return ExperimentConfig(**kwargs)
+def config_from_dict(cls, d: dict, where: str = ""):
+    """The ``cls`` config a ``config_to_dict`` dict describes; omitted keys
+    take the defaults.
+
+    Nested dicts become nested configs and lists become (nested) tuples.
+    Raises ValueError, naming the dotted key, on an unknown key at any depth,
+    a non-dict for a nested config, a non-list for a tuple field, a value that
+    is not an int in an ``int`` field, or one that is neither an int nor a
+    float in a ``float`` field (a bool is neither).
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{where.rstrip('.') or 'config'} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(where + k for k in unknown)}")
+    kwargs = {}
+    for name, value in d.items():
+        hint = hints[name]
+        if dataclasses.is_dataclass(hint):
+            value = config_from_dict(hint, value, f"{where}{name}.")
+        elif hint is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{where}{name} must be a list, got {value!r}")
+            value = _freeze(value)
+        elif hint in (int, float) and type(value) not in (int, hint):
+            raise ValueError(f"{where}{name} must be {hint.__name__}, got {value!r}")
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 def validate_config_dict(d: dict):
     """Raise ValueError on unknown keys, malformed values or values every run rejects."""
-    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     try:
-        cfg = experiment_config_from_dict(d)
+        cfg = config_from_dict(ExperimentConfig, d)
         # the checks a run makes, made once up front
         for eta in (cfg.eta, *cfg.eta_grid):
             CorruptionSpec(eta=eta, seed=0)
@@ -216,9 +227,13 @@ def predict_scenes(model, pool, min_score: float = 0.0):
                                  offsets[keep])
 
 
-def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes, removed,
+def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes,
                    spec: SceneSpec, corpus_seed: int) -> M.MetricsReport:
     """Full metric suite: test-fold detection metrics plus training T/R-recall.
+
+    T-recall scores the annotated boxes of the abnormal training scenes and
+    R-recall their unannotated ones, which are exactly the boxes corruption
+    dropped, because ``run_single``'s scenes start fully annotated.
 
     The operating threshold is chosen on the test fold (precision >= 0.2) and
     reused for the training-scene recalls, predicted from the pool the model
@@ -251,11 +266,8 @@ def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes, remov
     train_dets = predict_scenes(model, train_pool, min_score=thr)
     train_ap = [s for s in train_scenes_corrupted if s.is_abnormal]
     kept_by_scene = {s.scene_id: s.gt_boxes[s.annotated] for s in train_ap}
-    removed_rows = {}
-    for sid, j in removed:
-        removed_rows.setdefault(sid, []).append(j)
-    removed_by_scene = {s.scene_id: s.gt_boxes[removed_rows[s.scene_id]]
-                        for s in train_ap if s.scene_id in removed_rows}
+    removed_by_scene = {s.scene_id: s.gt_boxes[~s.annotated]
+                        for s in train_ap if not s.annotated.all()}
     t_rec, r_rec, rr_flag = M.t_r_recall(train_dets, kept_by_scene, removed_by_scene, thr)
     if rr_flag:
         flags.append("r_recall_undefined")
@@ -275,13 +287,12 @@ def run_single(cfg: ExperimentConfig, loss_name: str, eta: float, fold: int,
     test_ids = set(folds[fold])
     train_scenes = [s for s in scenes if s.scene_id not in test_ids]
     test_scenes = [s for s in scenes if s.scene_id in test_ids]
-    corrupted, removed = corrupt_annotations(
-        train_scenes, CorruptionSpec(eta=eta, seed=seed))
+    corrupted, _ = corrupt_annotations(train_scenes, CorruptionSpec(eta=eta, seed=seed))
     pool = build_pool(corrupted, cfg.corpus.scene_spec, cfg.corpus.seed)
     spec = loss_spec_for(loss_name, harmonizer or cfg.harmonizer)
     model, log = train(pool, _train_config(cfg, spec, seed))
-    report = evaluate_model(model, pool, corrupted, test_scenes, removed,
-                            cfg.corpus.scene_spec, cfg.corpus.seed)
+    report = evaluate_model(model, pool, corrupted, test_scenes, cfg.corpus.scene_spec,
+                            cfg.corpus.seed)
     record = RunRecord(config_hash=cfg.config_hash(), loss=loss_name, eta=eta,
                        fold=fold, seed=seed, report=report,
                        wall_time=time.perf_counter() - start)

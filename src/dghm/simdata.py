@@ -156,23 +156,19 @@ def generate_corpus(spec: SceneSpec, n_ap: int, n_np: int, seed: int):
 def corrupt_annotations(scenes, spec: CorruptionSpec):
     """Drop round(eta * total) annotations uniformly at random across scenes.
 
-    Returns (new scene list, removed list of (scene_id, box_index)).  Input
-    scenes are not mutated.
+    The draw is over all ``total`` boxes, annotated or not, in scene then row
+    order.  Returns (new scene list, k): each scene's annotated mask ANDed
+    with its part of the flat keep-mask, and k the number of boxes drawn.
+    Input scenes are not mutated.
     """
-    slots = [(s.scene_id, j) for s in scenes for j in range(len(s.gt_boxes))]
-    k = int(round(spec.eta * len(slots)))
-    rng = np.random.default_rng(spec.seed)
-    removed_idx = rng.choice(len(slots), size=k, replace=False) if k else np.array([], dtype=int)
-    removed = sorted(slots[i] for i in removed_idx)
-    removed_set = set(removed)
-    out = []
-    for s in scenes:
-        mask = s.annotated.copy()
-        for j in range(len(s.gt_boxes)):
-            if (s.scene_id, j) in removed_set:
-                mask[j] = False
-        out.append(dataclasses.replace(s, annotated=mask))
-    return out, removed
+    counts = [len(s.gt_boxes) for s in scenes]
+    k = int(round(spec.eta * sum(counts)))
+    keep = np.ones(sum(counts), dtype=bool)
+    if k:
+        keep[np.random.default_rng(spec.seed).choice(len(keep), size=k, replace=False)] = False
+    parts = np.split(keep, np.cumsum(counts[:-1], dtype=int))
+    return [dataclasses.replace(s, annotated=s.annotated & part)
+            for s, part in zip(scenes, parts)], k
 
 
 def build_anchor_grid(scene: Scene, spec: SceneSpec) -> np.ndarray:
@@ -560,7 +556,7 @@ def save_corpus(path, scenes, spec: SceneSpec, seed: int, manifest_path=None):
             "n_scenes": len(scenes),
             "n_ap": sum(1 for s in scenes if s.is_abnormal),
             "n_np": sum(1 for s in scenes if not s.is_abnormal),
-            "spec": scene_spec_to_dict(spec),
+            "spec": dataclasses.asdict(spec),
         }
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -611,17 +607,3 @@ def _finish_scene(path, rec) -> Scene:
         return Scene(**rec)
     except ValueError as exc:
         raise ValueError(f"{path} line {lineno}: {exc}") from exc
-
-
-def scene_spec_to_dict(spec: SceneSpec) -> dict:
-    d = dataclasses.asdict(spec)
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
-
-
-def scene_spec_from_dict(d: dict) -> SceneSpec:
-    kwargs = {}
-    for f in dataclasses.fields(SceneSpec):
-        if f.name in d:
-            v = d[f.name]
-            kwargs[f.name] = tuple(v) if isinstance(v, list) else v
-    return SceneSpec(**kwargs)

@@ -59,6 +59,18 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"corpus": {"scene_spec": {"feature_dimm": 8}}}, "corpus.scene_spec.feature_dimm"),
+    ({"epochs": 2.5}, "epochs"),
+], ids=["nested_typo", "float_epochs"])
+def test_check_config_rejects_schema_errors(tmp_path, capsys, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(["--config", path, "check-config"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 @pytest.mark.parametrize("config, argv", [
     ({"lambda_grid": [1.5]}, []),
     ({"mu_grid": [[0, 1]]}, []),

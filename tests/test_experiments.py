@@ -22,8 +22,8 @@ from dghm.experiments import (
     cmd_gen,
     cmd_sweep_eta,
     cmd_train,
-    experiment_config_from_dict,
-    experiment_config_to_dict,
+    config_from_dict,
+    config_to_dict,
     kfold_split,
     predict_scenes,
     read_run_rows,
@@ -109,9 +109,9 @@ def test_kfold_deterministic():
 
 def test_config_dict_round_trip():
     cfg = tiny_config()
-    d = experiment_config_to_dict(cfg)
+    d = config_to_dict(cfg)
     json.dumps(d)  # must be JSON-serializable
-    assert experiment_config_from_dict(d) == cfg
+    assert config_from_dict(ExperimentConfig, d) == cfg
 
 
 def test_config_hash_stable_and_sensitive():
@@ -122,6 +122,38 @@ def test_config_hash_stable_and_sensitive():
 def test_validate_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         validate_config_dict({"bogus_knob": 1})
+
+
+def test_validate_rejects_unknown_nested_keys():
+    d = {"corpus": {"scene_spec": {"feature_dimm": 8}}}
+    with pytest.raises(ValueError, match=r"unknown config keys: \['corpus\.scene_spec\.feature_dimm'\]"):
+        validate_config_dict(d)
+    with pytest.raises(ValueError, match="harmonizer.bin_cnt"):
+        validate_config_dict({"harmonizer": {"bin_cnt": 10}})
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"epochs": 2.5}, "epochs"),
+    ({"batch_size": 16.5}, "batch_size"),
+    ({"harmonizer": {"bin_count": 10.0}}, "harmonizer.bin_count"),
+    ({"corpus": {"n_ap": 8.0}}, "corpus.n_ap"),
+    ({"folds": True}, "folds"),
+    ({"eta": True}, "eta"),
+    ({"corpus": {"scene_spec": {"noise_level": "0.4"}}}, "corpus.scene_spec.noise_level"),
+], ids=["epochs", "batch_size", "bin_count", "n_ap", "bool_int", "bool_float", "str_float"])
+def test_validate_rejects_wrong_scalar_types(d, key):
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        validate_config_dict(d)
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"corpus": 5}, "corpus must be a JSON object"),
+    ({"losses": "ce"}, "losses must be a list"),
+    ({"corpus": {"scene_spec": {"extent": 64.0}}}, "corpus.scene_spec.extent must be a list"),
+])
+def test_validate_rejects_wrong_containers(d, message):
+    with pytest.raises(ValueError, match=message):
+        validate_config_dict(d)
 
 
 def test_validate_rejects_duplicate_seeds():

@@ -250,9 +250,9 @@ def test_figure_curves_match_golden(tmp_path):
 def test_anchor_pool_matches_golden():
     spec = SceneSpec(extent=(24.0, 24.0), objects_per_ap_scene=(1, 3), feature_dim=4)
     scenes = generate_corpus(spec, 4, 2, seed=3)
-    corrupted, removed = corrupt_annotations(scenes, CorruptionSpec(eta=0.5, seed=1))
+    corrupted, k = corrupt_annotations(scenes, CorruptionSpec(eta=0.5, seed=1))
     pool = build_pool(corrupted, spec, corpus_seed=3)
-    assert removed  # some anchors must carry a noisy label
+    assert k  # some anchors must carry a noisy label
     h = hashlib.sha256()
     for f in dataclasses.fields(pool):
         col = getattr(pool, f.name)

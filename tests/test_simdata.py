@@ -28,10 +28,9 @@ from dghm.simdata import (
     minibatch_quota,
     sample_minibatch,
     save_corpus,
-    scene_spec_from_dict,
-    scene_spec_to_dict,
 )
 from dghm import simdata
+from dghm.experiments import config_from_dict, config_to_dict
 from dghm.simdata import _entropy_words, _pcg64_state, _seed_states
 
 SMALL_SPEC = SceneSpec(extent=(32.0, 32.0), objects_per_ap_scene=(2, 4))
@@ -158,17 +157,17 @@ def test_corpus_layout_and_determinism():
 
 def test_corruption_identity_at_zero():
     scenes = generate_corpus(SMALL_SPEC, 4, 2, seed=1)
-    out, removed = corrupt_annotations(scenes, CorruptionSpec(eta=0.0, seed=0))
-    assert removed == []
+    out, k = corrupt_annotations(scenes, CorruptionSpec(eta=0.0, seed=0))
+    assert k == 0
     for s in out:
         assert s.annotated.all()
 
 
 def test_corruption_full_at_one():
     scenes = generate_corpus(SMALL_SPEC, 4, 2, seed=1)
-    out, removed = corrupt_annotations(scenes, CorruptionSpec(eta=1.0, seed=0))
+    out, k = corrupt_annotations(scenes, CorruptionSpec(eta=1.0, seed=0))
     total = sum(len(s.gt_boxes) for s in scenes)
-    assert len(removed) == total
+    assert k == total
     for s in out:
         assert not s.annotated.any()
 
@@ -176,11 +175,69 @@ def test_corruption_full_at_one():
 def test_corruption_exact_count_and_determinism():
     scenes = generate_corpus(SMALL_SPEC, 8, 2, seed=3)
     total = sum(len(s.gt_boxes) for s in scenes)
-    out, removed = corrupt_annotations(scenes, CorruptionSpec(eta=0.5, seed=7))
-    assert len(removed) == round(0.5 * total)
-    assert sum(int((~s.annotated).sum()) for s in out) == len(removed)
-    out2, removed2 = corrupt_annotations(scenes, CorruptionSpec(eta=0.5, seed=7))
-    assert removed == removed2
+    out, k = corrupt_annotations(scenes, CorruptionSpec(eta=0.5, seed=7))
+    assert k == round(0.5 * total)
+    assert sum(int((~s.annotated).sum()) for s in out) == k
+    out2, k2 = corrupt_annotations(scenes, CorruptionSpec(eta=0.5, seed=7))
+    assert k2 == k
+    for s1, s2 in zip(out, out2):
+        np.testing.assert_array_equal(s1.annotated, s2.annotated, strict=True)
+
+
+def corrupt_annotations_reference(scenes, spec: CorruptionSpec):
+    """The slot-list corruption that the flat keep-mask replaced: the same
+    draw, returned with the sorted list of (scene_id, row) slots it drew."""
+    slots = [(s.scene_id, j) for s in scenes for j in range(len(s.gt_boxes))]
+    k = int(round(spec.eta * len(slots)))
+    rng = np.random.default_rng(spec.seed)
+    removed_idx = rng.choice(len(slots), size=k, replace=False) if k else np.array([], dtype=int)
+    removed = sorted(slots[i] for i in removed_idx)
+    removed_set = set(removed)
+    out = []
+    for s in scenes:
+        mask = s.annotated.copy()
+        for j in range(len(s.gt_boxes)):
+            if (s.scene_id, j) in removed_set:
+                mask[j] = False
+        out.append(dataclasses.replace(s, annotated=mask))
+    return out, removed
+
+
+def _reference_corpus(kind, tmp_path):
+    scenes = generate_corpus(SMALL_SPEC, 6, 2, seed=5)
+    if kind == "empty":
+        return []
+    if kind == "partial":
+        # a saved corpus whose masks already hold False entries
+        partial, _ = corrupt_annotations_reference(scenes, CorruptionSpec(eta=0.4, seed=99))
+        save_corpus(tmp_path / "corpus.txt", partial, SMALL_SPEC, seed=5)
+        scenes = load_corpus(tmp_path / "corpus.txt")
+        assert not all(s.annotated.all() for s in scenes)
+    return scenes
+
+
+@pytest.mark.parametrize("kind", ["annotated", "partial", "empty"])
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 1.0])
+def test_corruption_matches_slot_list_reference(kind, seed, eta, tmp_path):
+    scenes = _reference_corpus(kind, tmp_path)
+    out, k = corrupt_annotations(scenes, CorruptionSpec(eta=eta, seed=seed))
+    ref, removed = corrupt_annotations_reference(scenes, CorruptionSpec(eta=eta, seed=seed))
+    assert k == len(removed)
+    assert len(out) == len(ref) == len(scenes)
+    for s, r in zip(out, ref):
+        assert s.scene_id == r.scene_id
+        np.testing.assert_array_equal(s.annotated, r.annotated, strict=True)
+    if kind == "partial":
+        return
+    # fully annotated input: the unannotated rows are the rows the slot list drew
+    removed_rows = {}
+    for sid, j in removed:
+        removed_rows.setdefault(sid, []).append(j)
+    for s in out:
+        np.testing.assert_array_equal(s.gt_boxes[~s.annotated],
+                                      s.gt_boxes[removed_rows.get(s.scene_id, [])],
+                                      strict=True)
 
 
 def test_corruption_does_not_mutate_input():
@@ -688,7 +745,7 @@ def test_corpus_file_is_byte_stable(tmp_path):
 
 def test_scene_spec_dict_round_trip():
     spec = SceneSpec(extent=(48.0, 48.0), noise_level=0.4)
-    assert scene_spec_from_dict(scene_spec_to_dict(spec)) == spec
+    assert config_from_dict(SceneSpec, config_to_dict(spec)) == spec
 
 
 def test_scene_spec_validation():
