@@ -151,6 +151,8 @@ def validate_config_dict(d: dict):
         for eta in (cfg.eta, *cfg.eta_grid):
             CorruptionSpec(eta=eta, seed=0)
         _train_config(cfg, LossSpec(), seed=0)
+        for name in cfg.losses:
+            loss_spec_for(name, cfg.harmonizer)
         _check_fold_count(cfg.folds, cfg.corpus.n_ap + cfg.corpus.n_np)
         _ablation_cells(cfg)
         for seed in (cfg.corpus.seed, *cfg.seeds):

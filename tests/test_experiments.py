@@ -182,8 +182,9 @@ def test_validate_accepts_defaults():
     ({"corpus": {"seed": -1}}, "non-negative"),
     ({"seeds": [-1, 0]}, "non-negative"),
     ({"seeds": [1.5]}, "int"),
+    ({"losses": ["ce", "bogus"]}, "unknown loss kind 'bogus'"),
 ], ids=["eta", "eta_grid", "one_fold", "more_folds_than_scenes", "learning_rate",
-        "lambda_grid", "mu_grid", "corpus_seed", "run_seed", "float_seed"])
+        "lambda_grid", "mu_grid", "corpus_seed", "run_seed", "float_seed", "unknown_loss"])
 def test_validate_rejects_values_every_run_rejects(d, message):
     with pytest.raises(ValueError, match=message):
         validate_config_dict(d)
