@@ -31,7 +31,6 @@ from .losses import (
     gradient_norm,
     sce_loss,
     sigmoid,
-    smooth_l1,
 )
 from .metrics import Detections, MetricsReport, froc, match_detections, nfps, operating_point
 from .model import Predictor, TrainConfig, finite_difference_check, train
@@ -45,8 +44,7 @@ __all__ = [
     "classification_loss_and_grad", "corrupt_annotations",
     "finite_difference_check", "focal_loss", "froc", "gradient_density",
     "gradient_norm", "harmonize_weights", "iou", "match_detections", "nfps",
-    "operating_point", "partition_of", "sce_loss", "sigmoid", "smooth_l1",
-    "train",
+    "operating_point", "partition_of", "sce_loss", "sigmoid", "train",
 ]
 
 __version__ = "0.1.0"

@@ -61,22 +61,23 @@ class CorpusConfig:
 @dataclass
 class ExperimentConfig:
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
-    losses: tuple = DEFAULT_LOSSES
+    losses: tuple[str, ...] = DEFAULT_LOSSES
     eta: float = 0.7
-    eta_grid: tuple = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
-    mu_grid: tuple = ((1.0, 1.0), (2.0, 1.0), (1.0, 0.5), (0.5, 2.0), (2.0, 0.5))
-    lambda_grid: tuple = (0.7, 0.8, 0.9)
+    eta_grid: tuple[float, ...] = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+    mu_grid: tuple[tuple[float, float], ...] = (
+        (1.0, 1.0), (2.0, 1.0), (1.0, 0.5), (0.5, 2.0), (2.0, 0.5))
+    lambda_grid: tuple[float, ...] = (0.7, 0.8, 0.9)
     harmonizer: HarmonizerConfig = field(
         default_factory=lambda: HarmonizerConfig(momentum=0.7))
     folds: int = 5
-    seeds: tuple = (0, 1, 2, 3, 4)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     # desk-scale training defaults; the paper-scale learning schedule shape
     # (x0.1 decay at 60%/80% of epochs) is preserved
     learning_rate: float = 3e-3
     epochs: int = 40
     batch_size: int = 256
     steps_per_epoch: int = 60
-    hidden: tuple = (32,)
+    hidden: tuple[int, ...] = (32,)
     reg_weight: float = 1.0
     include_dghm_star: bool = False
 
@@ -108,19 +109,40 @@ def config_to_dict(obj):
     return obj
 
 
-def _freeze(value):
-    return tuple(map(_freeze, value)) if isinstance(value, (list, tuple)) else value
+def _from_json(hint, value, key: str):
+    """``value`` as the field type ``hint`` says, or ValueError naming ``key``.
+
+    Nested dicts become nested configs and lists become tuples, checked
+    element by element; a ``float`` position stores an int as a float, so a
+    config hashes alike however its floats were written.
+    """
+    if dataclasses.is_dataclass(hint):
+        return config_from_dict(hint, value, f"{key}.")
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list, got {value!r}")
+        elements = typing.get_args(hint)
+        if elements[-1] is Ellipsis:
+            elements = elements[:1] * len(value)
+        elif len(value) != len(elements):
+            raise ValueError(f"{key} must have {len(elements)} elements, got {value!r}")
+        return tuple(_from_json(h, v, f"{key}[{i}]")
+                     for i, (h, v) in enumerate(zip(elements, value)))
+    allowed = (int, float) if hint is float else (hint,)
+    if hint in (int, float, str) and type(value) not in allowed:
+        raise ValueError(f"{key} must be {hint.__name__}, got {value!r}")
+    return float(value) if hint is float else value
 
 
 def config_from_dict(cls, d: dict, where: str = ""):
     """The ``cls`` config a ``config_to_dict`` dict describes; omitted keys
     take the defaults.
 
-    Nested dicts become nested configs and lists become (nested) tuples.
-    Raises ValueError, naming the dotted key, on an unknown key at any depth,
-    a non-dict for a nested config, a non-list for a tuple field, a value that
-    is not an int in an ``int`` field, or one that is neither an int nor a
-    float in a ``float`` field (a bool is neither).
+    Raises ValueError, naming the dotted key (``[i]`` for a tuple element), on
+    an unknown key at any depth, a non-dict for a nested config, a non-list or
+    a list of the wrong length for a tuple, a value that is not an int in an
+    ``int`` position, not a str in a ``str`` one, or neither an int nor a
+    float in a ``float`` one (a bool is neither).
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where.rstrip('.') or 'config'} must be a JSON object")
@@ -128,19 +150,8 @@ def config_from_dict(cls, d: dict, where: str = ""):
     unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(where + k for k in unknown)}")
-    kwargs = {}
-    for name, value in d.items():
-        hint = hints[name]
-        if dataclasses.is_dataclass(hint):
-            value = config_from_dict(hint, value, f"{where}{name}.")
-        elif hint is tuple:
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{where}{name} must be a list, got {value!r}")
-            value = _freeze(value)
-        elif hint in (int, float) and type(value) not in (int, hint):
-            raise ValueError(f"{where}{name} must be {hint.__name__}, got {value!r}")
-        kwargs[name] = value
-    return cls(**kwargs)
+    return cls(**{name: _from_json(hints[name], value, where + name)
+                  for name, value in d.items()})
 
 
 def validate_config_dict(d: dict):
@@ -229,6 +240,18 @@ def predict_scenes(model, pool, min_score: float = 0.0):
                                  offsets[keep])
 
 
+def _test_fold_report(model, test_scenes, spec: SceneSpec,
+                      corpus_seed: int) -> M.MetricsReport:
+    """The test-fold metrics (``metrics.evaluate_detections``) of one forward
+    over the test scenes' pool, which is freed on return."""
+    pool = build_pool(test_scenes, spec, corpus_seed)
+    logits, offsets, _ = forward(model, pool.features)
+    gt_by_scene = {s.scene_id: s.gt_boxes for s in test_scenes if s.is_abnormal}
+    np_ids = [s.scene_id for s in test_scenes if not s.is_abnormal]
+    return M.evaluate_detections(pool.boxes, pool.scene_id, sigmoid(logits), offsets,
+                                 gt_by_scene, np_ids)
+
+
 def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes,
                    spec: SceneSpec, corpus_seed: int) -> M.MetricsReport:
     """Full metric suite: test-fold detection metrics plus training T/R-recall.
@@ -240,42 +263,24 @@ def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes,
     The operating threshold is chosen on the test fold (precision >= 0.2) and
     reused for the training-scene recalls, predicted from the pool the model
     was trained on: its features and boxes do not depend on the annotations.
-    Every test-fold detection is kept, as the threshold and FROC sweeps read
-    all scores; the training pool is suppressed only at scores >= threshold,
-    the only detections T/R-recall counts.
+    Each pool is suppressed only as deep as its metrics read: the test fold
+    down to where its sweep stops mattering, the training pool at scores >=
+    threshold, the only detections T/R-recall counts.
     """
-    test_dets = predict_scenes(model, build_pool(test_scenes, spec, corpus_seed))
-    gt_by_scene = {s.scene_id: s.gt_boxes for s in test_scenes if s.is_abnormal}
-    np_ids = [s.scene_id for s in test_scenes if not s.is_abnormal]
-    flags = []
-    if not test_dets:
-        return M.MetricsReport(flags=["no_detections"])
-    thr, thr_flag = M.operating_point(test_dets, gt_by_scene)
-    if thr_flag:
-        flags.append("precision_floor_unreached")
-    rep = M.aggregate_match(test_dets[test_dets.score >= thr], gt_by_scene)
-    rec, rec_flag = M.recall(rep)
-    prec, prec_flag = M.precision(rep)
-    if rec_flag:
-        flags.append("recall_zero_denominator")
-    if prec_flag:
-        flags.append("precision_zero_denominator")
-    if not np_ids:
-        flags.append("no_normal_scenes")
-    nfps_value = M.nfps(test_dets, np_ids, thr) if np_ids else None
-    froc_value = M.froc(test_dets, gt_by_scene, np_ids) if np_ids else None
-
+    report = _test_fold_report(model, test_scenes, spec, corpus_seed)
+    if "no_detections" in report.flags:
+        return report
+    thr = report.threshold
     train_dets = predict_scenes(model, train_pool, min_score=thr)
     train_ap = [s for s in train_scenes_corrupted if s.is_abnormal]
     kept_by_scene = {s.scene_id: s.gt_boxes[s.annotated] for s in train_ap}
     removed_by_scene = {s.scene_id: s.gt_boxes[~s.annotated]
                         for s in train_ap if not s.annotated.all()}
-    t_rec, r_rec, rr_flag = M.t_r_recall(train_dets, kept_by_scene, removed_by_scene, thr)
+    report.t_recall, report.r_recall, rr_flag = M.t_r_recall(
+        train_dets, kept_by_scene, removed_by_scene, thr)
     if rr_flag:
-        flags.append("r_recall_undefined")
-    return M.MetricsReport(recall=rec, precision=prec, nfps=nfps_value,
-                           froc=froc_value, t_recall=t_rec, r_recall=r_rec,
-                           threshold=thr, flags=flags)
+        report.flags.append("r_recall_undefined")
+    return report
 
 
 def run_single(cfg: ExperimentConfig, loss_name: str, eta: float, fold: int,

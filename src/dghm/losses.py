@@ -135,18 +135,9 @@ def sce_grad_logit(p, p_star, params: SceParams = SceParams()):
     return params.alpha_sce * dce_dlogit + params.beta_sce * drce_dp * p * (1.0 - p)
 
 
-def smooth_l1(x):
-    """0.5 x^2 for |x| < 1, |x| - 0.5 otherwise (transition fixed at 1)."""
-    return smooth_l1_and_grad(x)[0]
-
-
-def smooth_l1_grad(x):
-    """Derivative of smooth_l1: x inside the quadratic zone, sign(x) outside."""
-    return smooth_l1_and_grad(x)[1]
-
-
 def smooth_l1_and_grad(x):
-    """(smooth_l1(x), smooth_l1_grad(x)), the quadratic zone found once."""
+    """Smooth-L1 loss and its derivative, the quadratic zone found once: 0.5 x^2
+    and x for |x| < 1, |x| - 0.5 and sign(x) otherwise (transition fixed at 1)."""
     x = np.asarray(x, dtype=np.float64)
     ax = np.abs(x)
     quadratic = ax < 1.0

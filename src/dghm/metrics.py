@@ -19,6 +19,7 @@ from .simdata import iou_matrix
 EVAL_IOU = 0.3
 NMS_IOU = 0.5
 FROC_LEVELS = (1, 2, 4, 8, 16, 32)
+MIN_PRECISION = 0.2  # precision floor of the operating threshold
 
 
 @dataclass(eq=False)
@@ -137,12 +138,15 @@ def match_detections(dets, gt_boxes, iou_thr: float = EVAL_IOU) -> MatchReport:
     return aggregate_match(one_scene, {0: gt_boxes}, iou_thr)
 
 
+def _gt_count(gt_by_scene) -> int:
+    return sum(len(g) for g in gt_by_scene.values())
+
+
 def aggregate_match(dets, gt_by_scene, iou_thr: float = EVAL_IOU) -> MatchReport:
     """Match per scene and sum counts; detections in scenes without gt are FP."""
     _, is_tp = _greedy_claims(dets, gt_by_scene, iou_thr)
     tp = int(np.count_nonzero(is_tp))
-    n_gts = sum(len(g) for g in gt_by_scene.values())
-    return MatchReport(tp=tp, fp=len(dets) - tp, fn=n_gts - tp)
+    return MatchReport(tp=tp, fp=len(dets) - tp, fn=_gt_count(gt_by_scene) - tp)
 
 
 def recall(report: MatchReport):
@@ -195,8 +199,105 @@ def _sweep_curves(dets, gt_by_scene, np_scene_ids=()):
     return scores[last], cum_tp[last], last + 1, cum_np[last]
 
 
+def sweep_report(curves, total_gt: int, n_np: int,
+                 min_precision: float = MIN_PRECISION,
+                 levels=FROC_LEVELS) -> MetricsReport:
+    """The test-fold metrics read off one greedy sweep (``_sweep_curves``).
+
+    The operating threshold is the lowest whose precision is >= min_precision;
+    when none is, the (first) threshold of maximum precision, flagged.  Recall,
+    precision and NFPs are read at that threshold's group.  FROC averages over
+    the levels the best recall of any threshold whose mean normal-scene count
+    W stays <= level; a level no threshold meets contributes 0.  With n_np = 0
+    (no normal scenes) NFPs and FROC are None; T-/R-recall are left None.
+    """
+    thresholds, tp, n_det, np_det = curves
+    if not thresholds.size:
+        return MetricsReport(flags=["no_detections"])
+    precisions = tp / n_det
+    ok = np.flatnonzero(precisions >= min_precision)
+    # thresholds are descending; the last qualifying one is the lowest
+    k = int(ok[-1]) if ok.size else int(np.argmax(precisions))
+    flags = [] if ok.size else ["precision_floor_unreached"]
+    rep = MatchReport(tp=int(tp[k]), fp=int(n_det[k] - tp[k]), fn=total_gt - int(tp[k]))
+    rec, rec_flag = recall(rep)
+    prec, prec_flag = precision(rep)
+    if rec_flag:
+        flags.append("recall_zero_denominator")
+    if prec_flag:
+        flags.append("precision_zero_denominator")
+    nfps_value = froc_value = None
+    if not n_np:
+        flags.append("no_normal_scenes")
+    else:
+        nfps_value = nfps_from_w(np_det[k] / n_np)
+        froc_value = 0.0
+        if total_gt:
+            # (level, threshold) feasibility
+            feasible = np_det / n_np <= np.asarray(levels)[:, None]
+            froc_value = float(np.mean(
+                np.where(feasible, tp / total_gt, 0.0).max(axis=1, initial=0.0)))
+    return MetricsReport(recall=rec, precision=prec, nfps=nfps_value, froc=froc_value,
+                         threshold=float(thresholds[k]), flags=flags)
+
+
+def sweep_is_deep_enough(curves, total_gt: int, n_np: int) -> bool:
+    """Whether no threshold below some group of the sweep can move ``sweep_report``.
+
+    That holds at group k once total_gt / n_det[k] < min(MIN_PRECISION, best
+    precision through k): every later precision is at most that bound, so it
+    neither qualifies nor beats the first maximum.  With normal scenes FROC
+    also needs np_det[k] / n_np > max(FROC_LEVELS), past which no threshold is
+    feasible at any level.  With no gt it never holds.
+    """
+    _, tp, n_det, np_det = curves
+    best = np.maximum.accumulate(tp / n_det)
+    deep = total_gt / n_det < np.minimum(MIN_PRECISION, best)
+    if n_np:
+        deep &= np_det / n_np > max(FROC_LEVELS)
+    return bool(deep.any())
+
+
+def evaluate_detections(anchor_boxes, scene_ids, scores, offsets, gt_by_scene,
+                        np_scene_ids) -> MetricsReport:
+    """``sweep_report`` of scored anchors, suppressed only as deep as it reads.
+
+    Greedy NMS and greedy matching are prefix-exact: a row's fate depends only
+    on higher-ranked rows.  So suppressing only the rows scoring at or above a
+    floor gives the full pass's sweep cut at that floor, and once the cut
+    sweep is deep enough (``sweep_is_deep_enough``) the report equals the full
+    pass's, field for field.  The first floor keeps twice a lower bound on the
+    rows the stop rule needs; each further floor doubles the rows, up to the
+    full pass.  Floors are score values, so tied rows stay together.  Any NaN
+    score takes the full pass, where Detections rejects it as before.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    scene_ids = np.asarray(scene_ids)
+    np_scene_ids = sorted(set(np_scene_ids))
+    total_gt, n_np, n = _gt_count(gt_by_scene), len(np_scene_ids), scores.size
+    order = np.argsort(-scores, kind="stable")
+    rows = n
+    if total_gt and not np.isnan(scores).any():
+        # n_det > total_gt / MIN_PRECISION, and more normal-scene rows than FP levels allow
+        need = int(total_gt / MIN_PRECISION)
+        if n_np:
+            cum_np = np.cumsum(np.isin(scene_ids, np_scene_ids)[order])
+            need = max(need, int(np.searchsorted(cum_np, max(FROC_LEVELS) * n_np,
+                                                 side="right")) + 1)
+        rows = min(2 * need, n)
+    while True:
+        keep = scores >= scores[order[rows - 1]] if rows < n else np.ones(n, dtype=bool)
+        rows = int(np.count_nonzero(keep))
+        dets = decode_and_suppress(anchor_boxes[keep], scene_ids[keep], scores[keep],
+                                   offsets[keep])
+        curves = _sweep_curves(dets, gt_by_scene, np_scene_ids)
+        if rows == n or sweep_is_deep_enough(curves, total_gt, n_np):
+            return sweep_report(curves, total_gt, n_np)
+        rows = min(2 * rows, n)
+
+
 def froc(dets, gt_by_scene, np_scene_ids, levels=FROC_LEVELS) -> float:
-    """Average recall over FP-per-normal-scene levels.
+    """Average recall over FP-per-normal-scene levels (see ``sweep_report``).
 
     For each level, the recall is the highest recall achievable at any score
     threshold whose mean normal-scene detection count W stays <= level.  If W
@@ -207,16 +308,12 @@ def froc(dets, gt_by_scene, np_scene_ids, levels=FROC_LEVELS) -> float:
     np_scene_ids = set(np_scene_ids)
     if not np_scene_ids:
         raise ValueError("at least one normal scene is required")
-    total_gt = sum(len(v) for v in gt_by_scene.values())
-    if total_gt == 0:
-        return 0.0
-    _, tp, _, np_det = _sweep_curves(dets, gt_by_scene, np_scene_ids)
-    # (level, threshold) feasibility; a level no threshold meets scores 0
-    ok = np_det / len(np_scene_ids) <= np.asarray(levels)[:, None]
-    return float(np.mean(np.where(ok, tp / total_gt, 0.0).max(axis=1, initial=0.0)))
+    curves = _sweep_curves(dets, gt_by_scene, np_scene_ids)
+    return sweep_report(curves, _gt_count(gt_by_scene), len(np_scene_ids),
+                        levels=levels).froc
 
 
-def operating_point(dets, gt_by_scene, min_precision: float = 0.2):
+def operating_point(dets, gt_by_scene, min_precision: float = MIN_PRECISION):
     """Lowest score threshold whose precision is >= min_precision.
 
     Returns (threshold, flagged).  When no threshold reaches the floor, the
@@ -224,14 +321,9 @@ def operating_point(dets, gt_by_scene, min_precision: float = 0.2):
     """
     if not dets:
         raise ValueError("no detections to choose an operating point from")
-    thresholds, tp, n_det, _ = _sweep_curves(dets, gt_by_scene)
-    precisions = tp / n_det
-    ok = np.flatnonzero(precisions >= min_precision)
-    if ok.size:
-        # thresholds are descending; the last qualifying one is the lowest
-        return float(thresholds[ok[-1]]), False
-    best = int(np.argmax(precisions))
-    return float(thresholds[best]), True
+    report = sweep_report(_sweep_curves(dets, gt_by_scene), _gt_count(gt_by_scene), 0,
+                          min_precision)
+    return report.threshold, "precision_floor_unreached" in report.flags
 
 
 def t_r_recall(dets, kept_by_scene, removed_by_scene, threshold: float,

@@ -84,15 +84,15 @@ class Scene:
 class SceneSpec:
     """Geometry and feature parameters of the synthetic corpus."""
 
-    extent: tuple = (64.0, 64.0)
-    objects_per_ap_scene: tuple = (2, 6)  # inclusive range
-    object_size: tuple = (10.0, 14.0)
+    extent: tuple[float, float] = (64.0, 64.0)
+    objects_per_ap_scene: tuple[int, int] = (2, 6)  # inclusive range
+    object_size: tuple[float, float] = (10.0, 14.0)
     anchor_stride: float = 4.0
-    anchor_sizes: tuple = (12.0,)
+    anchor_sizes: tuple[float, ...] = (12.0,)
     feature_dim: int = 16
     noise_level: float = 0.44
     hard_fraction: float = 0.5
-    hard_attenuation: tuple = (0.1, 0.4)  # hard-anchor signal multiplier range
+    hard_attenuation: tuple[float, float] = (0.1, 0.4)  # hard-anchor signal multiplier range
     signal_gain: float = 1.31
     secondary_gain: float = 0.7  # secondary-channel strength relative to signal_gain
     signal_background: float = 0.0

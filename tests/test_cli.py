@@ -62,7 +62,10 @@ def test_bad_config_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("config, key", [
     ({"corpus": {"scene_spec": {"feature_dimm": 8}}}, "corpus.scene_spec.feature_dimm"),
     ({"epochs": 2.5}, "epochs"),
-], ids=["nested_typo", "float_epochs"])
+    ({"hidden": [32.5]}, "hidden[0]"),
+    ({"corpus": {"scene_spec": {"objects_per_ap_scene": [2.5, 6]}}},
+     "corpus.scene_spec.objects_per_ap_scene[0]"),
+], ids=["nested_typo", "float_epochs", "float_hidden_width", "float_object_count"])
 def test_check_config_rejects_schema_errors(tmp_path, capsys, config, key):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

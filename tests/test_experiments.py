@@ -32,11 +32,12 @@ from dghm.experiments import (
     validate_config_dict,
     write_run_rows,
 )
+from dghm import metrics
 from dghm.harmonizer import HarmonizerConfig
 from dghm.losses import sigmoid
-from dghm.metrics import NMS_IOU, MetricsReport
+from dghm.metrics import NMS_IOU, MetricsReport, decode_and_suppress
 from dghm.model import Predictor
-from dghm.simdata import SceneSpec, generate_corpus, iou_matrix
+from dghm.simdata import SceneSpec, build_pool, generate_corpus, iou_matrix
 
 TINY_SPEC = SceneSpec(extent=(24.0, 24.0), objects_per_ap_scene=(1, 2),
                       object_size=(6.0, 8.0), anchor_stride=4.0,
@@ -154,6 +155,42 @@ def test_validate_rejects_wrong_scalar_types(d, key):
 def test_validate_rejects_wrong_containers(d, message):
     with pytest.raises(ValueError, match=message):
         validate_config_dict(d)
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"hidden": [32.5]}, r"^hidden\[0\] must be int, got 32.5"),
+    ({"corpus": {"scene_spec": {"objects_per_ap_scene": [2.5, 6]}}},
+     r"^corpus\.scene_spec\.objects_per_ap_scene\[0\] must be int"),
+    ({"losses": ["ce", 5]}, r"^losses\[1\] must be str"),
+    ({"eta_grid": [0.2, True]}, r"^eta_grid\[1\] must be float"),
+    ({"mu_grid": [[1.0, 1.0], [2.0]]}, r"^mu_grid\[1\] must have 2 elements"),
+    ({"mu_grid": [[1.0, "2"]]}, r"^mu_grid\[0\]\[1\] must be float"),
+    ({"corpus": {"scene_spec": {"extent": [64.0, 64.0, 1.0]}}},
+     r"^corpus\.scene_spec\.extent must have 2 elements"),
+], ids=["hidden", "object_count", "loss_name", "eta_grid_bool", "mu_pair_length",
+        "mu_str", "extent_length"])
+def test_validate_rejects_wrong_tuple_elements(d, message):
+    with pytest.raises(ValueError, match=message):
+        validate_config_dict(d)
+
+
+def test_float_positions_store_ints_as_floats():
+    as_ints = validate_config_dict({"eta": 1, "mu_grid": [[1, 2]], "eta_grid": [0, 1],
+                                    "corpus": {"scene_spec": {"extent": [64, 64]}}})
+    as_floats = validate_config_dict({"eta": 1.0, "mu_grid": [[1.0, 2.0]],
+                                      "eta_grid": [0.0, 1.0],
+                                      "corpus": {"scene_spec": {"extent": [64.0, 64.0]}}})
+    assert as_ints.config_hash() == as_floats.config_hash()
+    assert type(as_ints.eta) is float and type(as_ints.mu_grid[0][0]) is float
+    assert as_ints.corpus.scene_spec.extent == (64.0, 64.0)
+    assert type(as_ints.corpus.scene_spec.objects_per_ap_scene[0]) is int
+
+
+def test_default_config_hash_survives_the_dict_round_trip():
+    cfg = ExperimentConfig()
+    assert cfg.config_hash() == "d383204e89746613"
+    loaded = validate_config_dict(json.loads(json.dumps(config_to_dict(cfg))))
+    assert loaded.config_hash() == cfg.config_hash()
 
 
 def test_validate_rejects_duplicate_seeds():
@@ -451,3 +488,24 @@ def test_predict_scenes_rejects_a_nan_score_at_any_floor():
     for floor in (0.0, LEVEL_SCORES[4]):
         with pytest.raises(ValueError, match="score must be in"):
             predict_scenes(model, pool, min_score=floor)
+
+
+def test_test_fold_nms_stops_short_of_the_full_pool(monkeypatch):
+    # at the default config in 2 folds the stop rule holds well above the
+    # lowest score, so the test fold never pays for a full NMS pass
+    rows = []
+
+    def counted(anchor_boxes, scene_ids, scores, offsets):
+        rows.append(np.size(scores))
+        return decode_and_suppress(anchor_boxes, scene_ids, scores, offsets)
+
+    monkeypatch.setattr(metrics, "decode_and_suppress", counted)
+    cfg = ExperimentConfig(folds=2)
+    run_single(cfg, "ce", cfg.eta, fold=0, seed=0)
+    scenes = generate_corpus(cfg.corpus.scene_spec, cfg.corpus.n_ap, cfg.corpus.n_np,
+                             cfg.corpus.seed)
+    test_ids = set(kfold_split(scenes, cfg.folds, cfg.corpus.seed)[0])
+    test_pool = build_pool([s for s in scenes if s.scene_id in test_ids],
+                           cfg.corpus.scene_spec, cfg.corpus.seed)
+    *test_fold, _ = rows  # the last call is the training pool's
+    assert test_fold and max(test_fold) < test_pool.size

@@ -25,7 +25,7 @@ from dghm.experiments import (
 )
 from dghm.harmonizer import NOISY_ROWS, HarmonizerConfig, Mode, harmonize_weights
 from dghm.losses import sigmoid
-from dghm.metrics import decode_and_suppress
+from dghm.metrics import _sweep_curves, decode_and_suppress, sweep_is_deep_enough
 from dghm.model import forward
 from dghm.simdata import (
     CorruptionSpec,
@@ -277,12 +277,13 @@ def test_run_single_builds_one_pool_per_scene_set(monkeypatch):
 @pytest.mark.parametrize("loss", golden_config().losses)
 def test_training_pool_is_suppressed_only_at_the_threshold(monkeypatch, loss):
     # T/R-recall reads the training detections at score >= threshold only, so
-    # only those rows reach NMS; the test fold's sweeps read every score
+    # only those rows reach NMS; the test fold's sweeps read down to where
+    # its stop rule holds, so it is suppressed in score floors
     calls = []
 
     def counted(anchor_boxes, scene_ids, scores, offsets):
-        calls.append(scores.size)
-        return decode_and_suppress(anchor_boxes, scene_ids, scores, offsets)
+        calls.append((scores, decode_and_suppress(anchor_boxes, scene_ids, scores, offsets)))
+        return calls[-1][1]
 
     monkeypatch.setattr(experiments.M, "decode_and_suppress", counted)
     cfg = golden_config()
@@ -291,9 +292,18 @@ def test_training_pool_is_suppressed_only_at_the_threshold(monkeypatch, loss):
     scenes = generate_corpus(cfg.corpus.scene_spec, cfg.corpus.n_ap, cfg.corpus.n_np,
                              cfg.corpus.seed)
     test_ids = experiments.kfold_split(scenes, cfg.folds, cfg.corpus.seed)[0]
-    test_pool = build_pool([s for s in scenes if s.scene_id in test_ids],
-                           cfg.corpus.scene_spec, cfg.corpus.seed)
+    test_scenes = [s for s in scenes if s.scene_id in test_ids]
+    test_pool = build_pool(test_scenes, cfg.corpus.scene_spec, cfg.corpus.seed)
+    test_scores = sigmoid(forward(model, test_pool.features)[0])
+    *test_calls, (train_call, _) = calls
+    for kept, _ in test_calls:  # the test pool's rows at or above a score floor
+        assert kept.size == np.count_nonzero(test_scores >= kept.min())
+    gt_by_scene = {s.scene_id: s.gt_boxes for s in test_scenes if s.is_abnormal}
+    np_ids = [s.scene_id for s in test_scenes if not s.is_abnormal]
+    curves = _sweep_curves(test_calls[-1][1], gt_by_scene, np_ids)
+    assert test_calls[-1][0].size == test_pool.size or sweep_is_deep_enough(
+        curves, sum(map(len, gt_by_scene.values())), len(np_ids))
     scores = sigmoid(forward(model, pool.features)[0])
     above = int(np.count_nonzero(scores >= record.report.threshold))
-    assert calls == [test_pool.size, above]
+    assert train_call.size == above
     assert 0 < above < pool.size

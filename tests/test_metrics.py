@@ -5,6 +5,8 @@ the oracles here re-run full greedy matching independently at every distinct
 score threshold and must agree exactly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,11 @@ from dghm.metrics import (
     MatchReport,
     MetricsReport,
     _greedy_claims,
+    _sweep_curves,
     aggregate_match,
     decode_and_suppress,
     decode_boxes,
+    evaluate_detections,
     froc,
     match_detections,
     mean_np_detections,
@@ -28,9 +32,11 @@ from dghm.metrics import (
     precision,
     read_report,
     recall,
+    sweep_is_deep_enough,
     t_r_recall,
     write_report,
 )
+from dghm import metrics
 from dghm.simdata import iou, iou_matrix
 
 
@@ -499,6 +505,197 @@ def test_detection_score_validated():
 
 # ---------------------------------------------------------------------------
 # report serialization
+# ---------------------------------------------------------------------------
+# test-fold evaluation down to a score floor
+# ---------------------------------------------------------------------------
+
+
+def full_pass_reference(anchor_boxes, scene_ids, scores, offsets, gt_by_scene, np_ids):
+    """The test-fold evaluation as a full pass: every row through NMS, then
+    four greedy passes (operating point, matching at it, NFPs, FROC), with the
+    operating-point and FROC arithmetic written out on their own sweeps."""
+    keep = ~(scores < 0.0)
+    dets = decode_and_suppress(anchor_boxes[keep], scene_ids[keep], scores[keep],
+                               offsets[keep])
+    if not dets:
+        return MetricsReport(flags=["no_detections"])
+    flags = []
+    thresholds, tp, n_det, _ = _sweep_curves(dets, gt_by_scene)
+    precisions = tp / n_det
+    ok = np.flatnonzero(precisions >= 0.2)
+    if ok.size:
+        thr = float(thresholds[ok[-1]])
+    else:
+        thr = float(thresholds[int(np.argmax(precisions))])
+        flags.append("precision_floor_unreached")
+    rep = aggregate_match(dets[dets.score >= thr], gt_by_scene)
+    rec, rec_flag = recall(rep)
+    prec, prec_flag = precision(rep)
+    if rec_flag:
+        flags.append("recall_zero_denominator")
+    if prec_flag:
+        flags.append("precision_zero_denominator")
+    if not np_ids:
+        flags.append("no_normal_scenes")
+        return MetricsReport(recall=rec, precision=prec, nfps=None, froc=None,
+                             threshold=thr, flags=flags)
+    total_gt = sum(len(v) for v in gt_by_scene.values())
+    froc_value = 0.0
+    if total_gt:
+        _, tp, _, np_det = _sweep_curves(dets, gt_by_scene, set(np_ids))
+        ok = np_det / len(set(np_ids)) <= np.asarray(FROC_LEVELS)[:, None]
+        froc_value = float(np.mean(np.where(ok, tp / total_gt, 0.0).max(axis=1, initial=0.0)))
+    return MetricsReport(recall=rec, precision=prec, nfps=nfps(dets, np_ids, thr),
+                         froc=froc_value, threshold=thr, flags=flags)
+
+
+def random_scored_anchors(seed, n_np=None, n_gts=None, hit_rate=0.4,
+                          hit_scores=(0.0, 1.0), np_scores=(0.0, 1.0)):
+    """(anchor boxes, scene ids, scores, offsets, gt_by_scene, normal ids).
+
+    1-4 abnormal scenes with ``n_gts`` gt each (1-4 when None) and ``n_np``
+    normal scenes (1-3 when None), 20-160 anchors per scene.  A ``hit_rate``
+    share of an abnormal scene's anchors sit on its gts and score in
+    ``hit_scores``; normal-scene anchors score in ``np_scores``.  Scores are
+    quantised to 0.01, so tie groups are large.
+    """
+    rng = np.random.default_rng(seed)
+    n_ap = int(rng.integers(1, 5))
+    n_np = int(rng.integers(1, 4)) if n_np is None else n_np
+    gt_by_scene, parts = {}, []
+    for sid in range(n_ap + n_np):
+        n = int(rng.integers(20, 160))
+        boxes = np.column_stack([rng.uniform(5, 95, (n, 2)), rng.uniform(4, 10, (n, 2))])
+        if sid >= n_ap:
+            score = rng.uniform(*np_scores, n)
+        else:
+            k = int(rng.integers(1, 5)) if n_gts is None else n_gts
+            gt_by_scene[sid] = gts = np.column_stack(
+                [rng.uniform(5, 95, (k, 2)), rng.uniform(4, 10, (k, 2))])
+            score = rng.uniform(size=n)
+            hits = np.flatnonzero((rng.uniform(size=n) < hit_rate) & (k > 0))
+            if hits.size:
+                boxes[hits] = gts[rng.integers(k, size=hits.size)] + rng.normal(
+                    0, 1, (hits.size, 4))
+                boxes[hits, 2:] = np.maximum(boxes[hits, 2:], 1.0)
+                score[hits] = rng.uniform(*hit_scores, hits.size)
+        parts.append((boxes, np.full(n, sid), np.round(score, 2)))
+    boxes, scene_ids, scores = map(np.concatenate, zip(*parts))
+    offsets = rng.normal(0.0, 0.05, boxes.shape)
+    return boxes, scene_ids, scores, offsets, gt_by_scene, list(range(n_ap, n_ap + n_np))
+
+
+#: random-set kind -> random_scored_anchors options
+FLOOR_CASES = {
+    "mixed": {},
+    "no_normal_scenes": {"n_np": 0},
+    "no_gt": {"n_gts": 0},
+    # gt hits score low: precision stays under 0.2, and argmax picks the threshold
+    "precision_floor_unreached": {"hit_rate": 0.05, "hit_scores": (0.0, 0.3)},
+    # normal scenes hold the top scores, so no threshold meets the 1-FP level
+    "froc_level_unreached": {"np_scores": (0.9, 1.0)},
+}
+
+
+def report_bits(report):
+    """Every MetricsReport field, floats by repr: a type or a bit that differs shows."""
+    return {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)}
+
+
+@pytest.fixture
+def nms_calls(monkeypatch):
+    """The (scores, detections) of every decode_and_suppress call, in order."""
+    calls = []
+
+    def recorded(anchor_boxes, scene_ids, scores, offsets):
+        calls.append((scores, decode_and_suppress(anchor_boxes, scene_ids, scores,
+                                                  offsets)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(metrics, "decode_and_suppress", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+def test_evaluate_detections_equals_full_pass(nms_calls, case):
+    cut = tied_floor = flagged = level_unreached = 0
+    for seed in range(40):
+        inputs = random_scored_anchors(seed, **FLOOR_CASES[case])
+        scores, gt_by_scene, np_ids = inputs[2], inputs[4], inputs[5]
+        nms_calls.clear()
+        report = evaluate_detections(*inputs)
+        floor_calls = list(nms_calls)
+        assert report_bits(report) == report_bits(full_pass_reference(*inputs)), seed
+        full = nms_calls[-1][1]
+        for kept, dets in floor_calls:
+            # each pass suppresses the rows at or above a score floor, and
+            # keeps the full pass's detections at or above it
+            floor = kept.min()
+            assert kept.size == np.count_nonzero(scores >= floor)
+            assert np.array_equal(dets.score, full.score[full.score >= floor])
+            tied_floor += kept.size < scores.size and np.sum(scores == floor) > 1
+        cut += floor_calls[-1][0].size < scores.size
+        flagged += "precision_floor_unreached" in report.flags
+        if np_ids:
+            np_det = _sweep_curves(full, gt_by_scene, np_ids)[3]
+            level_unreached += np_det[0] / len(np_ids) > FROC_LEVELS[0]
+    if case == "no_gt":
+        assert cut == 0  # with no gt the stop rule never holds: full pass
+    else:
+        assert cut >= 5 and tied_floor >= 5, (cut, tied_floor)
+    if case == "precision_floor_unreached":
+        assert flagged >= 30
+    if case == "froc_level_unreached":
+        assert level_unreached >= 30
+
+
+@pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+def test_evaluate_detections_stops_at_the_first_deep_enough_floor(nms_calls, case):
+    for seed in range(40):
+        inputs = random_scored_anchors(seed, **FLOOR_CASES[case])
+        nms_calls.clear()
+        evaluate_detections(*inputs)
+        total_gt = sum(map(len, inputs[4].values()))
+        deep = [sweep_is_deep_enough(_sweep_curves(dets, inputs[4], inputs[5]), total_gt,
+                                     len(inputs[5])) for _, dets in nms_calls]
+        assert not any(deep[:-1])
+        assert deep[-1] or nms_calls[-1][0].size == inputs[2].size
+        # each floor at least doubles the rows of the one before
+        sizes = [kept.size for kept, _ in nms_calls]
+        assert all(b >= 2 * a or b == inputs[2].size for a, b in zip(sizes, sizes[1:]))
+
+
+def test_sweep_is_deep_enough_needs_both_bounds():
+    # curves: (thresholds, tp, n_det, np_det); 2 gt and 2 normal scenes
+    curves = (np.array([0.9, 0.5, 0.1]), np.array([1, 2, 2]), np.array([2, 9, 80]),
+              np.array([0, 5, 70]))
+    # group 1: 2/9 is above min(0.2, 0.5); group 2: 2/80 < 0.2 and 70/2 > 32
+    assert sweep_is_deep_enough(curves, total_gt=2, n_np=2)
+    assert not sweep_is_deep_enough(curves, total_gt=2, n_np=3)  # 70/3 <= 32
+    assert sweep_is_deep_enough(curves, total_gt=2, n_np=0)
+    assert not sweep_is_deep_enough(curves, total_gt=20, n_np=0)  # 20/80 >= 0.2
+    no_gt = (curves[0], np.zeros(3, dtype=int), curves[2], curves[3])
+    assert not sweep_is_deep_enough(no_gt, total_gt=0, n_np=0)  # no gt: never
+    # below the precision floor the bound is the best precision so far
+    low = (np.array([0.9, 0.1]), np.array([0, 1]), np.array([10, 40]), np.array([0, 0]))
+    assert not sweep_is_deep_enough(low, total_gt=1, n_np=0)  # 1/40 == best
+    low = (np.array([0.9, 0.1]), np.array([1, 1]), np.array([10, 40]), np.array([0, 0]))
+    assert sweep_is_deep_enough(low, total_gt=1, n_np=0)  # 1/40 < 1/10
+
+
+def test_evaluate_detections_rejects_a_nan_score():
+    boxes, scene_ids, scores, offsets, gt_by_scene, np_ids = random_scored_anchors(0)
+    # an isolated row that no other row can suppress
+    boxes = np.vstack([boxes, [500.0, 500.0, 8.0, 8.0]])
+    offsets = np.vstack([offsets, np.zeros(4)])
+    scene_ids = np.append(scene_ids, np_ids[0])
+    for nan_scores in (np.append(scores, np.nan),
+                       np.append(np.where(scores > 0.5, 1.0, scores), np.nan)):
+        for evaluate in (evaluate_detections, full_pass_reference):
+            with pytest.raises(ValueError, match=r"score must be in \[0, 1\]"):
+                evaluate(boxes, scene_ids, nan_scores, offsets, gt_by_scene, np_ids)
+
+
 # ---------------------------------------------------------------------------
 
 

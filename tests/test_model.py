@@ -27,8 +27,6 @@ from dghm.losses import (
     ce_loss,
     gradient_norm,
     sigmoid,
-    smooth_l1,
-    smooth_l1_grad,
 )
 from dghm.model import (
     AdamState,
@@ -504,6 +502,17 @@ def reference_classification(logits, p_star, a, spec, ema):
     n = logits.size
     loss = float(np.sum(batch.beta * ce_loss(p, p_star)) / (batch.M * n))
     return loss, batch.beta * ce_grad_logit(p, p_star) / (batch.M * n), batch
+
+
+def smooth_l1(x):
+    """Reference smooth-L1 loss: 0.5 x^2 for |x| < 1, |x| - 0.5 otherwise."""
+    ax = np.abs(x)
+    return np.where(ax < 1.0, 0.5 * x * x, ax - 0.5)
+
+
+def smooth_l1_grad(x):
+    """Reference smooth-L1 derivative: x for |x| < 1, sign(x) otherwise."""
+    return np.where(np.abs(x) < 1.0, x, np.sign(x))
 
 
 def reference_train(pool, cfg):
