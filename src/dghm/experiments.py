@@ -97,16 +97,27 @@ class RunRecord:
     wall_time: float
 
 
-def config_to_dict(obj):
-    """A config dataclass as JSON-ready values: dicts, lists and scalars."""
+def config_to_dict(obj, hint=None):
+    """A config dataclass as JSON-ready values: dicts, lists and scalars.
+
+    An int in a ``float`` position is written as a float, as
+    ``config_from_dict`` stores it, so a config hashes alike however its
+    floats were written.
+    """
     if dataclasses.is_dataclass(obj):
-        return {f.name: config_to_dict(getattr(obj, f.name))
+        hints = typing.get_type_hints(type(obj))
+        return {f.name: config_to_dict(getattr(obj, f.name), hints[f.name])
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, (tuple, list)):
-        return [config_to_dict(v) for v in obj]
+        elements = typing.get_args(hint)
+        if elements[-1:] == (Ellipsis,):
+            elements = elements[:1] * len(obj)
+        elif len(elements) != len(obj):  # a bare tuple, or one of another length
+            elements = (None,) * len(obj)
+        return [config_to_dict(v, h) for v, h in zip(obj, elements)]
     if isinstance(obj, Mode):
         return obj.value
-    return obj
+    return float(obj) if hint is float and type(obj) is int else obj
 
 
 def _from_json(hint, value, key: str):

@@ -28,6 +28,7 @@ AP = "AP"
 NP_CLASS = "NP"
 
 IOU_POSITIVE = 0.5  # anchor is positive iff best IoU >= this
+_IOU_PAIRS = 1 << 16  # anchor x box pairs labeled per IoU pass; bounds its memory
 
 
 def iou(a, b) -> float:
@@ -104,6 +105,8 @@ class SceneSpec:
             raise ValueError("invalid object size range")
         if self.anchor_stride <= 0:
             raise ValueError("anchor stride must be positive")
+        if not self.anchor_sizes or not all(0 < size < np.inf for size in self.anchor_sizes):
+            raise ValueError("anchor_sizes must be nonempty, positive and finite")
         if not 0.0 <= self.hard_fraction <= 1.0:
             raise ValueError("hard_fraction must be in [0, 1]")
         if self.feature_dim < 2:
@@ -203,6 +206,8 @@ _MULT_LO = np.uint64(_PCG64_MULT & 0xFFFFFFFFFFFFFFFF)
 _MULT_LO_0, _MULT_LO_1 = np.uint64(_PCG64_MULT & _MASK32), np.uint64(_PCG64_MULT >> 32 & _MASK32)
 _ZIGGURAT_ABS = np.uint64((1 << 52) - 1)
 _CHUNK = 4096  # anchors drawn per array pass; bounds the temporaries' memory
+_SPARE = 4  # raw outputs drawn per anchor past its d normals and 2 uniforms, for wedge tests
+_WEDGE_BAND = 2.0**-30  # wedge tests closer than this (relative) to the boundary are replayed
 
 
 def _entropy_words(n: int) -> list:
@@ -351,15 +356,18 @@ def _crafted_normal(rng, r: int):
 
 @functools.cache
 def _ziggurat_tables():
-    """numpy's normal-ziggurat widths wi and verified lower bounds of its thresholds ki.
+    """numpy's normal-ziggurat widths wi, verified lower bounds of its thresholds ki, and fi.
 
     numpy's standard_normal turns a raw output r into idx = r & 0xff, a sign
-    bit 8 and rabs = (r >> 9) & (2**52 - 1), and returns +-rabs * wi[idx] at
-    once when rabs < ki[idx].  Both tables are read off numpy by crafted draws:
-    rabs = 1 returns wi[idx]; a threshold candidate round(wi[idx - 1] / wi[idx]
-    * 2**52) (wi[255] / wi[0] for the tail) is kept only when a draw at
+    bit 8 and rabs = (r >> 9) & (2**52 - 1), and returns x = +-rabs * wi[idx]
+    at once when rabs < ki[idx].  wi and ki are read off numpy by crafted
+    draws: rabs = 1 returns wi[idx]; a threshold candidate round(wi[idx - 1] /
+    wi[idx] * 2**52) (wi[255] / wi[0] for the tail) is kept only when a draw at
     candidate - 1 used one output, and is 0 (never fast) otherwise.  Index 1
-    is never fast.  Returns (wi (256,) float64, bound (256,) uint64).
+    is never fast.  fi is the density at each layer's edge, fi[0] = 1 and
+    fi[i] = exp(-(wi[i] * 2**52)**2 / 2), which numpy's wedge test reads; it
+    may differ from numpy's own table in the last bit.
+    Returns (wi (256,) float64, bound (256,) uint64, fi (256,) float64).
     """
     rng = np.random.Generator(np.random.PCG64(0))
     draws = [_crafted_normal(rng, 1 << 9 | idx) for idx in range(256)]
@@ -369,31 +377,88 @@ def _ziggurat_tables():
         candidate = min(round(float(wi[idx - 1] / wi[idx]) * 2**52), 1 << 52) if fast else 0
         if candidate > 0 and _crafted_normal(rng, (candidate - 1) << 9 | idx)[1]:
             bound[idx] = candidate
-    wi.flags.writeable = bound.flags.writeable = False  # shared by every caller
-    return wi, bound
+    fi = np.exp(-0.5 * (wi * 2.0**52) ** 2)
+    fi[0] = 1.0
+    for table in (wi, bound, fi):
+        table.flags.writeable = False  # shared by every caller
+    return wi, bound, fi
+
+
+def _ziggurat_candidates(raw: np.ndarray):
+    """Each raw output's ziggurat layer idx, candidate x = +-rabs * wi[idx], and
+    whether numpy returns x at once (the fast path)."""
+    wi, bound, _ = _ziggurat_tables()
+    idx = (raw & np.uint64(0xFF)).view(np.int64)  # a view: astype copies slowly
+    rabs = (raw >> np.uint64(9)) & _ZIGGURAT_ABS
+    x = rabs * wi[idx]
+    sign_bits = x.view(np.uint64)  # negated where bit 8 is set, by its sign bit
+    sign_bits ^= (raw & np.uint64(1 << 8)) << np.uint64(55)
+    return idx, x, rabs < bound[idx]
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """numpy's random() of each raw output: (r >> 11) * 2**-53."""
+    return (raw >> np.uint64(11)) * 2.0**-53
+
+
+def _cursor_pass(raw: np.ndarray, d: int):
+    """numpy's standard_normal(d), then two random(), on rows of raw outputs.
+
+    A cursor moves along each row as numpy's rule does: a fast draw takes one
+    output; any other layer but the tail takes the next output as u and
+    returns x when (fi[idx - 1] - fi[idx]) * u + fi[idx] < exp(-x**2 / 2),
+    else draws again.  A row is left undecided at a tail draw (idx 0), at a
+    wedge test within a relative _WEDGE_BAND of its boundary (where numpy's
+    own fi or exp could tip it) and when its outputs run out.
+    Returns (decided rows, their normals (m, d), their uniforms (m, 2)).
+    """
+    fi = _ziggurat_tables()[2]
+    # every column but the last as a candidate, the column after it as its u
+    idx, x, fast = _ziggurat_candidates(raw[:, :-1])
+    u = _uniforms(raw)
+    lhs = (fi[idx - 1] - fi[idx]) * u[:, 1:] + fi[idx]
+    rhs = np.exp(-0.5 * x * x)
+    undecided = ~fast & ((idx == 0) | (np.abs(lhs - rhs) <= _WEDGE_BAND * rhs))
+    # the cursor is on column 0 and on each column after a candidate; it
+    # steps over the u of a candidate that is not fast
+    visited = np.empty_like(fast)
+    visited[:, 0] = True
+    for col in range(1, fast.shape[1]):
+        visited[:, col] = fast[:, col - 1] | ~visited[:, col - 1]
+    returned = visited & (fast | (lhs < rhs))
+    count = np.cumsum(returned, axis=1)
+    last = np.argmax(count >= d, axis=1)  # the column of the d-th normal
+    cursor = last + np.where(fast[np.arange(len(raw)), last], 1, 2)
+    stuck = visited & undecided
+    first_stuck = np.where(stuck.any(axis=1), np.argmax(stuck, axis=1), raw.shape[1])
+    rows = np.flatnonzero((count[:, -1] >= d) & (first_stuck > last)
+                          & (cursor + 2 <= raw.shape[1]))
+    normals = x[rows][(returned & (count <= d))[rows]].reshape(-1, d)
+    uniforms = u[rows[:, None], cursor[rows, None] + np.arange(2)]
+    return rows, normals, uniforms
 
 
 def _draw_streams(seeds: np.ndarray, spec: SceneSpec):
     """Each row's standard normals (n, d) and two uniforms (n, 2) off its PCG64 stream.
 
     One array pass reads the normals off the ziggurat's fast path and the
-    uniforms as (r >> 11) * 2**-53.  A row any of whose d normals leaves the
-    fast path is replayed with numpy's own generator; the second uniform is
-    drawn there only when the first is below spec.hard_fraction, as for the
-    stream it stands for.
+    uniforms as (r >> 11) * 2**-53.  The rows any of whose d normals leaves
+    the fast path go through _cursor_pass, which draws their wedge tests on
+    _SPARE more outputs per row.  The few rows it leaves undecided (tail
+    draws, mostly) are replayed with numpy's own generator; the second
+    uniform is drawn there only when the first is below spec.hard_fraction,
+    as for the stream it stands for.
     """
     d = spec.feature_dim
-    raw = _pcg64_outputs(seeds, d + 2)
-    wi, bound = _ziggurat_tables()
-    r = raw[:, :d]
-    idx = (r & np.uint64(0xFF)).astype(np.intp)
-    rabs = (r >> np.uint64(9)) & _ZIGGURAT_ABS
-    normals = rabs * wi[idx]
-    np.negative(normals, out=normals, where=(r & np.uint64(1 << 8)).astype(bool))
-    uniforms = (raw[:, d:] >> np.uint64(11)) * 2.0**-53
+    raw = _pcg64_outputs(seeds, d + 2 + _SPARE)
+    _, normals, fast = _ziggurat_candidates(raw[:, :d])
+    uniforms = _uniforms(raw[:, d:d + 2])
+    slow = np.flatnonzero(~fast.all(axis=1))
+    rows, slow_normals, slow_uniforms = _cursor_pass(raw[slow], d)
+    normals[slow[rows]], uniforms[slow[rows]] = slow_normals, slow_uniforms
+    replay = np.delete(slow, rows)
     rng = np.random.Generator(np.random.PCG64(0))
     bitgen = rng.bit_generator
-    replay = np.flatnonzero((rabs >= bound[idx]).any(axis=1))
     for row, words in zip(replay.tolist(), seeds[replay].tolist()):
         bitgen.state = _pcg64_state(*words)
         rng.standard_normal(out=normals[row])
@@ -456,28 +521,45 @@ class AnchorPool:
         return self.p_star.size
 
 
-def _scene_block(scene: Scene, anchors: np.ndarray) -> dict:
-    """One scene's AnchorPool columns except the features, plus each anchor's best IoU.
+def _segment_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(n, k) maxima of values' (n, m) columns in k consecutive segments of counts columns.
 
-    anchors is the scene's build_anchor_grid.  p_star is labeled against the
-    annotated columns of the one IoU matrix against all of the scene's boxes.
+    IoU is never negative, so a segment without columns gets 0.
     """
-    n = len(anchors)
-    iou_all = iou_matrix(anchors, scene.gt_boxes)
-    kept, iou_kept = scene.gt_boxes[scene.annotated], iou_all[:, scene.annotated]
-    # IoU is never negative, so an initial 0 only matters for a scene without boxes
-    best_full = np.max(iou_all, axis=1, initial=0.0)
-    p_star = (np.max(iou_kept, axis=1, initial=0.0) >= IOU_POSITIVE).astype(np.int64)
-    targets = np.zeros((n, 4))
-    pos = np.flatnonzero(p_star)
-    if pos.size:  # without positives, kept may have no column for argmax
-        targets[pos] = regression_target(anchors[pos], kept[iou_kept[pos].argmax(axis=1)])
-    return dict(
-        best_iou=best_full, p_star=p_star,
-        a=np.full(n, int(scene.is_abnormal), dtype=np.int64),
-        ideal_p_star=(best_full >= IOU_POSITIVE).astype(np.int64),
-        scene_id=np.full(n, scene.scene_id, dtype=np.int64),
-        anchor_index=np.arange(n, dtype=np.int64), targets=targets, boxes=anchors)
+    out = np.zeros((len(values), len(counts)))
+    filled = counts > 0
+    if filled.any():  # reduceat reads an empty segment as its next column
+        out[:, filled] = np.maximum.reduceat(values, (np.cumsum(counts) - counts)[filled], axis=1)
+    return out
+
+
+def _label_scenes(grid: np.ndarray, scenes) -> tuple:
+    """Label every anchor of grid in each of scenes against one IoU matrix of
+    the grid and the scenes' boxes side by side.
+
+    Returns each (anchor, scene) pair's best IoU with any box and whether it
+    is positive against the annotated ones, (n, k) each, and the positive
+    pairs as (anchor, scene, regression target).  A positive's target box is
+    the first annotated box of its scene at its best annotated IoU, as argmax
+    over the scene alone picks it.
+    """
+    counts = np.array([len(s.gt_boxes) for s in scenes])
+    ious = iou_matrix(grid, np.concatenate([s.gt_boxes for s in scenes]))
+    best = _segment_max(ious, counts)
+    kept_counts = np.array([np.count_nonzero(s.annotated) for s in scenes])
+    kept = np.concatenate([s.gt_boxes[s.annotated] for s in scenes])
+    kept_ious = ious[:, np.concatenate([s.annotated for s in scenes])]
+    positive = _segment_max(kept_ious, kept_counts) >= IOU_POSITIVE
+    anchor, scene = np.nonzero(positive)
+    targets = np.zeros((anchor.size, 4))
+    if anchor.size:  # without positives, kept may have no column to index
+        # each positive's scene's columns, the last repeated to a common width:
+        # argmax picks the first maximum, so repeats never win
+        ends = np.cumsum(kept_counts)[scene, None]
+        cols = np.minimum(ends - kept_counts[scene, None] + np.arange(kept_counts.max()), ends - 1)
+        first = cols[np.arange(anchor.size), kept_ious[anchor[:, None], cols].argmax(axis=1)]
+        targets = regression_target(grid[anchor], kept[first])
+    return best, positive, anchor, scene, targets
 
 
 def build_pool(scenes, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
@@ -485,22 +567,44 @@ def build_pool(scenes, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
 
     p_star is labeled against each scene's annotated boxes; ideal_p_star and
     the features against all of its boxes, so only p_star and the regression
-    targets depend on the annotation mask.
+    targets depend on the annotation mask.  The scenes of one extent share
+    its anchor grid and are labeled together by _label_scenes, in groups
+    whose IoU matrix holds at most _IOU_PAIRS entries (or one scene's).
     """
     if not scenes:
         raise ValueError("build_pool needs a non-empty scene list")
-    grids = {}  # the anchor grid depends only on the extent and the spec
-    blocks = []
-    for scene in scenes:
-        extent = tuple(scene.extent)
-        if extent not in grids:
-            grids[extent] = build_anchor_grid(scene, spec)
-        blocks.append(_scene_block(scene, grids[extent]))
-    columns = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
-    del blocks  # frees the per-scene copies before the features are drawn
-    features = _anchor_features(columns.pop("best_iou"), columns["scene_id"],
-                                columns["anchor_index"], spec, corpus_seed)
-    return AnchorPool(features=features, **columns)
+    by_extent = {}  # the anchor grid depends only on the extent and the spec
+    for i, scene in enumerate(scenes):
+        by_extent.setdefault(tuple(scene.extent), []).append(i)
+    grids = {extent: build_anchor_grid(scenes[members[0]], spec)
+             for extent, members in by_extent.items()}
+    sizes = np.array([len(grids[tuple(s.extent)]) for s in scenes])
+    starts = np.cumsum(sizes) - sizes
+    n = int(sizes.sum())
+    best_iou, p_star = np.empty(n), np.empty(n, dtype=np.int64)
+    anchor_index, boxes, targets = np.empty(n, dtype=np.int64), np.empty((n, 4)), np.zeros((n, 4))
+    for extent, members in by_extent.items():
+        grid = grids[extent]
+        # scenes per IoU pass, sized by the one with the most boxes; the + 1
+        # also bounds the (anchors, scenes) maxima of scenes without boxes
+        widest = len(grid) * (1 + max(len(scenes[i].gt_boxes) for i in members))
+        step = max(_IOU_PAIRS // widest, 1)
+        for group in (members[i:i + step] for i in range(0, len(members), step)):
+            group_starts = starts[group]
+            best, positive, anchor, scene, pos_targets = _label_scenes(
+                grid, [scenes[i] for i in group])
+            rows = (group_starts[:, None] + np.arange(len(grid))).ravel()
+            best_iou[rows], p_star[rows] = best.T.ravel(), positive.T.ravel()
+            anchor_index[rows] = np.tile(np.arange(len(grid)), len(group))
+            boxes[rows] = np.tile(grid, (len(group), 1))
+            targets[group_starts[scene] + anchor] = pos_targets
+    scene_id = np.repeat(np.array([s.scene_id for s in scenes], dtype=np.int64), sizes)
+    features = _anchor_features(best_iou, scene_id, anchor_index, spec, corpus_seed)
+    return AnchorPool(
+        features=features, p_star=p_star,
+        a=np.repeat(np.array([int(s.is_abnormal) for s in scenes], dtype=np.int64), sizes),
+        ideal_p_star=(best_iou >= IOU_POSITIVE).astype(np.int64), scene_id=scene_id,
+        anchor_index=anchor_index, targets=targets, boxes=boxes)
 
 
 def minibatch_quota(pool: AnchorPool, batch_size: int):

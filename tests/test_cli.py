@@ -80,7 +80,10 @@ def test_check_config_rejects_schema_errors(tmp_path, capsys, config, key):
     ({"corpus": {"seed": -1}}, []),
     ({"seeds": [-1, 0]}, []),
     ({}, ["--seed", "-1"]),
-], ids=["lambda_grid", "mu_grid", "corpus_seed", "run_seed", "seed_override"])
+    ({"corpus": {"scene_spec": {"anchor_sizes": []}}}, []),
+    ({"corpus": {"scene_spec": {"anchor_sizes": [-12.0]}}}, []),
+], ids=["lambda_grid", "mu_grid", "corpus_seed", "run_seed", "seed_override",
+        "no_anchor_sizes", "negative_anchor_size"])
 def test_check_config_rejects_what_every_run_rejects(tmp_path, capsys, config, argv):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

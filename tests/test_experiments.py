@@ -193,6 +193,18 @@ def test_default_config_hash_survives_the_dict_round_trip():
     assert loaded.config_hash() == cfg.config_hash()
 
 
+def test_float_positions_hash_alike_however_the_config_was_built():
+    assert ExperimentConfig(eta=1).config_hash() == "0ed531ca5b920e6c"
+    assert ExperimentConfig(eta=1.0).config_hash() == "0ed531ca5b920e6c"
+    as_ints = ExperimentConfig(
+        mu_grid=((1, 1), (2, 1), (1, 0.5), (0.5, 2), (2, 0.5)),
+        corpus=CorpusConfig(scene_spec=SceneSpec(extent=(64, 64), anchor_sizes=(12,))))
+    assert config_to_dict(as_ints) == config_to_dict(ExperimentConfig())
+    assert as_ints.config_hash() == ExperimentConfig().config_hash() == "d383204e89746613"
+    # a tuple of another length than its hint is written whole, as it is held
+    assert config_to_dict(SceneSpec(extent=(64, 64, 1)))["extent"] == [64, 64, 1]
+
+
 def test_validate_rejects_duplicate_seeds():
     with pytest.raises(ValueError, match="seeds"):
         validate_config_dict({"seeds": [1, 1]})

@@ -460,8 +460,9 @@ def test_pcg64_outputs_match_numpy_raw_stream():
 
 def test_ziggurat_bounds_take_the_fast_path():
     """A draw at bound - 1 uses one raw output and returns +-rabs * wi[idx]."""
-    wi, bound = simdata._ziggurat_tables()
+    wi, bound, fi = simdata._ziggurat_tables()
     assert np.flatnonzero(bound == 0).tolist() == [1]  # index 1 is never fast
+    assert fi[0] == 1.0 and np.all(np.diff(fi) < 0)  # layer edges move out from 0
     assert bound.max() <= 2**52
     rng = np.random.Generator(np.random.PCG64(0))
     for idx in np.flatnonzero(bound).tolist():
@@ -472,52 +473,28 @@ def test_ziggurat_bounds_take_the_fast_path():
             assert x == (-1.0) ** sign * (rabs * wi[idx]), idx
 
 
-def seeds_with_first_output(outputs):
-    """generate_state words whose PCG64 stream starts with each raw output r."""
+def seeds_with_outputs(outputs):
+    """generate_state words whose PCG64 stream starts with each entry of outputs.
+
+    An entry is a first raw output r0, or a pair (r0, r1) of the first two,
+    r1 up to its lowest bit (which random() does not read).  Each stream's
+    states r0 and r1 have a zero high word, so they are output unrotated.
+    """
     inv = pow(simdata._PCG64_MULT, -1, 2**128)
     rows = []
-    for r in outputs:
-        state = (r - 1) * inv % 2**128  # steps to r, whose output is r (rotation 0)
-        init = ((state - 1) * inv - 1) % 2**128  # seeded with inc = 1: (inc + init) * M + inc
-        rows.append([init >> 64, init & (2**64 - 1), 0, 0])
+    for entry in outputs:
+        r0, r1 = entry if isinstance(entry, tuple) else (entry, None)
+        # inc must be odd: r1 - r0 * M is, once r1's lowest bit differs from r0's
+        inc = 1 if r1 is None else (r1 ^ ((r1 ^ r0 ^ 1) & 1)) - r0 * simdata._PCG64_MULT
+        inc %= 2**128
+        state = (r0 - inc) * inv % 2**128  # steps to r0
+        init = ((state - inc) * inv - inc) % 2**128  # seeded: (inc + init) * M + inc
+        rows.append([init >> 64, init & (2**64 - 1), inc >> 65, inc >> 1 & (2**64 - 1)])
     return np.array(rows, dtype=np.uint64)
 
 
-@pytest.mark.parametrize("hard_fraction", [0.0, 0.5, 1.0])
-def test_draw_streams_at_the_fast_path_boundary(hard_fraction):
-    """A first normal at rabs = bound - 1 is fast; at rabs = bound the row is replayed."""
-    spec = dataclasses.replace(SMALL_SPEC, hard_fraction=hard_fraction)
-    _, bound = simdata._ziggurat_tables()
-    outputs = [(int(bound[idx]) + delta) << 9 | sign << 8 | idx
-               for idx in (0, 2, 128, 255) for delta in (-1, 0) for sign in (0, 1)]
-    outputs.append(1 << 9 | 1)  # index 1 is never fast
-    seeds = seeds_with_first_output(outputs)
-    assert simdata._pcg64_outputs(seeds, 1)[:, 0].tolist() == outputs
-    normals, uniforms = simdata._draw_streams(seeds, spec)
-    for row, words in enumerate(seeds.tolist()):
-        rng = np.random.Generator(np.random.PCG64(0))
-        rng.bit_generator.state = _pcg64_state(*words)
-        assert normals[row].tobytes() == rng.standard_normal(spec.feature_dim).tobytes()
-        assert uniforms[row, 0] == rng.random()
-        if uniforms[row, 0] < hard_fraction:
-            assert uniforms[row, 1] == rng.random()
-
-
-def test_pool_features_equal_with_every_anchor_replayed(monkeypatch):
-    spec = dataclasses.replace(SMALL_SPEC, hard_fraction=0.3)
-    scenes = generate_corpus(spec, 3, 2, seed=4)
-    fast = build_pool(scenes, spec, corpus_seed=4)
-    wi, bound = simdata._ziggurat_tables()
-    monkeypatch.setattr(simdata, "_ziggurat_tables", lambda: (wi, np.zeros_like(bound)))
-    replayed = build_pool(scenes, spec, corpus_seed=4)
-    for f in dataclasses.fields(AnchorPool):
-        assert getattr(fast, f.name).tobytes() == getattr(replayed, f.name).tobytes(), f.name
-
-
-def test_replayed_anchor_share_stays_low(monkeypatch):
-    """Anchors that leave the ziggurat's fast path are a minority on the default corpus."""
-    spec = SceneSpec()
-    scenes = generate_corpus(spec, 64, 64, seed=0)
+def counted_replays(monkeypatch):
+    """The seed words of every row _draw_streams replays, as it replays them."""
     calls = []
 
     def counted(*words):
@@ -525,8 +502,98 @@ def test_replayed_anchor_share_stays_low(monkeypatch):
         return _pcg64_state(*words)
 
     monkeypatch.setattr(simdata, "_pcg64_state", counted)
+    return calls
+
+
+def assert_streams_match_numpy(seeds, spec, normals, uniforms):
+    for row, words in enumerate(seeds.tolist()):
+        rng = np.random.Generator(np.random.PCG64(0))
+        rng.bit_generator.state = _pcg64_state(*words)
+        assert normals[row].tobytes() == rng.standard_normal(spec.feature_dim).tobytes(), row
+        assert uniforms[row, 0] == rng.random(), row
+        if uniforms[row, 0] < spec.hard_fraction:
+            assert uniforms[row, 1] == rng.random(), row
+
+
+@pytest.mark.parametrize("hard_fraction", [0.0, 0.5, 1.0])
+def test_draw_streams_at_the_fast_path_boundary(hard_fraction, monkeypatch):
+    """A first normal at rabs = bound - 1 is fast; at rabs = bound the wedge
+    test decides it in the array pass, except in the tail (idx 0), which is
+    replayed, as is every row that runs out of drawn outputs."""
+    spec = dataclasses.replace(SMALL_SPEC, hard_fraction=hard_fraction)
+    wi, bound, _ = simdata._ziggurat_tables()
+    outputs = [(int(bound[idx]) + delta) << 9 | sign << 8 | idx
+               for idx in (0, 2, 128, 255) for delta in (-1, 0) for sign in (0, 1)]
+    outputs.append(1 << 9 | 1)  # index 1 is never fast
+    mid = (int(bound[128]) + 2**52) // 2 << 9 | 128  # inside layer 128's wedge
+    outputs.append((mid, 0))  # u = 0: the wedge test accepts
+    outputs.append((mid, 2**64 - 1))  # u = 1 - 2**-53: it rejects, and numpy draws again
+    seeds = seeds_with_outputs(outputs)
+    first = simdata._pcg64_outputs(seeds, 3)
+    assert first[:, 0].tolist() == [entry if isinstance(entry, int) else entry[0]
+                                    for entry in outputs]
+    for row, reject in ((-2, False), (-1, True)):  # numpy's own path for the crafted u
+        rng = np.random.Generator(np.random.PCG64(0))
+        rng.bit_generator.state = _pcg64_state(*seeds[row].tolist())
+        x = rng.standard_normal()
+        assert (int(rng.bit_generator.random_raw()) != int(first[row, 2])) == reject
+        assert reject or x == (mid >> 9) * wi[128]
+    tail = [row for row, r in enumerate(first[:, 0].tolist())
+            if r & 0xFF == 0 and r >> 9 >= int(bound[0])]
+    slow = [row for row, rs in enumerate(simdata._pcg64_outputs(seeds, spec.feature_dim).tolist())
+            if any(r >> 9 & (2**52 - 1) >= int(bound[r & 0xFF]) for r in rs)]
+    assert len(tail) == 2 and len(slow) >= 11
+    for spare, replayed in ((simdata._SPARE, tail), (0, slow)):
+        # with no spare outputs, every row with a draw off the fast path runs out
+        monkeypatch.setattr(simdata, "_SPARE", spare)
+        calls = counted_replays(monkeypatch)
+        normals, uniforms = simdata._draw_streams(seeds, spec)
+        assert calls == [tuple(seeds[row].tolist()) for row in replayed]
+        assert_streams_match_numpy(seeds, spec, normals, uniforms)
+
+
+@pytest.mark.parametrize("feature_dim", [2, 16, 40])
+def test_draw_streams_match_default_rng(feature_dim):
+    """50k anchor streams against np.random.default_rng([seed, scene, idx])."""
+    spec = SceneSpec(feature_dim=feature_dim, hard_fraction=0.5)
+    rows = np.arange(50_000)
+    scene_id, anchor_index = rows // 256, rows % 256
+    for start in range(0, rows.size, simdata._CHUNK):
+        chunk = slice(start, start + simdata._CHUNK)
+        seeds = simdata._anchor_seeds(7, scene_id[chunk], anchor_index[chunk])
+        normals, uniforms = simdata._draw_streams(seeds, spec)
+        for row, sid, idx in zip(range(len(seeds)), scene_id[chunk].tolist(),
+                                 anchor_index[chunk].tolist()):
+            rng = np.random.default_rng([7, sid, idx])
+            assert normals[row].tobytes() == rng.standard_normal(feature_dim).tobytes()
+            assert uniforms[row, 0] == rng.random()
+            if uniforms[row, 0] < 0.5:
+                assert uniforms[row, 1] == rng.random()
+
+
+def test_pool_features_equal_with_every_anchor_replayed(monkeypatch):
+    spec = dataclasses.replace(SMALL_SPEC, hard_fraction=0.3)
+    scenes = generate_corpus(spec, 3, 2, seed=4)
+    fast = build_pool(scenes, spec, corpus_seed=4)
+    wi, bound, fi = simdata._ziggurat_tables()
+    # no draw is fast and every wedge test is too close to call
+    monkeypatch.setattr(simdata, "_ziggurat_tables", lambda: (wi, np.zeros_like(bound), fi))
+    monkeypatch.setattr(simdata, "_WEDGE_BAND", np.inf)
+    calls = counted_replays(monkeypatch)
+    replayed = build_pool(scenes, spec, corpus_seed=4)
+    assert len(calls) == replayed.size
+    for f in dataclasses.fields(AnchorPool):
+        assert getattr(fast, f.name).tobytes() == getattr(replayed, f.name).tobytes(), f.name
+
+
+def test_replayed_anchor_share_stays_low(monkeypatch):
+    """Only tail draws and the rare row that runs out of drawn outputs are
+    replayed: ~0.4 % of the default corpus's anchors."""
+    spec = SceneSpec()
+    scenes = generate_corpus(spec, 64, 64, seed=0)
+    calls = counted_replays(monkeypatch)
     pool = build_pool(scenes, spec, corpus_seed=0)
-    assert 0 < len(calls) < 0.3 * pool.size
+    assert 0 < len(calls) < 0.02 * pool.size
 
 
 PROPERTY_SCENES, _ = corrupt_annotations(generate_corpus(SMALL_SPEC, 4, 2, seed=21),
@@ -571,6 +638,49 @@ def test_build_pool_with_mixed_extents_matches_each_scene_alone(monkeypatch):
         assert rows.sum() == len(real(scene, SMALL_SPEC))
         for f in dataclasses.fields(AnchorPool):
             np.testing.assert_array_equal(getattr(pool, f.name)[rows], getattr(alone, f.name))
+
+
+def reference_scene_columns(scene: Scene, spec: SceneSpec) -> dict:
+    """One scene's AnchorPool columns but the features, labeled on its own with scalar IoU."""
+    anchors = build_anchor_grid(scene, spec)
+    n = len(anchors)
+    ious = np.array([[iou(row, gt) for gt in scene.gt_boxes] for row in anchors]).reshape(n, -1)
+    kept, kept_ious = scene.gt_boxes[scene.annotated], ious[:, scene.annotated]
+    best = np.array([max(row, default=0.0) for row in ious.tolist()])
+    p_star = np.array([max(row, default=0.0) >= IOU_POSITIVE for row in kept_ious.tolist()])
+    targets = np.zeros((n, 4))
+    for i in np.flatnonzero(p_star).tolist():
+        targets[i] = regression_target(anchors[i:i + 1], kept[[np.argmax(kept_ious[i])]])[0]
+    return dict(p_star=p_star.astype(np.int64), a=np.full(n, int(scene.is_abnormal)),
+                ideal_p_star=(best >= IOU_POSITIVE).astype(np.int64),
+                scene_id=np.full(n, scene.scene_id), anchor_index=np.arange(n),
+                targets=targets, boxes=anchors)
+
+
+@pytest.mark.parametrize("iou_pairs", [None, 1, 1000], ids=["default", "one_scene", "few_scenes"])
+def test_build_pool_matches_per_scene_reference(iou_pairs, monkeypatch):
+    """Scenes of three extents, interleaved, with and without boxes, fully,
+    partly and not at all annotated, labeled in IoU passes of any size."""
+    if iou_pairs is not None:
+        monkeypatch.setattr(simdata, "_IOU_PAIRS", iou_pairs)
+    extents = [(32.0, 32.0), (48.0, 32.0), (24.0, 40.0)]
+    scenes = [dataclasses.replace(scene, extent=extents[i % 3])
+              for i, scene in enumerate(PROPERTY_SCENES)]
+    n_boxes = len(PROPERTY_SCENES[0].gt_boxes)
+    dropped, full = (dataclasses.replace(PROPERTY_SCENES[0], scene_id=sid, extent=extents[sid % 3],
+                                         annotated=np.full(n_boxes, keep))
+                     for sid, keep in ((40, False), (41, True)))
+    boxless = Scene(42, AP, [], np.zeros(0, dtype=bool), extents[0])
+    scenes = [*scenes[:3], dropped, *scenes[3:], full, boxless]
+    assert {s.annotated.mean() for s in scenes if len(s.gt_boxes)} > {0.0, 1.0}
+    assert {len(s.gt_boxes) for s in scenes if s.is_abnormal} > {0}
+    pool = build_pool(scenes, SMALL_SPEC, corpus_seed=21)
+    blocks = [reference_scene_columns(scene, SMALL_SPEC) for scene in scenes]
+    for name in blocks[0]:
+        expected = np.concatenate([block[name] for block in blocks])
+        assert getattr(pool, name).tobytes() == expected.tobytes(), name
+    np.testing.assert_array_equal(pool.features,
+                                  reference_pool_features(scenes, SMALL_SPEC, 21))
 
 
 def linear_probe_accuracy(features, labels):
@@ -755,3 +865,10 @@ def test_scene_spec_validation():
         SceneSpec(anchor_stride=0.0)
     with pytest.raises(ValueError):
         SceneSpec(hard_fraction=1.5)
+
+
+@pytest.mark.parametrize("sizes", [(), (-12.0,), (0.0,), (12.0, float("inf")), (float("nan"),)],
+                         ids=["empty", "negative", "zero", "infinite", "nan"])
+def test_scene_spec_rejects_bad_anchor_sizes(sizes):
+    with pytest.raises(ValueError, match="anchor_sizes"):
+        SceneSpec(anchor_sizes=sizes)
