@@ -15,7 +15,6 @@ import json
 import shutil
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,6 +326,9 @@ def run_many(tasks, jobs: int = 1):
     """Run (cfg, loss, eta, fold, seed, harmonizer) tuples, optionally parallel."""
     if jobs <= 1:
         return [run_single(*t) for t in tasks]
+    # imported here: only this branch needs it, and a serial run skips its import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_single_star, tasks))
 

@@ -34,8 +34,6 @@ from .losses import (
     EPS,
     FocalParams,
     SceParams,
-    ce_grad_logit,
-    ce_loss,
     focal_grad_logit,
     focal_loss,
     sce_grad_logit,
@@ -111,11 +109,17 @@ def bin_index(g, bin_count: int):
     return np.minimum((g * bin_count).astype(np.int64), bin_count - 1)
 
 
-def valid_length(g, bin_count: int):
-    """Length of the unit region around g clipped to [0, 1]."""
+def valid_length(g, bin_count: int, out=None, scratch=None):
+    """Length of the unit region around g clipped to [0, 1].
+
+    out and scratch, two float64 arrays shaped like g, take the length and
+    the temporary; out is returned.  Without them both are allocated.
+    """
     g = np.asarray(g, dtype=np.float64)
     half = 0.5 / bin_count
-    return np.minimum(g + half, 1.0) - np.maximum(g - half, 0.0)
+    upper = np.minimum(np.add(g, half, out=out), 1.0, out=out)
+    lower = np.maximum(np.subtract(g, half, out=scratch), 0.0, out=scratch)
+    return np.subtract(upper, lower, out=out)
 
 
 def _check_unit_range(g):
@@ -190,10 +194,15 @@ def gradient_density(counts, g, codes=0):
     return _density(counts, g, _flat_bins(codes, bin_index(g, bin_count), bin_count))
 
 
-def _density(counts, g, flat):
+def _density(counts, g, flat, scratch=None):
     """gradient_density of float64 g already checked, with flat its
-    _flat_bins index into the (M, B) counts."""
-    return np.maximum(counts.ravel().take(flat), 1.0) / valid_length(g, counts.shape[1])
+    _flat_bins index into the (M, B) or (B,) counts array.  scratch, a
+    (2, n) float64 array, takes the valid lengths (row 0) and the density
+    (row 1, which is returned); without it both are allocated."""
+    length, gd = (None, None) if scratch is None else scratch
+    length = valid_length(g, counts.shape[-1], out=length, scratch=gd)
+    density = np.maximum(counts.ravel().take(flat, out=gd), 1.0, out=gd)
+    return np.divide(density, length, out=gd)
 
 
 def partition_of(p_star, a, mode: Mode):
@@ -238,7 +247,7 @@ class HarmonizedBatch:
 
 
 def harmonize_weights(g, codes, cfg: HarmonizerConfig, histograms=None,
-                      ema=None) -> HarmonizedBatch:
+                      ema=None, buffers=None) -> HarmonizedBatch:
     """Compute beta_i = N' / GD(g_i)^{gamma_i} for every example.
 
     N' is the total batch size under the "total" convention or the size of the
@@ -247,6 +256,9 @@ def harmonize_weights(g, codes, cfg: HarmonizerConfig, histograms=None,
     `histograms` when given and from this batch otherwise; ema, an
     EmaHistograms, smooths this batch's counts first (given histograms are
     used as they are).  In GHM mode the exponent is always 1.
+
+    buffers, the trainer's StepBuffers, lends rows 0 and 1 of its (3, n)
+    scratch to the density; the returned record holds fresh arrays only.
     """
     g = np.asarray(g, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.int64)
@@ -263,10 +275,12 @@ def harmonize_weights(g, codes, cfg: HarmonizerConfig, histograms=None,
         histograms = _bin_counts(flat, m, bin_count).astype(np.float64)
         if ema is not None:
             histograms = ema.update(histograms)
-    gd = _density(np.atleast_2d(histograms), g, flat)
+    gd = _density(np.asarray(histograms), g, flat,
+                  None if buffers is None else buffers.scratch[:2])
     gamma = np.where(g >= cfg.outlier_threshold, cfg.gamma_by_code.take(codes), 1.0)
     n_prime = n if cfg.n_convention == "total" else np.bincount(codes, minlength=m).take(codes)
-    return HarmonizedBatch(g=g, N=n, M=m, codes=codes, bins=bins, beta=n_prime / gd**gamma,
+    beta = np.divide(n_prime, np.power(gd, gamma, out=gd))
+    return HarmonizedBatch(g=g, N=n, M=m, codes=codes, bins=bins, beta=beta,
                            gamma_applied=gamma, histograms=histograms)
 
 
@@ -303,7 +317,7 @@ class LossSpec:
 
 
 def classification_loss_and_grad(logits, p_star, codes, spec: LossSpec, ema=None,
-                                 beta=None):
+                                 beta=None, buffers=None):
     """Batch classification loss, per-example d(loss)/d(logit) and batch record.
 
     Returns (loss, dlogit, HarmonizedBatch).  Un-harmonized kinds take the
@@ -312,38 +326,53 @@ def classification_loss_and_grad(logits, p_star, codes, spec: LossSpec, ema=None
     current logits and then frozen: the returned gradient treats it as
     constant.  GHM is the one-partition case, M = 1.
 
-    codes are the examples' partition codes under spec.harmonizer.mode
-    (partition_of); only harmonized kinds read them.  ema, an EmaHistograms
-    carried across batches, smooths this batch's counts before the weights
-    are computed.  A fixed beta skips harmonizing: the kernel only applies the
-    given weights.
+    p_star are 0/1 labels.  codes are the examples' partition codes under
+    spec.harmonizer.mode (partition_of); only harmonized kinds read them.
+    ema, an EmaHistograms carried across batches, smooths this batch's counts
+    before the weights are computed.  A fixed beta skips harmonizing: the
+    kernel only applies the given weights.
+
+    buffers, the trainer's StepBuffers for n rows, holds the sigmoid and CE
+    scratch (rows of buffers.scratch) and receives dlogit in buffers.dlogit,
+    which is then returned; the HarmonizedBatch holds fresh arrays only.
+    Without buffers both are allocated.
     """
     logits = np.asarray(logits, dtype=np.float64)
     n = logits.size
     if n == 0:
         raise ValueError("empty batch")
-    p = sigmoid(logits)
     p_star = np.asarray(p_star, dtype=np.float64)
-    residual = ce_grad_logit(p, p_star)
+    if buffers is None:
+        scratch, dlogit = np.empty((3, n)), np.empty(n)
+    else:
+        scratch, dlogit = buffers.scratch, buffers.dlogit
+    p = sigmoid(logits, out=scratch[0], scratch=scratch[1])
+    residual = np.subtract(p, p_star, out=dlogit)  # d(CE)/d(logit)
     g = np.abs(residual)  # gradient_norm(p, p_star), from the one subtraction
-    if not spec.is_harmonized:
-        if spec.kind == "ce":
-            per, grad = ce_loss(p, p_star), residual
-        elif spec.kind == "focal":
+    if spec.kind in ("focal", "sce"):
+        if spec.kind == "focal":
             per = focal_loss(p, p_star, spec.focal)
             grad = focal_grad_logit(p, p_star, spec.focal)
         else:
             per, grad = sce_loss(p, p_star, spec.sce), sce_grad_logit(p, p_star, spec.sce)
-        return float(np.mean(per)), grad / n, HarmonizedBatch(g=g, N=n)
+        return float(np.mean(per)), np.divide(grad, n, out=dlogit), HarmonizedBatch(g=g, N=n)
+    # CE_i = -log q_i, where q_i = |1 - p*_i - p_i| is p for a positive and
+    # 1 - p for a negative, ce_loss's two terms; the sums negate at the end
+    log_q = np.subtract(1.0 - p_star, p, out=scratch[2])
+    np.log(np.abs(log_q, out=log_q), out=log_q)
+    if not spec.is_harmonized:  # ce
+        dlogit = np.divide(residual, n, out=dlogit)
+        return -float(np.mean(log_q)), dlogit, HarmonizedBatch(g=g, N=n)
     cfg = spec.harmonizer
     if beta is None:
-        batch = harmonize_weights(g, codes, cfg, ema=ema)
+        batch = harmonize_weights(g, codes, cfg, ema=ema, buffers=buffers)
     else:
         batch = HarmonizedBatch(g=g, N=n, M=len(MODE_PARTITIONS[cfg.mode]),
                                 beta=np.asarray(beta, dtype=np.float64))
-    loss = float((batch.beta * ce_loss(p, p_star)).sum() / (batch.M * n))
-    dlogit = batch.beta * residual / (batch.M * n)
-    return loss, dlogit, batch
+    norm = batch.M * n
+    loss = -float(np.multiply(batch.beta, log_q, out=log_q).sum() / norm)
+    np.multiply(batch.beta, residual, out=dlogit)
+    return loss, np.divide(dlogit, norm, out=dlogit), batch
 
 
 # ---------------------------------------------------------------------------

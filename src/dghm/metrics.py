@@ -93,11 +93,13 @@ def decode_and_suppress(anchor_boxes, scene_ids, scores, offsets):
     for sid in np.unique(sorted_sids):
         ranks = np.flatnonzero(sorted_sids == sid)
         scene_boxes = boxes[order[ranks]]
-        overlaps = iou_matrix(scene_boxes, scene_boxes) >= NMS_IOU
+        # a row suppresses only rows after it; a row overlapping none of
+        # them changes nothing, so the loop visits only the others
+        later = np.triu(iou_matrix(scene_boxes, scene_boxes) >= NMS_IOU, 1)
         alive = np.ones(ranks.size, dtype=bool)
-        for r in range(ranks.size):
+        for r in np.flatnonzero(later.any(axis=1)):
             if alive[r]:
-                alive[r + 1:] &= ~overlaps[r, r + 1:]
+                alive &= ~later[r]
         keep[ranks] = alive
     rows = order[keep]
     return Detections(scene_ids[rows], boxes[rows], scores[rows])

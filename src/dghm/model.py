@@ -92,8 +92,8 @@ class StepBuffers:
     """Every array a training step writes, for batches of n rows.
 
     train() allocates one set per call and each step overwrites it.  Given
-    none, forward and adam_step allocate what they write and backward a
-    fresh set.
+    none, forward, the classification kernel and adam_step allocate what
+    they write and backward a fresh set.
     """
 
     layers: list  # per dense layer, its (n, width) output
@@ -102,6 +102,14 @@ class StepBuffers:
     slopes: list  # per hidden layer, (n, width) scratch for 1 - tanh^2
     grad: Predictor  # the flat gradient and its per-layer views
     adam: np.ndarray  # (2, P) scratch for adam_step
+    scratch: np.ndarray  # (3, n) scratch of classification_loss_and_grad
+    dlogit: np.ndarray = field(init=False)  # the view delta[:, 0]
+    # the view delta[:k, 1:] for the last k asked for; delta[k:, 1:] is zero
+    doffsets: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.dlogit = self.delta[:, 0]
+        self.doffsets = self.delta[:, 1:]
 
     @classmethod
     def for_model(cls, model: Predictor, n: int) -> "StepBuffers":
@@ -111,7 +119,16 @@ class StepBuffers:
                    hidden=[np.empty((n, w)) for w in widths[:-1]],
                    slopes=[np.empty((n, w)) for w in widths[:-1]],
                    grad=Predictor(dims=model.dims, params=np.empty_like(model.params)),
-                   adam=np.empty((2, model.params.size)))
+                   adam=np.empty((2, model.params.size)),
+                   scratch=np.empty((3, n)))
+
+    def offset_rows(self, k: int) -> np.ndarray:
+        """delta[:k, 1:] for the offset gradient of the k leading rows; the
+        rows past k are zeroed when k changes, so once per train() call."""
+        if len(self.doffsets) != k:
+            self.delta[k:, 1:] = 0.0
+            self.doffsets = self.delta[:k, 1:]
+        return self.doffsets
 
 
 def forward(model: Predictor, features, buffers: StepBuffers | None = None):
@@ -146,19 +163,20 @@ def backward(model: Predictor, activations, dlogit, doffsets,
     dlogit is (n,) and doffsets (k, 4) for the k <= n leading rows, the rest
     having none; both already include loss normalizers.  Returns one flat
     gradient laid out like model.params: buffers.grad.params when given,
-    overwritten.
+    overwritten.  Written in place as buffers.dlogit and
+    buffers.offset_rows(k), they are not copied.
     """
     if buffers is None:
         buffers = StepBuffers.for_model(model, len(dlogit))
     delta = buffers.delta
-    k = len(doffsets)
-    delta[:, 0] = dlogit
-    delta[:k, 1:] = doffsets
-    delta[k:, 1:] = 0.0
+    if dlogit is not buffers.dlogit:
+        buffers.dlogit[...] = dlogit
+    if doffsets is not buffers.doffsets:
+        buffers.offset_rows(len(doffsets))[...] = doffsets
     grad = buffers.grad
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(activations[i].T, delta, out=grad.weights[i])
-        grad.biases[i][...] = delta.sum(axis=0)
+        delta.sum(axis=0, out=grad.biases[i])
         if i > 0:
             # activations[i] is tanh(z_i) for hidden layers; slope = 1 - tanh^2
             back, slope = buffers.hidden[i - 1], buffers.slopes[i - 1]
@@ -192,18 +210,20 @@ def batch_loss_and_grads(model: Predictor, batch: Batch, spec: LossSpec,
     Returns (loss, flat gradient, HarmonizedBatch): the last is the
     classification kernel's record of the batch (gradient norms for every
     kind; beta and the harmonizer counts for harmonized kinds).  ema and beta
-    go to classification_loss_and_grad; buffers go to forward and backward,
-    so the gradient returned is then buffers.grad.params.
+    go to classification_loss_and_grad; buffers go to every layer, so the
+    gradient returned is then buffers.grad.params.
     """
     logits, offsets, cache = forward(model, batch.features, buffers)
     cls_loss, dlogit, harmonized = classification_loss_and_grad(
-        logits, batch.p_star, batch.codes, spec, ema=ema, beta=beta)
+        logits, batch.p_star, batch.codes, spec, ema=ema, beta=beta, buffers=buffers)
     k = len(batch.targets)
-    reg_loss, doffsets = 0.0, offsets[:0]  # no positive, no offset gradient
+    doffsets = np.empty((k, 4)) if buffers is None else buffers.offset_rows(k)
+    reg_loss = 0.0  # no positive, no offset gradient
     if k:
-        per, slope = smooth_l1_and_grad(offsets[:k] - batch.targets)
+        per, slope = smooth_l1_and_grad(offsets[:k] - batch.targets, out=doffsets)
         reg_loss = float(per.sum() / k)
-        doffsets = reg_weight * slope / k
+        slope *= reg_weight
+        slope /= k
     grad = backward(model, cache, dlogit, doffsets, buffers)
     return cls_loss + reg_weight * reg_loss, grad, harmonized
 
@@ -255,36 +275,38 @@ def finite_difference_check(model: Predictor, batch: Batch, spec: LossSpec,
 
 @dataclass
 class AdamState:
-    m: np.ndarray  # first and second moments, laid out like model.params
-    v: np.ndarray
+    moments: np.ndarray  # (2, P): rows m and v, each laid out like model.params
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    decays: np.ndarray = field(init=False, repr=False)  # (2, 1): beta1, beta2
+    rates: np.ndarray = field(init=False, repr=False)  # (2, 1): 1 - beta1, 1 - beta2
+
+    def __post_init__(self):
+        self.decays = np.array([[self.beta1], [self.beta2]])
+        self.rates = 1.0 - self.decays
 
     @classmethod
     def for_model(cls, model: Predictor) -> "AdamState":
-        return cls(m=np.zeros_like(model.params), v=np.zeros_like(model.params))
+        return cls(moments=np.zeros((2, model.params.size)))
 
 
 def adam_step(model: Predictor, state: AdamState, grad, lr: float, scratch=None):
     """Standard Adam update of the flat gradient, in place on model.params and
-    on the state's moments.  scratch, a (2, P) array, holds the temporaries;
-    without it they are allocated."""
+    on the state's moments, both moments at once.  scratch, a (2, P) array,
+    holds the temporaries; without it they are allocated."""
     state.step += 1
     t = state.step
-    step, denom = np.empty((2, grad.size)) if scratch is None else scratch
-    np.multiply(grad, 1.0 - state.beta1, out=step)
-    state.m *= state.beta1
-    state.m += step
-    np.multiply(grad, 1.0 - state.beta2, out=step)
-    step *= grad
-    state.v *= state.beta2
-    state.v += step
-    np.divide(state.v, 1.0 - state.beta2**t, out=denom)  # v_hat
+    work = np.multiply(state.rates, grad, out=scratch)  # (1 - beta) g, for m and v
+    work[1] *= grad
+    state.moments *= state.decays
+    state.moments += work
+    # m_hat and v_hat
+    np.divide(state.moments, [[1.0 - state.beta1**t], [1.0 - state.beta2**t]], out=work)
+    step, denom = work
     np.sqrt(denom, out=denom)
     denom += state.eps
-    np.divide(state.m, 1.0 - state.beta1**t, out=step)  # m_hat
     step *= lr
     step /= denom
     model.params -= step
@@ -344,14 +366,6 @@ def pool_gradient_histograms(model: Predictor, pool: AnchorPool, bin_count: int 
                  for mode in (Mode.DGHM, Mode.DGHM_STAR))
 
 
-def _epoch_bins(harmonized):
-    """Each gradient norm's bin among EPOCH_BINS: the harmonizer's own bins
-    when it binned at that width, else binned here."""
-    if harmonized.bins is not None and harmonized.histograms.shape[-1] == EPOCH_BINS:
-        return harmonized.bins
-    return bin_index(harmonized.g, EPOCH_BINS)
-
-
 def _check_finite(what: str, arr, epoch: int, step: int):
     if not np.isfinite(arr).all():
         raise TrainingDiverged(f"non-finite {what} at epoch {epoch}, step {step}")
@@ -367,9 +381,11 @@ def train(pool: AnchorPool, cfg: TrainConfig):
     before the whole-pool histograms read it.
 
     What depends only on the pool is computed once per call: the partition
-    codes, the float labels, which rows hold a non-finite feature and the
-    number k of leading positives in every batch.  So are the StepBuffers,
-    as every batch has the same size.  A step gathers its rows.
+    codes, which rows hold a non-finite feature, and the number k of leading
+    positives in every batch, and so the batch labels.  So are the
+    StepBuffers and the Batch, as every batch has the same size: a step
+    gathers its rows into them.  Each epoch's clean/noisy counts take one
+    bincount over the flat (partition, bin) index of every row it drew.
     """
     model = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     state = AdamState.for_model(model)
@@ -377,49 +393,59 @@ def train(pool: AnchorPool, cfg: TrainConfig):
     quota = minibatch_quota(pool, cfg.batch_size)
     pos_idx, _, n_pos, n_neg = quota
     k = pos_idx.size if n_pos is None else n_pos
-    buffers = StepBuffers.for_model(model, k + n_neg)
+    n = k + n_neg
+    buffers = StepBuffers.for_model(model, n)
+    # every batch draws k positives, then negatives: its labels never change
+    batch = Batch(features=np.empty((n, pool.features.shape[1])),
+                  p_star=(np.arange(n) < k).astype(np.float64), codes=None,
+                  targets=np.empty((k, 4)))
     two_way = partition_of(pool.p_star, pool.a, Mode.DGHM)
     codes = two_way  # only harmonized kinds read the codes
-    mode = cfg.loss_spec.harmonizer.mode
-    if cfg.loss_spec.is_harmonized and mode is not Mode.DGHM:
+    spec = cfg.loss_spec
+    mode = spec.harmonizer.mode
+    if spec.is_harmonized and mode is not Mode.DGHM:
         codes = partition_of(pool.p_star, pool.a, mode)
-    # each row's offset into the flat (2, 10) per-epoch clean/noisy counts
-    epoch_offsets = two_way * EPOCH_BINS
-    p_star = pool.p_star.astype(np.float64)
+    # each pool row's offset into the flat (2, EPOCH_BINS) per-epoch counts;
+    # whether the harmonizer's bins are the per-epoch ones; and per step of an
+    # epoch, the flat index of each row it drew, one byte each
+    epoch_offsets = (two_way * EPOCH_BINS).astype(np.int8)
+    same_bins = spec.is_harmonized and spec.harmonizer.bin_count == EPOCH_BINS
+    epoch_rows = np.empty((cfg.steps_per_epoch, n), dtype=np.int8)
     bad_rows = ~np.isfinite(pool.features).all(axis=1)
+    any_bad = bad_rows.any()
     lr = cfg.learning_rate
-    ema = EmaHistograms(cfg.loss_spec.harmonizer)
+    ema = EmaHistograms(spec.harmonizer)
     records = []
     epoch_hists = []
     for epoch in range(cfg.epochs):
         if epoch in cfg.decay_epochs:
             lr *= cfg.decay_factor
         losses = []
-        hist_acc = np.zeros(2 * EPOCH_BINS, dtype=np.int64)
-        for _ in range(cfg.steps_per_epoch):
+        for row in epoch_rows:
             step = state.step
             idx = sample_minibatch(quota, rng)
             # a NaN feature would reach the harmonizer's histogram bins first
-            if bad_rows.take(idx).any():
+            if any_bad and bad_rows.take(idx).any():
                 raise TrainingDiverged(f"non-finite feature at epoch {epoch}, step {step}")
-            batch = Batch(features=pool.features.take(idx, axis=0), p_star=p_star.take(idx),
-                          codes=codes.take(idx), targets=pool.targets.take(idx[:k], axis=0))
+            # idx lies in the pool, and "clip" lets take write out unbuffered
+            pool.features.take(idx, axis=0, out=batch.features, mode="clip")
+            batch.codes = codes.take(idx)  # fresh: the HarmonizedBatch keeps it
+            pool.targets.take(idx[:k], axis=0, out=batch.targets, mode="clip")
             loss, grad, harmonized = batch_loss_and_grads(
-                model, batch, cfg.loss_spec, reg_weight=cfg.reg_weight, ema=ema,
-                buffers=buffers)
+                model, batch, spec, reg_weight=cfg.reg_weight, ema=ema, buffers=buffers)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss {loss!r} at epoch {epoch}, step {step}")
             _check_finite("gradient", grad, epoch, step)
-            # clean/noisy gradient-norm bookkeeping for the per-epoch log
-            hist_acc += np.bincount(epoch_offsets.take(idx) + _epoch_bins(harmonized),
-                                    minlength=2 * EPOCH_BINS)
+            bins = harmonized.bins if same_bins else bin_index(harmonized.g, EPOCH_BINS)
+            np.add(epoch_offsets.take(idx), bins, out=row)
             adam_step(model, state, grad, lr, buffers.adam)
             _check_finite("parameter", model.params, epoch, step)
             losses.append(loss)
         records.append(EpochRecord(epoch=epoch, mean_loss=float(np.mean(losses)), lr=lr))
-        epoch_hists.append(hist_acc.reshape(2, EPOCH_BINS))
-    if bad_rows.any():
+        epoch_hists.append(np.bincount(epoch_rows.ravel(), minlength=2 * EPOCH_BINS)
+                           .reshape(2, EPOCH_BINS))
+    if any_bad:
         raise TrainingDiverged(f"non-finite feature in pool row "
                                f"{np.flatnonzero(bad_rows)[0]}, which no step drew")
     two_way_hists, three_way_hists = pool_gradient_histograms(model, pool)

@@ -425,6 +425,60 @@ def test_suppress_matches_scalar_oracle():
                                    np.zeros((2, 4)))) == 1
 
 
+def suppress_every_row_reference(anchor_boxes, scene_ids, scores, offsets):
+    """decode_and_suppress with its greedy loop visiting every row still alive,
+    whether or not it overlaps a later one."""
+    scores = np.asarray(scores, dtype=np.float64)
+    scene_ids = np.asarray(scene_ids)
+    boxes = decode_boxes(anchor_boxes, offsets)
+    order = np.lexsort((np.arange(scores.size), scene_ids, -scores))
+    sorted_sids = scene_ids[order]
+    keep = np.zeros(order.size, dtype=bool)
+    for sid in np.unique(sorted_sids):
+        ranks = np.flatnonzero(sorted_sids == sid)
+        scene_boxes = boxes[order[ranks]]
+        overlaps = iou_matrix(scene_boxes, scene_boxes) >= NMS_IOU
+        alive = np.ones(ranks.size, dtype=bool)
+        for r in range(ranks.size):
+            if alive[r]:
+                alive[r + 1:] &= ~overlaps[r, r + 1:]
+        keep[ranks] = alive
+    rows = order[keep]
+    return metrics.Detections(scene_ids[rows], boxes[rows], scores[rows])
+
+
+def one_row_scenes(seed):
+    """Scenes of one row each, then two crowded scenes that share scores."""
+    boxes, scene_ids, scores, offsets, _, _ = random_scored_anchors(seed)
+    singles = np.arange(scene_ids.max() + 1, scene_ids.max() + 6)
+    return (np.vstack([boxes, boxes[:5]]), np.concatenate([scene_ids, singles]),
+            np.concatenate([scores, scores[:5]]), np.vstack([offsets, offsets[:5]]))
+
+
+@pytest.mark.parametrize("case", ["ties", "one_row_scenes", "nan_score"])
+def test_suppress_visiting_overlapping_rows_equals_the_every_row_loop(monkeypatch, case):
+    # Detections refuses a NaN score, so both sides return their raw columns
+    monkeypatch.setattr(metrics, "Detections", lambda *columns: columns)
+    suppressed = 0
+    for seed in range(12):
+        if case == "one_row_scenes":
+            args = one_row_scenes(seed)
+        else:
+            # quantised scores: large tie groups, broken by scene and index
+            args = random_scored_anchors(seed, **FLOOR_CASES[sorted(FLOOR_CASES)[seed % 5]])[:4]
+        if case == "nan_score":
+            scores = args[2].copy()
+            scores[np.random.default_rng(seed).integers(scores.size)] = np.nan
+            args = (args[0], args[1], scores, args[3])
+        got = decode_and_suppress(*args)
+        want = suppress_every_row_reference(*args)
+        for x, y in zip(got, want):
+            np.testing.assert_array_equal(x, y)
+            assert x.dtype == y.dtype
+        suppressed += len(args[2]) - len(got[0])
+    assert suppressed > 0
+
+
 def greedy_oracle(dets, gt_by_scene, iou_thr):
     """The scalar matcher: one ``iou`` per (detection, unclaimed gt) pair."""
     boxes = dets.boxes

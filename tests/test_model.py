@@ -12,6 +12,7 @@ from dghm import model as model_module
 from dghm.harmonizer import (
     EmaHistograms,
     FocalParams,
+    HarmonizedBatch,
     HarmonizerConfig,
     LossSpec,
     Mode,
@@ -25,7 +26,11 @@ from dghm.losses import (
     SceParams,
     ce_grad_logit,
     ce_loss,
+    focal_grad_logit,
+    focal_loss,
     gradient_norm,
+    sce_grad_logit,
+    sce_loss,
     sigmoid,
 )
 from dghm.model import (
@@ -197,6 +202,41 @@ def test_buffered_step_equals_the_allocating_step_bit_for_bit(spec, hidden):
         assert_same_record(record, want_record)
 
 
+def copied(record):
+    """The record with a copy of each of its arrays."""
+    return dataclasses.replace(record, **{
+        f.name: getattr(record, f.name).copy() for f in dataclasses.fields(record)
+        if isinstance(getattr(record, f.name), np.ndarray)})
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_buffered_kernels_equal_the_allocating_ones_and_keep_their_records(spec):
+    rng = np.random.default_rng(22)
+    model = Predictor.create(5, hidden=(6,), seed=22)
+    cfg = spec.harmonizer
+    bufs = StepBuffers.for_model(model, 24)
+    kept = []
+    for batch in list(buffer_batches(rng, cfg.mode))[:3]:  # the batches of 24 rows
+        logits = rng.normal(scale=3.0, size=24)
+        ema_buffered, ema = EmaHistograms(cfg), EmaHistograms(cfg)
+        loss, dlogit, record = classification_loss_and_grad(
+            logits, batch.p_star, batch.codes, spec, ema=ema_buffered, buffers=bufs)
+        want_loss, want_dlogit, want_record = classification_loss_and_grad(
+            logits, batch.p_star, batch.codes, spec, ema=ema)
+        assert dlogit is bufs.dlogit
+        assert loss == want_loss
+        np.testing.assert_array_equal(dlogit, want_dlogit)
+        assert_same_record(record, want_record)
+        kept.append((record, copied(record)))
+        g = rng.uniform(size=24)
+        buffered = harmonize_weights(g, batch.codes, cfg, buffers=bufs)
+        assert_same_record(buffered, harmonize_weights(g, batch.codes, cfg))
+        kept.append((buffered, copied(buffered)))
+    # no record shares memory with the buffers: later calls left each as it was
+    for record, snapshot in kept:
+        assert_same_record(record, snapshot)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
@@ -264,8 +304,7 @@ def test_adam_matches_per_layer_reference():
         adam_step(model, state, flat(grads), lr=0.01)
     assert state.step == 20
     np.testing.assert_array_equal(model.params, flat(params))
-    np.testing.assert_array_equal(state.m, flat(m))
-    np.testing.assert_array_equal(state.v, flat(v))
+    np.testing.assert_array_equal(state.moments, [flat(m), flat(v)])
 
 
 def test_params_layout_and_views():
@@ -462,7 +501,12 @@ def test_train_allocates_its_step_buffers_once(monkeypatch):
     cfg = TrainConfig(loss_spec=LossSpec(kind="dghm_c"), epochs=2, steps_per_epoch=3,
                       batch_size=16, learning_rate=1e-3, seed=1)
     real_forward, real_backward = model_module.forward, model_module.backward
-    caches, grads = [], []
+    real_for_model = StepBuffers.for_model
+    caches, grads, made = [], [], []
+
+    def counted_for_model(cls, *args):
+        made.append(real_for_model(*args))
+        return made[-1]
 
     def recorded_forward(*args):
         out = real_forward(*args)
@@ -475,9 +519,12 @@ def test_train_allocates_its_step_buffers_once(monkeypatch):
 
     monkeypatch.setattr(model_module, "forward", recorded_forward)
     monkeypatch.setattr(model_module, "backward", recorded_backward)
+    monkeypatch.setattr(StepBuffers, "for_model", classmethod(counted_for_model))
     train(pool, cfg)
     steps = cfg.epochs * cfg.steps_per_epoch
+    assert len(made) == 1  # one StepBuffers per train() call
     assert len(caches) == steps + 1 and len(grads) == steps
+    assert grads[0] is made[0].grad.params
     # every step writes the same layer outputs and the same gradient; the
     # final whole-pool forward allocates its own
     for cache in caches[1:steps]:
@@ -489,17 +536,23 @@ def test_train_allocates_its_step_buffers_once(monkeypatch):
 def reference_classification(logits, p_star, a, spec, ema):
     """The classification kernel as it was before it took partition codes:
     codes from the scene attributes, counts binned, then binned again for
-    the density."""
-    if not spec.is_harmonized:
-        return classification_loss_and_grad(logits, p_star, None, spec)
-    cfg = spec.harmonizer
+    the density; every CE from the two-log ce_loss."""
     p_star = np.asarray(p_star, dtype=np.float64)
     p = sigmoid(logits)
     g = gradient_norm(p, p_star)
+    n = logits.size
+    if not spec.is_harmonized:
+        per, grad = {
+            "ce": lambda: (ce_loss(p, p_star), ce_grad_logit(p, p_star)),
+            "focal": lambda: (focal_loss(p, p_star, spec.focal),
+                              focal_grad_logit(p, p_star, spec.focal)),
+            "sce": lambda: (sce_loss(p, p_star, spec.sce), sce_grad_logit(p, p_star, spec.sce)),
+        }[spec.kind]()
+        return float(np.mean(per)), grad / n, HarmonizedBatch(g=g, N=n)
+    cfg = spec.harmonizer
     codes = partition_of(p_star, a, cfg.mode)
     counts = ema.update(build_histograms(g, codes, cfg))
     batch = harmonize_weights(g, codes, cfg, histograms=counts)
-    n = logits.size
     loss = float(np.sum(batch.beta * ce_loss(p, p_star)) / (batch.M * n))
     return loss, batch.beta * ce_grad_logit(p, p_star) / (batch.M * n), batch
 
@@ -580,9 +633,12 @@ def spec_id(spec):
     return f"{spec.kind}-m{spec.harmonizer.momentum}-{spec.harmonizer.n_convention}"
 
 
-def hoisted_case(spec, pool_kind, hidden=(32,)):
+def hoisted_case(spec, pool_kind, hidden=(32,), reg_weight=1.0):
     depth = "" if hidden == (32,) else f"-hidden{'x'.join(map(str, hidden)) or 'none'}"
-    return pytest.param(spec, pool_kind, hidden, id=f"{spec_id(spec)}-{pool_kind}{depth}")
+    bins = "" if spec.harmonizer.bin_count == 10 else f"-bins{spec.harmonizer.bin_count}"
+    reg = "" if reg_weight == 1.0 else f"-reg{reg_weight}"
+    return pytest.param(spec, pool_kind, hidden, reg_weight,
+                        id=f"{spec_id(spec)}-{pool_kind}{depth}{bins}{reg}")
 
 
 HOISTED_CASES = [
@@ -594,11 +650,17 @@ HOISTED_CASES = [
     # the per-layer step buffers at depth 0 (no hidden layer) and depth 2
     *[hoisted_case(spec, pool, hidden) for hidden in ((), (8, 8))
       for spec in ALL_SPECS for pool in ("full", "short")],
+    # harmonizer bins unlike the per-epoch ones, so the epoch counts re-bin
+    *[hoisted_case(dataclasses.replace(spec, harmonizer=HarmonizerConfig(bin_count=7)), "full")
+      for spec in ALL_SPECS[3:]],
+    # a regression weight that scales the offset gradient written in place
+    *[hoisted_case(spec, pool, reg_weight=1.5) for spec in (ALL_SPECS[0], ALL_SPECS[4])
+      for pool in ("full", "short")],
 ]
 
 
-@pytest.mark.parametrize("spec, pool_kind, hidden", HOISTED_CASES)
-def test_train_matches_the_per_step_reference(spec, pool_kind, hidden):
+@pytest.mark.parametrize("spec, pool_kind, hidden, reg_weight", HOISTED_CASES)
+def test_train_matches_the_per_step_reference(spec, pool_kind, hidden, reg_weight):
     if pool_kind == "full":
         pool, batch_size = tiny_pool(eta=0.3), 16
     elif pool_kind == "short":
@@ -607,7 +669,7 @@ def test_train_matches_the_per_step_reference(spec, pool_kind, hidden):
         pool, batch_size = negative_pool()
         assert not np.any(pool.p_star)
     cfg = TrainConfig(loss_spec=spec, epochs=3, steps_per_epoch=4, batch_size=batch_size,
-                      hidden=hidden, learning_rate=3e-3, seed=5)
+                      hidden=hidden, reg_weight=reg_weight, learning_rate=3e-3, seed=5)
     model, log = train(pool, cfg)
     ref_model, ref_losses, ref_hists = reference_train(pool, cfg)
     np.testing.assert_array_equal(model.params, ref_model.params)
