@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simdata import iou_matrix
+from .simdata import box_span, iou_matrix
 
 EVAL_IOU = 0.3
 NMS_IOU = 0.5
 FROC_LEVELS = (1, 2, 4, 8, 16, 32)
 MIN_PRECISION = 0.2  # precision floor of the operating threshold
+#: row pairs per IoU pass in NMS and matching: a float64 temporary of one is
+#: 16 KiB, well under malloc's 128 KiB mmap threshold
+PAIR_PASS = 2048
 
 
 @dataclass(eq=False)
@@ -77,31 +80,72 @@ def decode_boxes(anchor_boxes, offsets, max_log_scale: float = 4.0):
     return np.stack([cx, cy, w, h], axis=1)
 
 
+def _pair_blocks(counts):
+    """Blocks (rows, cols) of at most PAIR_PASS pairs over every row i and its
+    offsets 0 .. counts[i] - 1: rows (b, 1) by descending count and cols (w,)
+    a run of offsets, so that a pair (i, c) is one where c < counts[i]."""
+    by_count = np.flatnonzero(counts)
+    by_count = by_count[np.argsort(-counts[by_count])]
+    start = 0
+    while start < by_count.size:
+        width = int(counts[by_count[start]])
+        rows = by_count[start:start + max(PAIR_PASS // width, 1), None]
+        for c0 in range(0, width, PAIR_PASS):
+            yield rows, np.arange(c0, min(c0 + PAIR_PASS, width))
+        start += rows.size
+
+
+def _sweep(x0, x1, scene_ids):
+    """(sweep, counts): rows by (scene, x0), and for each how many rows after it
+    share its scene and have their x0 below its x1.  The keys are integers,
+    exact for any floats: a dense scene rank, each x0's rank and, for each x1,
+    the number of x0 below it, so that boxes which only touch are not paired."""
+    n = x0.size
+    start, end = keys = np.empty((2, n), dtype=np.int64)
+    by = np.argsort(x0)
+    start[by] = np.arange(n)
+    sorted_x0 = x0[by]
+    by = np.argsort(x1)
+    end[by] = np.searchsorted(sorted_x0, x1[by])
+    by = np.argsort(scene_ids)
+    ids = scene_ids[by]
+    keys[:, by] += np.cumsum(np.concatenate([[0], ids[1:] != ids[:-1]])) * n
+    sweep = np.argsort(start)
+    counts = np.searchsorted(start[sweep], end[sweep]) - np.arange(1, n + 1)
+    return sweep, np.maximum(counts, 0, out=counts)
+
+
 def decode_and_suppress(anchor_boxes, scene_ids, scores, offsets):
     """Greedily deduplicated detections per scene, by descending score.
 
     A detection is dropped when it overlaps an already-kept one of its scene at
     IoU >= NMS_IOU.  Ties break on (scene_id, original index), and detections
     are returned in that order, so the output is deterministic.
+
+    All scenes are swept at once (``_sweep``): a row is paired only with the
+    rows of its scene whose left edge lies in [its own, its right edge).  Any
+    other pair has no x overlap, so IoU 0 (NaN for a NaN box): no suppression.
     """
     scores = np.asarray(scores, dtype=np.float64)
     scene_ids = np.asarray(scene_ids)
     boxes = decode_boxes(anchor_boxes, offsets)
     order = np.lexsort((np.arange(scores.size), scene_ids, -scores))
-    sorted_sids = scene_ids[order]
-    keep = np.zeros(order.size, dtype=bool)
-    for sid in np.unique(sorted_sids):
-        ranks = np.flatnonzero(sorted_sids == sid)
-        scene_boxes = boxes[order[ranks]]
-        # a row suppresses only rows after it; a row overlapping none of
-        # them changes nothing, so the loop visits only the others
-        later = np.triu(iou_matrix(scene_boxes, scene_boxes) >= NMS_IOU, 1)
-        alive = np.ones(ranks.size, dtype=bool)
-        for r in np.flatnonzero(later.any(axis=1)):
-            if alive[r]:
-                alive &= ~later[r]
-        keep[ranks] = alive
-    rows = order[keep]
+    n = order.size
+    sweep, counts = _sweep(*box_span(boxes, 0), scene_ids)
+    rank = np.argsort(order)[sweep]  # each sweep position's rank
+    hits = [np.empty(0, dtype=np.int64)]
+    for rows, cols in _pair_blocks(counts):
+        later = np.minimum(rows + 1 + cols, n - 1)  # the partners' sweep positions
+        ious = iou_matrix(boxes, boxes, sweep[rows], sweep[later])
+        ri, ci = np.nonzero((cols < counts[rows]) & (ious >= NMS_IOU))
+        a, b = rank[rows[ri, 0]], rank[later[ri, ci]]
+        hits.append(np.minimum(a, b) * n + np.maximum(a, b))
+    # the greedy pass over ranks: a row still alive kills its later hits
+    alive = bytearray(b"\x01") * n
+    for first, later in zip(*map(np.ndarray.tolist, np.divmod(np.sort(np.concatenate(hits)), n))):
+        if alive[first]:
+            alive[later] = 0
+    rows = order[np.frombuffer(alive, dtype=bool)]
     return Detections(scene_ids[rows], boxes[rows], scores[rows])
 
 
@@ -113,20 +157,34 @@ def _greedy_claims(dets, gt_by_scene, iou_thr):
     unclaimed gt of its scene with the highest IoU >= iou_thr (the first one
     on ties).  Returns (order, is_tp): the visiting order as indices
     into dets, and per rank whether that detection claimed a gt.
+
+    Each detection is paired with its scene's rows of one gt table sorted by
+    scene, and claims its first unclaimed hit in (-IoU, gt column) order.
     """
     order = np.argsort(-dets.score, kind="stable")
-    ranked_scene_ids = dets.scene_id[order]
+    scenes = sorted(gt_by_scene)
+    gt_sid = np.repeat(np.array(scenes, dtype=np.int64), [len(gt_by_scene[s]) for s in scenes])
+    gt_boxes = np.concatenate([np.empty((0, 4)), *(gt_by_scene[s] for s in scenes)])
+    sid = dets.scene_id
+    counts = (np.searchsorted(gt_sid, sid, side="right") - np.searchsorted(gt_sid, sid))[order]
+    hits, winners = [], []
+    for rows, cols in _pair_blocks(counts):
+        g = np.searchsorted(gt_sid, sid[order[rows]]) + cols
+        np.minimum(g, gt_sid.size - 1, out=g)
+        ious = iou_matrix(dets.boxes, gt_boxes, order[rows], g)
+        ri, ci = np.nonzero((cols < counts[rows]) & (ious >= iou_thr) & (ious > 0))
+        hits.append((rows[ri, 0], ious[ri, ci], g[ri, ci]))
+    if hits:
+        rows, ious, gts = map(np.concatenate, zip(*hits))
+        by_claim = np.lexsort((gts, -ious, rows))
+        claimed, last = set(), -1
+        for r, g in zip(rows[by_claim].tolist(), gts[by_claim].tolist()):
+            if r != last and g not in claimed:
+                claimed.add(g)
+                winners.append(r)
+                last = r
     is_tp = np.zeros(len(dets), dtype=bool)
-    for sid, gts in gt_by_scene.items():
-        ranks = np.flatnonzero(ranked_scene_ids == sid)
-        ious = iou_matrix(dets.boxes[order[ranks]], gts)
-        ious = np.where((ious >= iou_thr) & (ious > 0), ious, -np.inf)
-        # only rows with a candidate gt can claim; a claim closes its column
-        for r in np.flatnonzero(ious.max(axis=1, initial=-np.inf) > -np.inf):
-            j = np.argmax(ious[r])
-            if ious[r, j] > -np.inf:
-                ious[:, j] = -np.inf
-                is_tp[ranks[r]] = True
+    is_tp[winners] = True
     return order, is_tp
 
 

@@ -42,20 +42,31 @@ def iou(a, b) -> float:
     return inter / (aw * ah + bw * bh - inter)
 
 
-def iou_matrix(boxes_a, boxes_b):
-    """Pairwise IoU of (n, 4) and (m, 4) (cx, cy, w, h) arrays, shape (n, m).
+def box_span(boxes, axis: int, rows=slice(None)):
+    """Low and high edges of boxes[rows] on axis 0 (x) or 1 (y), as ``iou``
+    computes them: centre -+ side / 2."""
+    centre, half = boxes[:, axis][rows], boxes[:, axis + 2][rows] / 2
+    return centre - half, centre + half
 
-    Each entry is ``iou``'s float expression, so the two agree bit for bit.
+
+def iou_matrix(boxes_a, boxes_b, rows_a=(slice(None), None), rows_b=slice(None)):
+    """IoU of (cx, cy, w, h) rows boxes_a[rows_a] against boxes_b[rows_b], which
+    broadcast together: by default every pair of (n, 4) and (m, 4), (n, m).
+
+    The one float expression behind NMS, matching and the pool's labels;
+    ``iou`` computes it too.  Index arrays gather each column as it is read,
+    so that a pass over row pairs holds few arrays of its size at a time.
     """
-    acx, acy, aw, ah = (col[:, None] for col in boxes_a.T)
-    bcx, bcy, bw, bh = boxes_b.T
-    # x overlap times y overlap, in place: NMS calls this on 256x256 pairs,
-    # and each (n, m) temporary adds to the peak RSS
-    inter = np.clip(np.minimum(acx + aw / 2, bcx + bw / 2)
-                    - np.maximum(acx - aw / 2, bcx - bw / 2), 0.0, None)
-    inter *= np.clip(np.minimum(acy + ah / 2, bcy + bh / 2)
-                     - np.maximum(acy - ah / 2, bcy - bh / 2), 0.0, None)
-    return inter / (aw * ah + bw * bh - inter)
+    def overlap(axis):
+        lo, hi = zip(box_span(boxes_a, axis, rows_a), box_span(boxes_b, axis, rows_b))
+        hi = np.minimum(*hi)
+        hi -= np.maximum(*lo)
+        return np.maximum(hi, 0.0, out=hi)
+
+    inter = overlap(0)
+    inter *= overlap(1)
+    area_a = boxes_a[:, 2][rows_a] * boxes_a[:, 3][rows_a]
+    return inter / (area_a + boxes_b[:, 2][rows_b] * boxes_b[:, 3][rows_b] - inter)
 
 
 @dataclass(eq=False)  # array fields: == would compare them elementwise
@@ -206,7 +217,7 @@ _MULT_LO = np.uint64(_PCG64_MULT & 0xFFFFFFFFFFFFFFFF)
 _MULT_LO_0, _MULT_LO_1 = np.uint64(_PCG64_MULT & _MASK32), np.uint64(_PCG64_MULT >> 32 & _MASK32)
 _ZIGGURAT_ABS = np.uint64((1 << 52) - 1)
 _CHUNK = 4096  # anchors drawn per array pass; bounds the temporaries' memory
-_SPARE = 4  # raw outputs drawn per anchor past its d normals and 2 uniforms, for wedge tests
+_SPARE = 8  # raw outputs drawn past the d normals and 2 uniforms of a row off the fast path
 _WEDGE_BAND = 2.0**-30  # wedge tests closer than this (relative) to the boundary are replayed
 
 
@@ -317,23 +328,31 @@ def _mul128_pcg(hi, lo):
     return carry + hi * _MULT_LO + lo * _MULT_HI, lo * _MULT_LO
 
 
-def _pcg64_outputs(seeds: np.ndarray, k: int) -> np.ndarray:
-    """The first k raw outputs of each row's seeded PCG64 stream, (n, k) uint64.
-
-    PCG64 XSL-RR: seed as _pcg64_state; each output steps the LCG and returns
-    rotr64(hi ^ lo, hi >> 58) of the new state.
-    """
+def _pcg64_start(seeds: np.ndarray) -> list:
+    """Each row's seeded PCG64 LCG, as _pcg64_state: uint64 columns [hi, lo,
+    inc_hi, inc_lo] of its state and increment, for _pcg64_outputs."""
     s_hi, s_lo, i_hi, i_lo = seeds.T
     one = np.uint64(1)
     inc_hi, inc_lo = i_hi << one | i_lo >> np.uint64(63), i_lo << one | one
     hi, lo = _mul128_pcg(*_add128(inc_hi, inc_lo, s_hi, s_lo))
-    hi, lo = _add128(hi, lo, inc_hi, inc_lo)
-    out = np.empty((seeds.shape[0], k), dtype=np.uint64)
+    return [*_add128(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo]
+
+
+def _pcg64_outputs(state: list, k: int) -> np.ndarray:
+    """The next k raw outputs (n, k) uint64 of each row's _pcg64_start state,
+    which is advanced past them in place.
+
+    PCG64 XSL-RR: each output steps the LCG and returns rotr64(hi ^ lo,
+    hi >> 58) of the new state.
+    """
+    hi, lo, inc_hi, inc_lo = state
+    out = np.empty((hi.size, k), dtype=np.uint64)
     for j in range(k):
         hi, lo = _add128(*_mul128_pcg(hi, lo), inc_hi, inc_lo)
         x, rot = hi ^ lo, hi >> np.uint64(58)
         # the left shift is taken mod 64, so that rot = 0 never shifts by 64
         out[:, j] = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    state[:2] = hi, lo
     return out
 
 
@@ -443,18 +462,20 @@ def _draw_streams(seeds: np.ndarray, spec: SceneSpec):
 
     One array pass reads the normals off the ziggurat's fast path and the
     uniforms as (r >> 11) * 2**-53.  The rows any of whose d normals leaves
-    the fast path go through _cursor_pass, which draws their wedge tests on
-    _SPARE more outputs per row.  The few rows it leaves undecided (tail
-    draws, mostly) are replayed with numpy's own generator; the second
-    uniform is drawn there only when the first is below spec.hard_fraction,
-    as for the stream it stands for.
+    the fast path go through _cursor_pass, which reads their wedge tests off
+    _SPARE more outputs drawn for these rows only.  The few rows it leaves
+    undecided (tail draws, mostly) are replayed with numpy's own generator;
+    the second uniform is drawn there only when the first is below
+    spec.hard_fraction, as for the stream it stands for.
     """
     d = spec.feature_dim
-    raw = _pcg64_outputs(seeds, d + 2 + _SPARE)
+    state = _pcg64_start(seeds)
+    raw = _pcg64_outputs(state, d + 2)
     _, normals, fast = _ziggurat_candidates(raw[:, :d])
-    uniforms = _uniforms(raw[:, d:d + 2])
+    uniforms = _uniforms(raw[:, d:])
     slow = np.flatnonzero(~fast.all(axis=1))
-    rows, slow_normals, slow_uniforms = _cursor_pass(raw[slow], d)
+    spare = _pcg64_outputs([col[slow] for col in state], _SPARE)
+    rows, slow_normals, slow_uniforms = _cursor_pass(np.hstack([raw[slow], spare]), d)
     normals[slow[rows]], uniforms[slow[rows]] = slow_normals, slow_uniforms
     replay = np.delete(slow, rows)
     rng = np.random.Generator(np.random.PCG64(0))

@@ -7,6 +7,11 @@ file stays fast; the full-scale trend checks live in the acceptance tests.
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +37,7 @@ from dghm.experiments import (
     validate_config_dict,
     write_run_rows,
 )
-from dghm import metrics
+from dghm import experiments, metrics
 from dghm.harmonizer import HarmonizerConfig
 from dghm.losses import sigmoid
 from dghm.metrics import NMS_IOU, MetricsReport, decode_and_suppress
@@ -500,6 +505,28 @@ def test_predict_scenes_rejects_a_nan_score_at_any_floor():
     for floor in (0.0, LEVEL_SCORES[4]):
         with pytest.raises(ValueError, match="score must be in"):
             predict_scenes(model, pool, min_score=floor)
+
+
+def test_a_run_never_imports_numpy_ma():
+    """np.unique imports numpy.ma, ~5 ms and ~1.3 MiB in every fresh process;
+    nothing a run calls may, so a toy run in a fresh interpreter leaves it out."""
+    code = textwrap.dedent("""
+        import sys
+        from dghm.experiments import CorpusConfig, ExperimentConfig, run_single
+        from dghm.simdata import SceneSpec
+        spec = SceneSpec(extent=(24.0, 24.0), objects_per_ap_scene=(1, 2),
+                         object_size=(6.0, 8.0), anchor_sizes=(7.0,), feature_dim=4)
+        cfg = ExperimentConfig(corpus=CorpusConfig(scene_spec=spec, n_ap=8, n_np=8, seed=5),
+                               folds=2, epochs=2, batch_size=16, steps_per_epoch=5)
+        for loss in ("ce", "dghm_c"):
+            print(run_single(cfg, loss, 0.5, fold=0, seed=0).report.flags)
+        print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+    """)
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_test_fold_nms_stops_short_of_the_full_pool(monkeypatch):

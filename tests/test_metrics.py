@@ -6,6 +6,7 @@ score threshold and must agree exactly.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from dghm.metrics import (
     write_report,
 )
 from dghm import metrics
-from dghm.simdata import iou, iou_matrix
+from dghm.simdata import box_span, iou, iou_matrix
 
 
 def det(*rows):
@@ -548,6 +549,199 @@ def test_match_detections_ignores_scene_ids():
     gts = gt((10, 10, 6, 6), (30, 30, 6, 6))
     rep = match_detections(det((3, 10, 10, 6, 6, 0.9), (7, 30, 30, 6, 6, 0.8)), gts)
     assert (rep.tp, rep.fp, rep.fn) == (2, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the all-scene sweep and pair passes against the per-scene loops
+# ---------------------------------------------------------------------------
+
+
+def per_scene_suppress_reference(anchor_boxes, scene_ids, scores, offsets):
+    """decode_and_suppress as a loop over scenes: one IoU matrix per scene, and
+    a greedy loop over the rows that overlap a later one."""
+    scores = np.asarray(scores, dtype=np.float64)
+    scene_ids = np.asarray(scene_ids)
+    boxes = decode_boxes(anchor_boxes, offsets)
+    order = np.lexsort((np.arange(scores.size), scene_ids, -scores))
+    sorted_sids = scene_ids[order]
+    keep = np.zeros(order.size, dtype=bool)
+    for sid in np.unique(sorted_sids):
+        ranks = np.flatnonzero(sorted_sids == sid)
+        scene_boxes = boxes[order[ranks]]
+        later = np.triu(iou_matrix(scene_boxes, scene_boxes) >= NMS_IOU, 1)
+        alive = np.ones(ranks.size, dtype=bool)
+        for r in np.flatnonzero(later.any(axis=1)):
+            if alive[r]:
+                alive &= ~later[r]
+        keep[ranks] = alive
+    rows = order[keep]
+    return metrics.Detections(scene_ids[rows], boxes[rows], scores[rows])
+
+
+def per_scene_claims_reference(dets, gt_by_scene, iou_thr):
+    """_greedy_claims as a loop over scenes: one IoU matrix per scene, -inf
+    outside the threshold, and each claim closes its column."""
+    order = np.argsort(-dets.score, kind="stable")
+    ranked_scene_ids = dets.scene_id[order]
+    is_tp = np.zeros(len(dets), dtype=bool)
+    for sid, gts in gt_by_scene.items():
+        ranks = np.flatnonzero(ranked_scene_ids == sid)
+        ious = iou_matrix(dets.boxes[order[ranks]], gts)
+        ious = np.where((ious >= iou_thr) & (ious > 0), ious, -np.inf)
+        for r in np.flatnonzero(ious.max(axis=1, initial=-np.inf) > -np.inf):
+            j = np.argmax(ious[r])
+            if ious[r, j] > -np.inf:
+                ious[:, j] = -np.inf
+                is_tp[ranks[r]] = True
+    return order, is_tp
+
+
+SWEEP_CASES = ("grid", "near_touching", "one_row_scenes", "crowded", "nan_boxes",
+               "nan_score", "empty", "wide_scene_ids")
+
+
+def grid_boxes(rng, n, x_range=16):
+    """(n, 4) boxes with integer centres and even sides: left edges are often
+    equal, x-intervals often touch exactly and IoUs tie."""
+    return np.column_stack([rng.integers(0, x_range, n), rng.integers(0, 16, n),
+                            2 * rng.integers(1, 4, (n, 2))]).astype(float)
+
+
+def sweep_inputs(seed, case):
+    """(anchor boxes, scene ids, scores, offsets, gt_by_scene) of one SWEEP_CASES case.
+
+    Rows lie in scenes 0-4 and score in steps of 0.1, so scores tie.
+    gt_by_scene holds gts for scenes 0-2 and 6 (which has no rows), an empty
+    array for scene 3, and nothing for scene 4.
+    """
+    rng = np.random.default_rng(seed)
+    n = {"empty": 0, "crowded": 70}.get(case, int(rng.integers(1, 120)))
+    anchors = grid_boxes(rng, n)
+    scene_ids = rng.integers(0, 5, n)
+    scores = np.round(rng.uniform(size=n), 1)
+    offsets = np.zeros((n, 4))  # decoded boxes stay on the grid
+    gt_by_scene = {sid: grid_boxes(rng, int(rng.integers(1, 6))) for sid in (0, 1, 2, 6)}
+    gt_by_scene[3] = gt()
+    if case == "near_touching":
+        # centres moved by +-2**-33 of a width: touching edges overlap or part
+        # by a sliver, and equal left edges differ in their last bits
+        offsets[:, 0] = rng.integers(-1, 2, n) * 2.0**-33
+    elif case == "one_row_scenes":
+        scene_ids[: n // 2] = 100 + np.arange(n // 2)
+    elif case == "crowded":
+        # one scene whose 2415 pairs all overlap in x: two passes at the default size
+        scene_ids[:] = 0
+        anchors[:, 2] = 40.0
+    elif case == "nan_boxes":
+        offsets[rng.uniform(size=n) < 0.2, int(rng.integers(4))] = np.nan
+    elif case == "nan_score":
+        scores[rng.integers(n)] = np.nan
+    elif case == "wide_scene_ids":
+        wide = np.array([2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**62, 2**32 + 7, 9])
+        scene_ids = wide[scene_ids]
+        gt_by_scene = {int(wide[sid]): gts for sid, gts in gt_by_scene.items()}
+        offsets[:, 0] = rng.integers(-1, 2, n) * 2.0**-33
+    return anchors, scene_ids, scores, offsets, gt_by_scene
+
+
+def assert_same_columns(got, want):
+    for x, y in zip(got, want, strict=True):
+        np.testing.assert_array_equal(x, y)
+        assert x.dtype == y.dtype
+
+
+@pytest.mark.parametrize("pass_size", [1, 3, metrics.PAIR_PASS])
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_suppress_equals_the_per_scene_loop(monkeypatch, case, pass_size):
+    seeds = range(20 if pass_size == metrics.PAIR_PASS else 5)  # small passes are slow
+    monkeypatch.setattr(metrics, "PAIR_PASS", pass_size)
+    # Detections refuses a NaN score, so both sides return their raw columns
+    monkeypatch.setattr(metrics, "Detections", lambda *columns: columns)
+    suppressed = 0
+    for seed in seeds:
+        args = sweep_inputs(seed, case)[:4]
+        got = decode_and_suppress(*args)
+        assert_same_columns(got, per_scene_suppress_reference(*args))
+        suppressed += len(args[2]) - len(got[2])
+    assert suppressed > 0 or case == "empty"
+
+
+@pytest.mark.parametrize("pass_size", [1, 3, metrics.PAIR_PASS])
+@pytest.mark.parametrize("case", [case for case in SWEEP_CASES if case != "nan_score"])
+def test_greedy_claims_equal_the_per_scene_loop(monkeypatch, case, pass_size):
+    seeds = range(20 if pass_size == metrics.PAIR_PASS else 5)  # small passes are slow
+    monkeypatch.setattr(metrics, "PAIR_PASS", pass_size)
+    tp = 0
+    for seed in seeds:
+        anchors, scene_ids, scores, offsets, gt_by_scene = sweep_inputs(seed, case)
+        dets = Detections(scene_ids, decode_boxes(anchors, offsets), scores)
+        for thr in (EVAL_IOU, NMS_IOU, 0.0):
+            got = _greedy_claims(dets, gt_by_scene, thr)
+            assert_same_columns(got, per_scene_claims_reference(dets, gt_by_scene, thr))
+            tp += int(got[1].sum())
+    assert tp > 0 or case == "empty"
+
+
+def test_the_sweep_pairs_exactly_the_rows_that_overlap_in_x():
+    """_sweep pairs two rows of a scene once when min(x1) - max(x0) > 0, and
+    never otherwise: x-intervals that touch or part by a sliver are not
+    paired, and slivers of overlap are."""
+    touching = slivers = equal_left = 0
+    for case in ("grid", "near_touching", "crowded", "nan_boxes", "wide_scene_ids"):
+        for seed in range(10):
+            anchors, scene_ids, _, offsets, _ = sweep_inputs(seed, case)
+            x0, x1 = box_span(decode_boxes(anchors, offsets), 0)
+            sweep, counts = metrics._sweep(x0, x1, scene_ids)
+            got = sorted((min(a, b), max(a, b)) for p, count in enumerate(counts.tolist())
+                         for a, b in zip([sweep[p]] * count, sweep[p + 1:p + 1 + count]))
+            overlap = np.minimum(x1[:, None], x1) - np.maximum(x0[:, None], x0)
+            later = np.triu(scene_ids[:, None] == scene_ids, 1)
+            assert got == list(zip(*np.nonzero(later & (overlap > 0)))), (case, seed)
+            touching += np.count_nonzero(later & (overlap == 0))
+            slivers += np.count_nonzero(later & (np.abs(overlap) < 1e-6) & (overlap != 0))
+            equal_left += np.count_nonzero(later & (x0[:, None] == x0))
+    assert touching > 0 and slivers > 0 and equal_left > 0
+
+
+def eval_heavy_shaped_fold(seed=0):
+    """(anchor boxes, scene ids, scores, offsets, gt_by_scene) shaped like
+    eval_heavy's test fold: 64 scenes of 78 rows, boxes 10-14 wide in a
+    64-wide extent, and 5 gts in each of the 32 abnormal scenes."""
+    rng = np.random.default_rng(seed)
+    n = 64 * 78
+
+    def boxes(k):
+        return np.column_stack([rng.uniform(6, 58, (k, 2)), rng.uniform(10, 14, (k, 2))])
+
+    gt_by_scene = {sid: boxes(5) for sid in range(32)}
+    return (boxes(n), np.repeat(np.arange(64), 78), rng.uniform(size=n),
+            rng.normal(0.0, 0.05, (n, 4)), gt_by_scene)
+
+
+def traced_peak_kib(fn, *args):
+    """The most memory fn(*args) held at once beyond what was live before, by tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 1024
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_nms_and_matching_hold_little_memory_at_a_time():
+    """Pair passes bound what NMS and matching hold at once: 652 and 208 KiB
+    here, against 491 and 76 KiB for the per-scene loops, and 1395 and
+    582 KiB when every pass held its gathered box columns side by side."""
+    anchors, scene_ids, scores, offsets, gt_by_scene = eval_heavy_shaped_fold()
+    dets = decode_and_suppress(anchors, scene_ids, scores, offsets)
+    assert len(dets) > 3000
+    assert traced_peak_kib(decode_and_suppress, anchors, scene_ids, scores, offsets) < 1024
+    assert traced_peak_kib(_greedy_claims, dets, gt_by_scene, EVAL_IOU) < 256
 
 
 def test_detection_score_validated():

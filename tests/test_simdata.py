@@ -451,7 +451,7 @@ def test_crafted_state_yields_raw_output():
 
 def test_pcg64_outputs_match_numpy_raw_stream():
     seeds = _seed_states([0, np.arange(5), 2**32 - 1])
-    raw = simdata._pcg64_outputs(seeds, 7)
+    raw = simdata._pcg64_outputs(simdata._pcg64_start(seeds), 7)
     for row, words in zip(raw, seeds.tolist()):
         bitgen = np.random.PCG64(0)
         bitgen.state = _pcg64_state(*words)
@@ -529,7 +529,7 @@ def test_draw_streams_at_the_fast_path_boundary(hard_fraction, monkeypatch):
     outputs.append((mid, 0))  # u = 0: the wedge test accepts
     outputs.append((mid, 2**64 - 1))  # u = 1 - 2**-53: it rejects, and numpy draws again
     seeds = seeds_with_outputs(outputs)
-    first = simdata._pcg64_outputs(seeds, 3)
+    first = simdata._pcg64_outputs(simdata._pcg64_start(seeds), 3)
     assert first[:, 0].tolist() == [entry if isinstance(entry, int) else entry[0]
                                     for entry in outputs]
     for row, reject in ((-2, False), (-1, True)):  # numpy's own path for the crafted u
@@ -540,7 +540,8 @@ def test_draw_streams_at_the_fast_path_boundary(hard_fraction, monkeypatch):
         assert reject or x == (mid >> 9) * wi[128]
     tail = [row for row, r in enumerate(first[:, 0].tolist())
             if r & 0xFF == 0 and r >> 9 >= int(bound[0])]
-    slow = [row for row, rs in enumerate(simdata._pcg64_outputs(seeds, spec.feature_dim).tolist())
+    head = simdata._pcg64_outputs(simdata._pcg64_start(seeds), spec.feature_dim)
+    slow = [row for row, rs in enumerate(head.tolist())
             if any(r >> 9 & (2**52 - 1) >= int(bound[r & 0xFF]) for r in rs)]
     assert len(tail) == 2 and len(slow) >= 11
     for spare, replayed in ((simdata._SPARE, tail), (0, slow)):
@@ -550,6 +551,24 @@ def test_draw_streams_at_the_fast_path_boundary(hard_fraction, monkeypatch):
         normals, uniforms = simdata._draw_streams(seeds, spec)
         assert calls == [tuple(seeds[row].tolist()) for row in replayed]
         assert_streams_match_numpy(seeds, spec, normals, uniforms)
+
+
+def test_spare_outputs_are_drawn_for_slow_rows_only_and_leave_few_replays(monkeypatch):
+    """At feature_dim 40, corpus seed 7, the _SPARE outputs drawn past d + 2 for
+    the rows off the fast path leave 1.04 % of 16384 rows to numpy's replay
+    (2.29 % with 4 spares)."""
+    spec = SceneSpec(feature_dim=40, hard_fraction=0.5)
+    draws, outputs = [], simdata._pcg64_outputs
+    monkeypatch.setattr(simdata, "_pcg64_outputs",
+                        lambda state, k: draws.append((state[0].size, k)) or outputs(state, k))
+    calls = counted_replays(monkeypatch)
+    rows = np.arange(16384)
+    for start in range(0, rows.size, simdata._CHUNK):
+        chunk = rows[start:start + simdata._CHUNK]
+        simdata._draw_streams(simdata._anchor_seeds(7, chunk // 256, chunk % 256), spec)
+    assert len(calls) < 0.015 * rows.size
+    assert [k for _, k in draws] == [spec.feature_dim + 2, simdata._SPARE] * 4
+    assert draws[0][0] == simdata._CHUNK and all(n < 0.5 * simdata._CHUNK for n, _ in draws[1::2])
 
 
 @pytest.mark.parametrize("feature_dim", [2, 16, 40])
