@@ -600,10 +600,10 @@ SWEEP_CASES = ("grid", "near_touching", "one_row_scenes", "crowded", "nan_boxes"
                "nan_score", "empty", "wide_scene_ids")
 
 
-def grid_boxes(rng, n, x_range=16):
+def grid_boxes(rng, n):
     """(n, 4) boxes with integer centres and even sides: left edges are often
     equal, x-intervals often touch exactly and IoUs tie."""
-    return np.column_stack([rng.integers(0, x_range, n), rng.integers(0, 16, n),
+    return np.column_stack([rng.integers(0, 16, n), rng.integers(0, 16, n),
                             2 * rng.integers(1, 4, (n, 2))]).astype(float)
 
 
