@@ -13,7 +13,8 @@ from dghm import (
     MODE_PARTITIONS,
     HarmonizerConfig,
     Mode,
-    build_histograms,
+    bin_counts,
+    flat_bins,
     gradient_density,
     harmonize_weights,
 )
@@ -28,17 +29,19 @@ def main():
     codes = np.array([0, 0, 0, 1])
     names = [MODE_PARTITIONS[Mode.DGHM][c].value for c in codes]
 
-    cfg = HarmonizerConfig(mode=Mode.DGHM, bin_count=10)
-    hists = build_histograms(g, codes, cfg)
+    # Each (partition, bin) pair has one index into the raveled (M, B)
+    # counts, code * B + bin: here [0, 0, 5, 19].  One bincount over it gives
+    # every partition's histogram, and reading it back gives each density.
+    g, _, flat = flat_bins(g, codes, 10)
+    hists = bin_counts(flat, len(MODE_PARTITIONS[Mode.DGHM]), 10)
 
     print("per-partition histograms (10 unit regions over [0, 1]):")
     for part, counts in zip(MODE_PARTITIONS[Mode.DGHM], hists):
-        print(f"  {part.value:6s} counts = {counts.astype(int)}")
+        print(f"  {part.value:6s} counts = {counts}")
 
     print("\ngradient densities (count in bin / clipped region length):")
-    for gi, code, name in zip(g, codes, names):
-        print(f"  g = {gi:4.2f} [{name:6s}]  GD = "
-              f"{gradient_density(hists, gi, code):6.2f}")
+    for gi, name, gd in zip(g, names, gradient_density(hists, g, flat)):
+        print(f"  g = {gi:4.2f} [{name:6s}]  GD = {gd:6.2f}")
 
     for mu_n, mu_c, label in [(1.0, 1.0, "plain inverse density (GHM-style)"),
                               (2.0, 0.5, "decoupled outlier exponents")]:

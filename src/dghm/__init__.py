@@ -16,8 +16,9 @@ from .harmonizer import (
     LossSpec,
     Mode,
     Partition,
-    build_histograms,
+    bin_counts,
     classification_loss_and_grad,
+    flat_bins,
     gradient_density,
     harmonize_weights,
     partition_of,
@@ -40,11 +41,12 @@ __all__ = [
     "MODE_PARTITIONS", "CorruptionSpec", "Detections", "FocalParams",
     "HarmonizerConfig", "LossSpec", "MetricsReport", "Mode", "Partition",
     "Predictor", "SceParams", "Scene", "SceneSpec", "TrainConfig",
-    "build_histograms", "ce_grad_logit", "ce_loss",
+    "bin_counts", "ce_grad_logit", "ce_loss",
     "classification_loss_and_grad", "corrupt_annotations",
-    "finite_difference_check", "focal_loss", "froc", "gradient_density",
-    "gradient_norm", "harmonize_weights", "iou", "match_detections", "nfps",
-    "operating_point", "partition_of", "sce_loss", "sigmoid", "train",
+    "finite_difference_check", "flat_bins", "focal_loss", "froc",
+    "gradient_density", "gradient_norm", "harmonize_weights", "iou",
+    "match_detections", "nfps", "operating_point", "partition_of",
+    "sce_loss", "sigmoid", "train",
 ]
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Gradient-density estimation over decoupled example partitions.
 
 The harmonizer bins gradient norms g = |p - p*| into fixed unit regions over
-[0, 1], estimates the gradient density GD(g) = count_in_bin / valid_length,
-and turns it into per-example weights
+[0, 1], estimates the gradient density GD(g) = count_in_bin / region_length
+(the unit region around g clipped to [0, 1]), and turns it into per-example
+weights
 
     beta_i = N' / GD(g_i)^{gamma_i}
 
@@ -17,6 +18,10 @@ outliers) and is 1 otherwise.  Three modes are supported:
 An example's partition is an integer code indexing MODE_PARTITIONS[mode], and
 a mode's histograms are one (M, B) array of bin counts whose rows follow the
 same order, so the three modes share one weighted-CE kernel with M = 1, 2 or 3.
+One histogram path serves the training step, the trainer's per-epoch and
+whole-pool counts and the figure curves: flat_bins checks g and gives each
+(code, bin) pair its index code * B + bin into the raveled counts,
+bin_counts counts that index as (M, B) and gradient_density reads it back.
 Weights are constants of the current batch: no gradient ever flows through
 the histogram or beta.
 """
@@ -109,56 +114,28 @@ def bin_index(g, bin_count: int):
     return np.minimum((g * bin_count).astype(np.int64), bin_count - 1)
 
 
-def valid_length(g, bin_count: int, out=None, scratch=None):
-    """Length of the unit region around g clipped to [0, 1].
-
-    out and scratch, two float64 arrays shaped like g, take the length and
-    the temporary; out is returned.  Without them both are allocated.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    half = 0.5 / bin_count
-    upper = np.minimum(np.add(g, half, out=out), 1.0, out=out)
-    lower = np.maximum(np.subtract(g, half, out=scratch), 0.0, out=scratch)
-    return np.subtract(upper, lower, out=out)
-
-
-def _check_unit_range(g):
-    # written so that a NaN, which compares false, fails it too
-    if g.size and not (g.min() >= 0.0 and g.max() <= 1.0):
-        raise ValueError("gradient norms must lie in [0, 1]")
-
-
-def histogram_counts(g, codes, n_partitions: int, bin_count: int):
-    """(M, B) integer bin counts: row m counts the gradient norms with code m.
+def flat_bins(g, codes, bin_count: int):
+    """Check and bin gradient norms: returns (g as float64, each g's bin, and
+    each (code, bin) pair's index into the raveled (M, B) counts).
 
     Bins are half-open [k/B, (k+1)/B) except the last, which is closed at 1.
     """
-    flat = _flat_bins(codes, bin_index(g, bin_count), bin_count)
-    return _bin_counts(flat, n_partitions, bin_count)
+    g = np.asarray(g, dtype=np.float64)
+    codes = np.asarray(codes, dtype=np.int64)
+    if g.shape != codes.shape:
+        raise ValueError("g and codes must have equal length")
+    # written so that a NaN, which compares false, fails it too
+    if g.size and not (g.min() >= 0.0 and g.max() <= 1.0):
+        raise ValueError("gradient norms must lie in [0, 1]")
+    bins = bin_index(g, bin_count)
+    return g, bins, codes * bin_count + bins
 
 
-def _flat_bins(codes, bins, bin_count: int):
-    """Index of each (code, bin) pair in the raveled (M, B) counts."""
-    return np.asarray(codes, dtype=np.int64) * bin_count + bins
-
-
-def _bin_counts(flat, n_partitions: int, bin_count: int):
+def bin_counts(flat, n_partitions: int, bin_count: int):
+    """(M, B) integer bin counts of a flat_bins index: row m counts code m,
+    and an empty partition gets a zero row."""
     counts = np.bincount(flat, minlength=n_partitions * bin_count)
     return counts.reshape(n_partitions, bin_count)
-
-
-def build_histograms(g, codes, cfg: HarmonizerConfig):
-    """One row of bin counts per partition of cfg.mode, as an (M, B) float array.
-
-    Rows follow MODE_PARTITIONS[cfg.mode]; an empty partition gets a zero row.
-    Counts are floats because EMA smoothing makes them fractional.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != np.shape(codes):
-        raise ValueError("g and codes must have equal length")
-    _check_unit_range(g)
-    counts = histogram_counts(g, codes, len(MODE_PARTITIONS[cfg.mode]), cfg.bin_count)
-    return counts.astype(np.float64)
 
 
 class EmaHistograms:
@@ -179,28 +156,21 @@ class EmaHistograms:
         return counts
 
 
-def gradient_density(counts, g, codes=0):
-    """GD(g) = count of g's bin in row `codes` of the counts / clipped region length.
+def gradient_density(counts, g, flat, scratch=None):
+    """GD(g) = count of g's bin / length of g's unit region clipped to [0, 1].
 
-    counts is an (M, B) histogram set or a single (B,) row; codes picks the
-    row of each g.  An empty bin counts as 1 so the density is always
-    positive; that floor can only fire for curve sampling, never for a g that
-    was itself binned.
+    counts is an (M, B) array and g, flat come from flat_bins at its width B.
+    An empty bin counts as 1 so the density is always positive; that floor
+    can only fire for curve sampling, never for a g that was itself binned.
+    scratch, a (2, n) float64 array, takes the region lengths (row 0) and
+    the density (row 1, which is returned), and then the counts must be
+    float64 too; without it both are allocated.
     """
-    counts = np.atleast_2d(counts)
-    g = np.asarray(g, dtype=np.float64)
-    _check_unit_range(g)
-    bin_count = counts.shape[1]
-    return _density(counts, g, _flat_bins(codes, bin_index(g, bin_count), bin_count))
-
-
-def _density(counts, g, flat, scratch=None):
-    """gradient_density of float64 g already checked, with flat its
-    _flat_bins index into the (M, B) or (B,) counts array.  scratch, a
-    (2, n) float64 array, takes the valid lengths (row 0) and the density
-    (row 1, which is returned); without it both are allocated."""
     length, gd = (None, None) if scratch is None else scratch
-    length = valid_length(g, counts.shape[-1], out=length, scratch=gd)
+    half = 0.5 / counts.shape[-1]
+    upper = np.minimum(np.add(g, half, out=length), 1.0, out=length)
+    lower = np.maximum(np.subtract(g, half, out=gd), 0.0, out=gd)
+    length = np.subtract(upper, lower, out=upper)
     density = np.maximum(counts.ravel().take(flat, out=gd), 1.0, out=gd)
     return np.divide(density, length, out=gd)
 
@@ -260,23 +230,18 @@ def harmonize_weights(g, codes, cfg: HarmonizerConfig, histograms=None,
     buffers, the trainer's StepBuffers, lends rows 0 and 1 of its (3, n)
     scratch to the density; the returned record holds fresh arrays only.
     """
-    g = np.asarray(g, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.int64)
-    if g.shape != codes.shape:
-        raise ValueError("g and codes must have equal length")
-    _check_unit_range(g)
-    m, n = len(MODE_PARTITIONS[cfg.mode]), g.size
     # g is checked and binned once: one flat (code, bin) index serves the
     # counts and the density alike
     bin_count = cfg.bin_count if histograms is None else np.shape(histograms)[-1]
-    bins = bin_index(g, bin_count)
-    flat = _flat_bins(codes, bins, bin_count)
+    g, bins, flat = flat_bins(g, codes, bin_count)
+    m, n = len(MODE_PARTITIONS[cfg.mode]), g.size
     if histograms is None:
-        histograms = _bin_counts(flat, m, bin_count).astype(np.float64)
+        histograms = bin_counts(flat, m, bin_count).astype(np.float64)
         if ema is not None:
             histograms = ema.update(histograms)
-    gd = _density(np.asarray(histograms), g, flat,
-                  None if buffers is None else buffers.scratch[:2])
+    gd = gradient_density(np.asarray(histograms), g, flat,
+                          None if buffers is None else buffers.scratch[:2])
     gamma = np.where(g >= cfg.outlier_threshold, cfg.gamma_by_code.take(codes), 1.0)
     n_prime = n if cfg.n_convention == "total" else np.bincount(codes, minlength=m).take(codes)
     beta = np.divide(n_prime, np.power(gd, gamma, out=gd))
@@ -406,7 +371,8 @@ def reformulated_gradient_curve(spec: LossSpec, histograms=None, partition: int 
         raise ValueError("harmonized curves need a fitted histogram")
     cfg = spec.harmonizer
     counts = np.atleast_2d(histograms)
-    gd = gradient_density(counts, g, partition)
+    g, _, flat = flat_bins(g, np.full(samples, partition), counts.shape[1])
+    gd = gradient_density(counts, g, flat)
     gamma = np.where(g >= cfg.outlier_threshold, cfg.gamma_by_code[partition], 1.0)
     n_prime = counts.sum() if cfg.n_convention == "total" else counts[partition].sum()
     beta = n_prime / gd**gamma

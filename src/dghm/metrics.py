@@ -399,9 +399,9 @@ def t_r_recall(dets, kept_by_scene, removed_by_scene, threshold: float,
     t_rec, _ = recall(t_rep)
     if not any(map(len, removed_by_scene.values())):
         return t_rec, None, True
-    r_rep = aggregate_match(above[np.isin(above.scene_id, list(removed_by_scene))],
-                            removed_by_scene, iou_thr)
-    r_rec, _ = recall(r_rep)
+    # a detection pairs only with its own scene's gts, so one in a scene
+    # without removed gts can add an FP but never a TP, and recall reads no FP
+    r_rec, _ = recall(aggregate_match(above, removed_by_scene, iou_thr))
     return t_rec, r_rec, False
 
 

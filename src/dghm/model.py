@@ -19,12 +19,12 @@ import numpy as np
 
 from .harmonizer import (
     EmaHistograms,
-    HarmonizerConfig,
     LossSpec,
     Mode,
+    bin_counts,
     bin_index,
-    build_histograms,
     classification_loss_and_grad,
+    flat_bins,
     partition_of,
 )
 from .losses import gradient_norm, sigmoid, smooth_l1_and_grad
@@ -361,9 +361,11 @@ def pool_gradient_histograms(model: Predictor, pool: AnchorPool, bin_count: int 
     one forward: the two-way (2, B) and the three-way (3, B) counts."""
     logits, _, _ = forward(model, pool.features)
     g = gradient_norm(sigmoid(logits), pool.p_star)
-    return tuple(build_histograms(g, partition_of(pool.p_star, pool.a, mode),
-                                  HarmonizerConfig(mode=mode, bin_count=bin_count))
-                 for mode in (Mode.DGHM, Mode.DGHM_STAR))
+    hists = []
+    for mode, n_partitions in ((Mode.DGHM, 2), (Mode.DGHM_STAR, 3)):
+        _, _, flat = flat_bins(g, partition_of(pool.p_star, pool.a, mode), bin_count)
+        hists.append(bin_counts(flat, n_partitions, bin_count).astype(np.float64))
+    return tuple(hists)
 
 
 def _check_finite(what: str, arr, epoch: int, step: int):
@@ -385,7 +387,7 @@ def train(pool: AnchorPool, cfg: TrainConfig):
     positives in every batch, and so the batch labels.  So are the
     StepBuffers and the Batch, as every batch has the same size: a step
     gathers its rows into them.  Each epoch's clean/noisy counts take one
-    bincount over the flat (partition, bin) index of every row it drew.
+    bin_counts over the flat (partition, bin) index of every row it drew.
     """
     model = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     state = AdamState.for_model(model)
@@ -443,8 +445,7 @@ def train(pool: AnchorPool, cfg: TrainConfig):
             _check_finite("parameter", model.params, epoch, step)
             losses.append(loss)
         records.append(EpochRecord(epoch=epoch, mean_loss=float(np.mean(losses)), lr=lr))
-        epoch_hists.append(np.bincount(epoch_rows.ravel(), minlength=2 * EPOCH_BINS)
-                           .reshape(2, EPOCH_BINS))
+        epoch_hists.append(bin_counts(epoch_rows.ravel(), 2, EPOCH_BINS))
     if any_bad:
         raise TrainingDiverged(f"non-finite feature in pool row "
                                f"{np.flatnonzero(bad_rows)[0]}, which no step drew")

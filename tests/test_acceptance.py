@@ -13,13 +13,13 @@ from dghm.harmonizer import (
     HarmonizerConfig,
     LossSpec,
     Mode,
+    bin_counts,
     bin_index,
-    build_histograms,
+    flat_bins,
     gradient_density,
     harmonize_weights,
     partition_of,
     reformulated_gradient_curve,
-    valid_length,
 )
 from dghm.losses import (
     FocalParams,
@@ -111,17 +111,20 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_gradient_density_oracle():
     rng = np.random.default_rng(22)
     cfg = HarmonizerConfig(mode=Mode.GHM)
+    h = 0.5 / cfg.bin_count
     ok = True
     for _ in range(100):
         g = rng.random(1000)
         parts = np.zeros(1000, dtype=np.int64)  # one pooled partition
-        hist = build_histograms(g, parts, cfg)[0]
+        g, _, flat = flat_bins(g, parts, cfg.bin_count)
+        hist = bin_counts(flat, 1, cfg.bin_count)
         # direct summation: count of examples sharing each example's bin
         bins = np.array([bin_index(gi, cfg.bin_count) for gi in g])
         shared = (bins[:, None] == bins[None, :]).sum(axis=1).astype(float)
-        lengths = np.array([valid_length(gi, cfg.bin_count) for gi in g])
+        # the unit region around each g, clipped to [0, 1]
+        lengths = np.array([min(gi + h, 1.0) - max(gi - h, 0.0) for gi in g])
         oracle = np.maximum(shared, 1.0) / lengths
-        fast = gradient_density(hist, g)
+        fast = gradient_density(hist, g, flat)
         if not np.array_equal(oracle, fast):
             ok = False
             break

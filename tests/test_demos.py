@@ -23,15 +23,53 @@ def test_demos_found():
 
 
 def assert_python_runs(args, cwd, timeout):
+    """Run python with args and return its stdout, which it must exit 0 after."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     assert_python_runs([str(demo)], tmp_path, timeout=300)
+
+
+#: demos/01's stdout: the densities (20 and 10) and weights (0.4 under unit
+#: exponents, 0.04 once squared) that its closing text explains.
+WALKTHROUGH_STDOUT = """\
+per-partition histograms (10 unit regions over [0, 1]):
+  clean  counts = [2 0 0 0 0 1 0 0 0 0]
+  noisy  counts = [0 0 0 0 0 0 0 0 0 1]
+
+gradient densities (count in bin / clipped region length):
+  g = 0.05 [clean ]  GD =  20.00
+  g = 0.05 [clean ]  GD =  20.00
+  g = 0.55 [clean ]  GD =  10.00
+  g = 0.95 [noisy ]  GD =  10.00
+
+beta with mu_n=1.0, mu_c=1.0 (plain inverse density (GHM-style)):
+  g = 0.05 [clean ]  gamma = 1.0  beta =  0.200
+  g = 0.05 [clean ]  gamma = 1.0  beta =  0.200
+  g = 0.55 [clean ]  gamma = 1.0  beta =  0.400
+  g = 0.95 [noisy ]  gamma = 1.0  beta =  0.400
+
+beta with mu_n=2.0, mu_c=0.5 (decoupled outlier exponents):
+  g = 0.05 [clean ]  gamma = 1.0  beta =  0.200
+  g = 0.05 [clean ]  gamma = 1.0  beta =  0.200
+  g = 0.55 [clean ]  gamma = 1.0  beta =  0.400
+  g = 0.95 [noisy ]  gamma = 2.0  beta =  0.040
+
+The noisy outlier at g = 0.95 keeps weight 0.4 under unit exponents
+but is crushed to 0.04 once its density is squared: a confident
+contradiction of a possibly-missing annotation stops dominating the step.
+"""
+
+
+def test_weighting_walkthrough_output_is_pinned(tmp_path):
+    demo = ROOT / "demos" / "01_weighting_walkthrough.py"
+    assert assert_python_runs([str(demo)], tmp_path, timeout=60) == WALKTHROUGH_STDOUT
 
 
 def test_readme_blocks_found():

@@ -20,24 +20,37 @@ from dghm.harmonizer import (
     LossSpec,
     Mode,
     Partition,
+    bin_counts,
     bin_index,
-    build_histograms,
     classification_loss_and_grad,
     export_histograms_csv,
+    flat_bins,
     gradient_density,
     harmonize_weights,
     load_histograms_csv,
     partition_of,
     reformulated_gradient_curve,
-    valid_length,
 )
 from dghm.losses import FocalParams, ce_loss, gradient_norm, sigmoid
 
 
 def pooled_counts(g, bin_count):
-    """The single (B,) histogram row of g in GHM mode."""
-    cfg = HarmonizerConfig(mode=Mode.GHM, bin_count=bin_count)
-    return build_histograms(g, np.zeros(np.size(g), dtype=np.int64), cfg)[0]
+    """The single (B,) histogram row of g in one pooled partition."""
+    _, _, flat = flat_bins(g, np.zeros(np.size(g), dtype=np.int64), bin_count)
+    return bin_counts(flat, 1, bin_count)[0]
+
+
+def pooled_density(row, g):
+    """GD of each g read from one (B,) histogram row."""
+    g, _, flat = flat_bins(np.atleast_1d(g), np.zeros(np.size(g), dtype=np.int64),
+                           np.size(row))
+    return gradient_density(np.atleast_2d(row), g, flat)
+
+
+def histograms(g, codes, mode, bin_count=10):
+    """The (M, B) float counts harmonize_weights computes for one batch."""
+    cfg = HarmonizerConfig(mode=mode, bin_count=bin_count)
+    return harmonize_weights(g, codes, cfg).histograms
 
 
 def oracle_density(g_all, g_query, bin_count):
@@ -65,9 +78,11 @@ def test_bin_conventions():
 
 
 def test_valid_length_clipping():
-    assert valid_length(0.5, 10) == pytest.approx(0.1)
-    assert valid_length(0.0, 10) == pytest.approx(0.05)
-    assert valid_length(1.0, 10) == pytest.approx(0.05)
+    # one count per bin: GD = 1 / clipped region length
+    ones = np.ones(10)
+    assert 1.0 / pooled_density(ones, 0.5) == pytest.approx(0.1)
+    assert 1.0 / pooled_density(ones, 0.0) == pytest.approx(0.05)
+    assert 1.0 / pooled_density(ones, 1.0) == pytest.approx(0.05)
 
 
 def test_histogram_from_values():
@@ -83,6 +98,15 @@ def test_histogram_rejects_out_of_range():
         pooled_counts([0.5, 1.2], 10)
     with pytest.raises(ValueError):
         pooled_counts([-0.1], 10)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        pooled_counts([0.5, np.nan], 10)
+
+
+def test_flat_bins_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        flat_bins([0.1, 0.2], [0], 10)
+    with pytest.raises(ValueError, match="equal length"):
+        harmonize_weights([0.1, 0.2], [0], HarmonizerConfig())
 
 
 def test_empty_histogram():
@@ -97,17 +121,17 @@ def test_empty_histogram():
 
 def test_density_pinned_examples():
     h = pooled_counts([0.05, 0.05, 0.55, 0.95], 10)
-    assert gradient_density(h, 0.05) == pytest.approx(20.0)   # 2 / 0.1
-    assert gradient_density(h, 0.55) == pytest.approx(10.0)   # 1 / 0.1
+    assert pooled_density(h, 0.05) == pytest.approx(20.0)   # 2 / 0.1
+    assert pooled_density(h, 0.55) == pytest.approx(10.0)   # 1 / 0.1
     # boundary clipping: count 1 at g=0 gives 1 / 0.05 = 20
     h0 = pooled_counts([0.0], 10)
-    assert gradient_density(h0, 0.0) == pytest.approx(20.0)
+    assert pooled_density(h0, 0.0) == pytest.approx(20.0)
 
 
 def test_density_empty_bin_floor():
     h = pooled_counts([0.05], 10)
     # querying an empty bin uses the count floor of 1
-    assert gradient_density(h, 0.55) == pytest.approx(10.0)
+    assert pooled_density(h, 0.55) == pytest.approx(10.0)
 
 
 def test_density_equals_oracle_100_random_batches():
@@ -115,7 +139,7 @@ def test_density_equals_oracle_100_random_batches():
     for _ in range(100):
         g = rng.uniform(0.0, 1.0, size=1000)
         h = pooled_counts(g, 10)
-        fast = gradient_density(h, g)
+        fast = pooled_density(h, g)
         slow = oracle_density(g, g, 10)
         np.testing.assert_array_equal(fast, slow)  # bit-equal
 
@@ -126,7 +150,7 @@ def test_density_equals_oracle_100_random_batches():
 @settings(max_examples=60, deadline=None)
 def test_density_matches_oracle_property(g, bins):
     h = pooled_counts(g, bins)
-    np.testing.assert_array_equal(gradient_density(h, g), oracle_density(g, g, bins))
+    np.testing.assert_array_equal(pooled_density(h, g), oracle_density(g, g, bins))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +459,8 @@ def test_ghm_c_loss_uses_supplied_histograms():
     loss, _, _ = classification_loss_and_grad(logits, p_star, np.zeros(64), spec, beta=beta)
     assert loss != base_loss
     # with 7 counts per bin everywhere, GD = 7/length and beta = N * len / 7
-    expected = 64.0 * valid_length(g, 10) / 7.0
+    length = np.minimum(g + 0.05, 1.0) - np.maximum(g - 0.05, 0.0)
+    expected = 64.0 * length / 7.0
     np.testing.assert_allclose(beta, expected, rtol=1e-12)
 
 
@@ -468,13 +493,27 @@ def test_dghm_noisy_curve_discontinuous_at_lambda():
     assert at < below / 10.0
 
 
+@pytest.mark.parametrize("kind", ["ghm_c", "dghm_c", "dghm_c_star"])
+@pytest.mark.parametrize("n_convention", ["total", "partition"])
+@pytest.mark.parametrize("bin_count", [1, 7, 10, 30])
+def test_curve_equals_the_step_on_its_samples(kind, n_convention, bin_count):
+    # a step over the curve's own samples, all in partition p, builds the
+    # histograms the curve reads: its beta * g is the curve, to the bit
+    cfg = HarmonizerConfig(bin_count=bin_count, n_convention=n_convention)
+    spec = LossSpec(kind=kind, harmonizer=cfg)
+    g = np.linspace(0.0, 1.0, 201)
+    for p in range(len(MODE_PARTITIONS[spec.harmonizer.mode])):
+        batch = harmonize_weights(g, np.full(g.size, p), spec.harmonizer)
+        _, eff = reformulated_gradient_curve(spec, batch.histograms, p)
+        np.testing.assert_array_equal(eff, batch.beta * g)
+
+
 def test_histogram_csv_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     g = rng.uniform(0, 1, 300)
     parts = partition_of((rng.uniform(size=300) < 0.5).astype(int),
                          np.ones(300, dtype=int), Mode.DGHM)
-    cfg = HarmonizerConfig(mode=Mode.DGHM)
-    hists = build_histograms(g, parts, cfg)
+    hists = histograms(g, parts, Mode.DGHM)
     path = tmp_path / "hist.csv"
     export_histograms_csv(path, Mode.DGHM, hists)
     mode, loaded = load_histograms_csv(path)
@@ -487,7 +526,7 @@ def test_curve_reevaluates_from_stored_histogram(tmp_path):
     g = rng.uniform(0, 1, 500)
     parts = (rng.uniform(size=500) < 0.3).astype(np.int64)  # 1 is noisy
     cfg = HarmonizerConfig(mode=Mode.DGHM)
-    hists = build_histograms(g, parts, cfg)
+    hists = histograms(g, parts, Mode.DGHM)
     path = tmp_path / "hist.csv"
     export_histograms_csv(path, Mode.DGHM, hists)
     _, loaded = load_histograms_csv(path)

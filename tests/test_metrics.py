@@ -340,6 +340,28 @@ def test_t_r_recall_annotated_only_detector():
     assert t == 1.0 and r == 0.0 and not flagged
 
 
+def test_t_r_recall_ignores_detections_in_scenes_without_removed_gts():
+    # scene 2 holds only kept gts and scene 3 none; their detections sit on a
+    # removed gt's coordinates and outscore the true hit, yet claim nothing
+    kept = {0: gt((10, 10, 6, 6)), 2: gt((50, 50, 6, 6))}
+    removed = {0: gt((30, 30, 6, 6)), 1: gt((40, 40, 6, 6))}
+    dets = det((2, 30, 30, 6, 6, 0.95), (3, 40, 40, 6, 6, 0.99),
+               (2, 50, 50, 6, 6, 0.9), (0, 30, 30, 6, 6, 0.8))
+    t, r, flagged = t_r_recall(dets, kept, removed, threshold=0.5)
+    assert t == 0.5 and r == 0.5 and not flagged
+
+
+def test_t_r_recall_equals_recall_over_the_removed_scenes_only():
+    for dets, gt_by_scene, _ in random_detection_sets(seed=31, n_sets=100):
+        removed = {sid: boxes for sid, boxes in gt_by_scene.items() if sid % 2}
+        if not any(map(len, removed.values())):
+            continue
+        above = dets[dets.score >= 0.5]
+        inside = above[np.isin(above.scene_id, list(removed))]
+        _, r, _ = t_r_recall(dets, gt_by_scene, removed, threshold=0.5)
+        assert r == recall(aggregate_match(inside, removed))[0]
+
+
 def test_t_r_recall_threshold_applied():
     kept = {0: gt((10, 10, 6, 6))}
     dets = det((0, 10, 10, 6, 6, 0.3))

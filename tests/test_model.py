@@ -10,16 +10,17 @@ import pytest
 
 from dghm import model as model_module
 from dghm.harmonizer import (
+    MODE_PARTITIONS,
     EmaHistograms,
     FocalParams,
     HarmonizedBatch,
     HarmonizerConfig,
     LossSpec,
     Mode,
-    build_histograms,
+    bin_counts,
     classification_loss_and_grad,
+    flat_bins,
     harmonize_weights,
-    histogram_counts,
     partition_of,
 )
 from dghm.losses import (
@@ -551,7 +552,9 @@ def reference_classification(logits, p_star, a, spec, ema):
         return float(np.mean(per)), grad / n, HarmonizedBatch(g=g, N=n)
     cfg = spec.harmonizer
     codes = partition_of(p_star, a, cfg.mode)
-    counts = ema.update(build_histograms(g, codes, cfg))
+    _, _, flat = flat_bins(g, codes, cfg.bin_count)
+    m = len(MODE_PARTITIONS[cfg.mode])
+    counts = ema.update(bin_counts(flat, m, cfg.bin_count).astype(np.float64))
     batch = harmonize_weights(g, codes, cfg, histograms=counts)
     loss = float(np.sum(batch.beta * ce_loss(p, p_star)) / (batch.M * n))
     return loss, batch.beta * ce_grad_logit(p, p_star) / (batch.M * n), batch
@@ -600,8 +603,8 @@ def reference_train(pool, cfg):
                 reg_loss = float(np.sum(smooth_l1(diff)) / n_pos)
                 doffsets[is_positive] = cfg.reg_weight * smooth_l1_grad(diff) / n_pos
             grad = backward(model, cache, dlogit, doffsets)
-            hist_acc += histogram_counts(
-                harmonized.g, partition_of(p_star, a, Mode.DGHM), 2, 10)
+            _, _, flat = flat_bins(harmonized.g, partition_of(p_star, a, Mode.DGHM), 10)
+            hist_acc += bin_counts(flat, 2, 10)
             t += 1
             reference_adam([model.params], m, v, [grad], t, lr)
             step_losses.append(cls_loss + cfg.reg_weight * reg_loss)
@@ -777,6 +780,21 @@ def test_pool_histograms_partition_counts():
     noisy = int(np.count_nonzero((pool.p_star == 0) & (pool.a == 1)))
     assert two_way[1].sum() == three_way[1].sum() == noisy  # abnormal-scene negatives
     assert three_way[0].sum() == np.count_nonzero(pool.p_star == 1)
+
+
+@pytest.mark.parametrize("bin_count", [1, 7, 10, 30])
+def test_pool_histograms_equal_the_step_histograms(bin_count):
+    # the whole-pool counts and a step's counts bin the same g alike
+    pool = tiny_pool(eta=0.5)
+    model = Predictor.create(pool.features.shape[1], seed=0)
+    logits, _, _ = forward(model, pool.features)
+    g = gradient_norm(sigmoid(logits), pool.p_star)
+    pooled = pool_gradient_histograms(model, pool, bin_count)
+    for mode, hists in zip((Mode.DGHM, Mode.DGHM_STAR), pooled):
+        cfg = HarmonizerConfig(mode=mode, bin_count=bin_count)
+        step = harmonize_weights(g, partition_of(pool.p_star, pool.a, mode), cfg)
+        assert hists.dtype == step.histograms.dtype == np.float64
+        np.testing.assert_array_equal(hists, step.histograms)
 
 
 def test_train_config_validation():
