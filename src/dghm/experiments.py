@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import shutil
-import time
 import typing
 from dataclasses import dataclass, field
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import metrics as M
 from .harmonizer import (
+    HARMONIZED_MODES,
     HarmonizerConfig,
     LossSpec,
     Mode,
@@ -33,6 +33,7 @@ from .losses import sigmoid
 from .model import (
     TrainConfig,
     forward,
+    pool_gradient_histograms,
     save_checkpoint,
     save_training_log_csv,
     train,
@@ -93,7 +94,6 @@ class RunRecord:
     fold: int
     seed: int
     report: M.MetricsReport
-    wall_time: float
 
 
 def config_to_dict(obj, hint=None):
@@ -188,7 +188,7 @@ def validate_config_dict(d: dict):
 
 
 def loss_spec_for(name: str, harmonizer: HarmonizerConfig) -> LossSpec:
-    if name in ("ghm_c", "dghm_c", "dghm_c_star"):
+    if name in HARMONIZED_MODES:
         return LossSpec(kind=name, harmonizer=harmonizer)
     return LossSpec(kind=name)
 
@@ -297,7 +297,6 @@ def run_single(cfg: ExperimentConfig, loss_name: str, eta: float, fold: int,
                seed: int, harmonizer: HarmonizerConfig | None = None,
                return_model: bool = False):
     """One (loss, eta, fold, seed) training/evaluation cycle."""
-    start = time.perf_counter()
     scenes = generate_corpus(cfg.corpus.scene_spec, cfg.corpus.n_ap,
                              cfg.corpus.n_np, cfg.corpus.seed)
     folds = kfold_split(scenes, cfg.folds, cfg.corpus.seed)
@@ -311,8 +310,7 @@ def run_single(cfg: ExperimentConfig, loss_name: str, eta: float, fold: int,
     report = evaluate_model(model, pool, corrupted, test_scenes, cfg.corpus.scene_spec,
                             cfg.corpus.seed)
     record = RunRecord(config_hash=cfg.config_hash(), loss=loss_name, eta=eta,
-                       fold=fold, seed=seed, report=report,
-                       wall_time=time.perf_counter() - start)
+                       fold=fold, seed=seed, report=report)
     if return_model:
         return record, model, log, pool
     return record
@@ -429,7 +427,8 @@ def cmd_gen(cfg: ExperimentConfig, out_dir, force: bool = False):
 
 def cmd_train(cfg: ExperimentConfig, out_dir, loss_name: str | None = None,
               eta: float | None = None, seed: int | None = None):
-    """Train one model and export checkpoint, log, and histogram CSVs."""
+    """Train one model and export checkpoint, log, and histogram CSVs; the
+    histograms are of the trained model over its training pool."""
     out_dir.mkdir(parents=True, exist_ok=True)
     loss_name = loss_name or cfg.losses[0]
     eta = cfg.eta if eta is None else eta
@@ -439,8 +438,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir, loss_name: str | None = None,
     save_checkpoint(out_dir / "checkpoint.npz", model)
     hist2_path = out_dir / "gradient_hist_two_way.csv"
     hist3_path = out_dir / "gradient_hist_three_way.csv"
-    export_histograms_csv(hist2_path, Mode.DGHM, log.final_histograms_two_way)
-    export_histograms_csv(hist3_path, Mode.DGHM_STAR, log.final_histograms_three_way)
+    two_way, three_way = pool_gradient_histograms(model, pool)
+    export_histograms_csv(hist2_path, Mode.DGHM, two_way)
+    export_histograms_csv(hist3_path, Mode.DGHM_STAR, three_way)
     save_training_log_csv(out_dir / "training_log.csv", log,
                           histogram_ref=hist2_path.name)
     M.write_report(out_dir / "report.txt", record.report)

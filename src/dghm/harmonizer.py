@@ -18,9 +18,9 @@ outliers) and is 1 otherwise.  Three modes are supported:
 An example's partition is an integer code indexing MODE_PARTITIONS[mode], and
 a mode's histograms are one (M, B) array of bin counts whose rows follow the
 same order, so the three modes share one weighted-CE kernel with M = 1, 2 or 3.
-One histogram path serves the training step, the trainer's per-epoch and
-whole-pool counts and the figure curves: flat_bins checks g and gives each
-(code, bin) pair its index code * B + bin into the raveled counts,
+One histogram path serves the training step, the trainer's per-epoch
+counts, the whole-pool counts and the figure curves: flat_bins checks g and
+gives each (code, bin) pair its index code * B + bin into the raveled counts,
 bin_counts counts that index as (M, B) and gradient_density reads it back.
 Weights are constants of the current batch: no gradient ever flows through
 the histogram or beta.
@@ -216,16 +216,15 @@ class HarmonizedBatch:
     histograms: np.ndarray | None = None
 
 
-def harmonize_weights(g, codes, cfg: HarmonizerConfig, histograms=None,
-                      ema=None, buffers=None) -> HarmonizedBatch:
+def harmonize_weights(g, codes, cfg: HarmonizerConfig, ema=None,
+                      buffers=None) -> HarmonizedBatch:
     """Compute beta_i = N' / GD(g_i)^{gamma_i} for every example.
 
     N' is the total batch size under the "total" convention or the size of the
     example's partition in this batch under "partition".  GD is evaluated on
-    the example's own histogram row (the pooled row in GHM mode), taken from
-    `histograms` when given and from this batch otherwise; ema, an
-    EmaHistograms, smooths this batch's counts first (given histograms are
-    used as they are).  In GHM mode the exponent is always 1.
+    the example's own row (the pooled row in GHM mode) of this batch's
+    histograms; ema, an EmaHistograms, smooths them first.  In GHM mode the
+    exponent is always 1.
 
     buffers, the trainer's StepBuffers, lends rows 0 and 1 of its (3, n)
     scratch to the density; the returned record holds fresh arrays only.
@@ -233,14 +232,12 @@ def harmonize_weights(g, codes, cfg: HarmonizerConfig, histograms=None,
     codes = np.asarray(codes, dtype=np.int64)
     # g is checked and binned once: one flat (code, bin) index serves the
     # counts and the density alike
-    bin_count = cfg.bin_count if histograms is None else np.shape(histograms)[-1]
-    g, bins, flat = flat_bins(g, codes, bin_count)
+    g, bins, flat = flat_bins(g, codes, cfg.bin_count)
     m, n = len(MODE_PARTITIONS[cfg.mode]), g.size
-    if histograms is None:
-        histograms = bin_counts(flat, m, bin_count).astype(np.float64)
-        if ema is not None:
-            histograms = ema.update(histograms)
-    gd = gradient_density(np.asarray(histograms), g, flat,
+    histograms = bin_counts(flat, m, cfg.bin_count).astype(np.float64)
+    if ema is not None:
+        histograms = ema.update(histograms)
+    gd = gradient_density(histograms, g, flat,
                           None if buffers is None else buffers.scratch[:2])
     gamma = np.where(g >= cfg.outlier_threshold, cfg.gamma_by_code.take(codes), 1.0)
     n_prime = n if cfg.n_convention == "total" else np.bincount(codes, minlength=m).take(codes)

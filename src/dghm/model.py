@@ -337,28 +337,23 @@ class TrainConfig:
             raise ValueError("decay epochs must lie within the epoch range")
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    mean_loss: float
-    lr: float
-
-
-@dataclass
-class TrainLog:
-    epochs: list
-    final_histograms_two_way: np.ndarray  # (2, 10) pool counts, rows clean/noisy
-    final_histograms_three_way: np.ndarray  # (3, 10) rows ap_pos/ap_neg/np_neg
-    epoch_histograms: list  # per epoch: (2, 10) clean/noisy counts over training batches
-
-
 #: Bins of the per-epoch clean/noisy gradient-norm counts in TrainLog.
 EPOCH_BINS = 10
 
 
+@dataclass
+class TrainLog:
+    """What train() measured, one row per epoch."""
+
+    mean_loss: np.ndarray  # (E,) mean loss of the epoch's steps
+    lr: np.ndarray  # (E,) learning rate of the epoch
+    epoch_histograms: np.ndarray  # (E, 2, EPOCH_BINS) int64 clean/noisy counts of its batches
+
+
 def pool_gradient_histograms(model: Predictor, pool: AnchorPool, bin_count: int = 10):
-    """Gradient-norm histograms of the current model over the whole pool, from
-    one forward: the two-way (2, B) and the three-way (3, B) counts."""
+    """Gradient-norm histograms of a model over the whole pool, from one
+    forward: the two-way (2, B) and the three-way (3, B) counts, the figure
+    data cmd_train exports for the trained model."""
     logits, _, _ = forward(model, pool.features)
     g = gradient_norm(sigmoid(logits), pool.p_star)
     hists = []
@@ -380,7 +375,8 @@ def train(pool: AnchorPool, cfg: TrainConfig):
     batch feature, loss or gradient before the update and on a non-finite
     parameter after it, naming the epoch and the 0-based step; and after the
     last step on a non-finite feature in a row no batch drew, naming the row,
-    before the whole-pool histograms read it.
+    so that no later forward over the pool (pool_gradient_histograms,
+    predict_scenes) meets it first.
 
     What depends only on the pool is computed once per call: the partition
     codes, which rows hold a non-finite feature, and the number k of leading
@@ -417,8 +413,8 @@ def train(pool: AnchorPool, cfg: TrainConfig):
     any_bad = bad_rows.any()
     lr = cfg.learning_rate
     ema = EmaHistograms(spec.harmonizer)
-    records = []
-    epoch_hists = []
+    log = TrainLog(mean_loss=np.empty(cfg.epochs), lr=np.empty(cfg.epochs),
+                   epoch_histograms=np.empty((cfg.epochs, 2, EPOCH_BINS), dtype=np.int64))
     for epoch in range(cfg.epochs):
         if epoch in cfg.decay_epochs:
             lr *= cfg.decay_factor
@@ -444,18 +440,12 @@ def train(pool: AnchorPool, cfg: TrainConfig):
             adam_step(model, state, grad, lr, buffers.adam)
             _check_finite("parameter", model.params, epoch, step)
             losses.append(loss)
-        records.append(EpochRecord(epoch=epoch, mean_loss=float(np.mean(losses)), lr=lr))
-        epoch_hists.append(bin_counts(epoch_rows.ravel(), 2, EPOCH_BINS))
+        log.mean_loss[epoch] = np.mean(losses)
+        log.lr[epoch] = lr
+        log.epoch_histograms[epoch] = bin_counts(epoch_rows.ravel(), 2, EPOCH_BINS)
     if any_bad:
         raise TrainingDiverged(f"non-finite feature in pool row "
                                f"{np.flatnonzero(bad_rows)[0]}, which no step drew")
-    two_way_hists, three_way_hists = pool_gradient_histograms(model, pool)
-    log = TrainLog(
-        epochs=records,
-        final_histograms_two_way=two_way_hists,
-        final_histograms_three_way=three_way_hists,
-        epoch_histograms=epoch_hists,
-    )
     return model, log
 
 
@@ -494,6 +484,5 @@ def save_training_log_csv(path, log: TrainLog, histogram_ref: str = ""):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mean_loss", "lr", "histogram_file"])
-        for rec in log.epochs:
-            writer.writerow([rec.epoch, f"{rec.mean_loss:.10g}", f"{rec.lr:.10g}",
-                             histogram_ref])
+        for epoch, (mean_loss, lr) in enumerate(zip(log.mean_loss, log.lr)):
+            writer.writerow([epoch, f"{mean_loss:.10g}", f"{lr:.10g}", histogram_ref])

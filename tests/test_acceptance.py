@@ -39,7 +39,7 @@ from dghm.metrics import (
     precision,
     recall,
 )
-from dghm.model import Batch, Predictor, finite_difference_check
+from dghm.model import Batch, Predictor, finite_difference_check, pool_gradient_histograms
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = ""):
@@ -355,9 +355,9 @@ def test_criterion_7_noise_degradation(trend_runs):
 
 def test_criterion_8_figure_reproduction():
     cfg = ExperimentConfig()
-    _, model, log, pool = run_single(cfg, "ce", 0.7, fold=0, seed=0,
-                                     return_model=True)
-    hists = log.final_histograms_two_way
+    _, model, _, pool = run_single(cfg, "ce", 0.7, fold=0, seed=0,
+                                   return_model=True)
+    hists, _ = pool_gradient_histograms(model, pool)
     clean, noisy = hists  # rows follow MODE_PARTITIONS[Mode.DGHM]
     top_mass = noisy[-1] > 0
     shape_n = noisy / max(noisy.sum(), 1.0)

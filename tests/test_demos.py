@@ -72,6 +72,36 @@ def test_weighting_walkthrough_output_is_pinned(tmp_path):
     assert assert_python_runs([str(demo)], tmp_path, timeout=60) == WALKTHROUGH_STDOUT
 
 
+#: demos/03's stdout: both models' headline metrics and the clean/noisy
+#: histograms of each trained model over its training pool, whose CE noisy top
+#: bin (57 anchors) its closing text explains.
+TRAIN_AND_INSPECT_STDOUT = """\
+ce      froc=0.427 recall=0.145 precision=0.200 t_recall=0.393 r_recall=0.175
+dghm_c  froc=0.552 recall=0.345 precision=0.200 t_recall=0.738 r_recall=0.427
+
+converged gradient-norm histograms over the training pool (counts per bin):
+
+  ce:
+    clean  [9403 1803  881  487  322  220  145   99   57   31]
+    noisy  [8545 1876  881  546  337  241  193  138  106   57]
+
+  dghm_c:
+    clean  [1469 5756 4040 1570  429  117   31   35    1    0]
+    noisy  [1161 5182 4008 1783  637  124   25    0    0    0]
+
+CE noisy-partition mass in the top bin (g >= 0.9): 57 anchors.
+Those are real objects whose annotation was dropped: the model recognizes
+them, the label contradicts it, and plain CE keeps hammering them toward 0.
+The decoupled loss squashes exactly that mass and recovers more of the
+removed objects (higher R-recall).
+"""
+
+
+def test_train_and_inspect_output_is_pinned(tmp_path):
+    demo = ROOT / "demos" / "03_train_and_inspect.py"
+    assert assert_python_runs([str(demo)], tmp_path, timeout=120) == TRAIN_AND_INSPECT_STDOUT
+
+
 def test_readme_blocks_found():
     assert README_BLOCKS
 

@@ -38,6 +38,7 @@ from dghm.experiments import (
     write_run_rows,
 )
 from dghm import experiments, metrics
+from dghm import model as model_module
 from dghm.harmonizer import HarmonizerConfig
 from dghm.losses import sigmoid
 from dghm.metrics import NMS_IOU, MetricsReport, decode_and_suppress
@@ -256,8 +257,7 @@ def test_validate_accepts_range_edges():
 
 
 def fake_record(loss, seed, froc, r_recall=0.5, config_hash="abc"):
-    return RunRecord(config_hash=config_hash, loss=loss, eta=0.7, fold=0,
-                     seed=seed, wall_time=0.0,
+    return RunRecord(config_hash=config_hash, loss=loss, eta=0.7, fold=0, seed=seed,
                      report=MetricsReport(recall=0.5, precision=0.4, nfps=99.0,
                                           froc=froc, t_recall=0.6,
                                           r_recall=r_recall, threshold=0.5))
@@ -307,6 +307,24 @@ def test_run_single_deterministic():
     b = run_single(cfg, "ce", 0.5, fold=0, seed=0)
     assert a.report == b.report
     assert a.config_hash == b.config_hash
+
+
+def test_a_run_forwards_each_pool_once_after_training(monkeypatch):
+    # one forward per step, then the test fold's and the training pool's
+    # (predict_scenes); experiments binds forward at import, so both names count
+    cfg = tiny_config()
+    real_forward = model_module.forward
+    calls = []
+
+    def counted_forward(*args):
+        calls.append(None)
+        return real_forward(*args)
+
+    monkeypatch.setattr(model_module, "forward", counted_forward)
+    monkeypatch.setattr(experiments, "forward", counted_forward)
+    record = run_single(cfg, "dghm_c", 0.5, fold=0, seed=0)
+    assert "no_detections" not in record.report.flags
+    assert len(calls) == cfg.epochs * cfg.steps_per_epoch + 2
 
 
 def test_fold_without_normal_scenes_has_undefined_nfps_and_froc(tmp_path):

@@ -446,7 +446,7 @@ def test_ema_disabled_passthrough():
 
 
 def test_ghm_c_loss_uses_supplied_histograms():
-    # external (e.g. EMA-smoothed) histograms must reach the pooled loss too
+    # weights from external (e.g. EMA-smoothed) histograms must reach the pooled loss too
     rng = np.random.default_rng(9)
     logits = rng.normal(size=64)
     p_star = (rng.random(64) < 0.3).astype(float)
@@ -454,8 +454,10 @@ def test_ghm_c_loss_uses_supplied_histograms():
     spec = LossSpec(kind="ghm_c", harmonizer=cfg)
     base_loss, _ = ghm_c_loss(logits, p_star)
     skewed = np.full((1, 10), 7.0)
-    g = gradient_norm(sigmoid(logits), p_star)
-    beta = harmonize_weights(g, np.zeros(64, dtype=np.int64), cfg, histograms=skewed).beta
+    g, _, flat = flat_bins(gradient_norm(sigmoid(logits), p_star),
+                           np.zeros(64, dtype=np.int64), cfg.bin_count)
+    gamma = np.where(g >= cfg.outlier_threshold, cfg.gamma_by_code[0], 1.0)
+    beta = 64 / gradient_density(skewed, g, flat) ** gamma
     loss, _, _ = classification_loss_and_grad(logits, p_star, np.zeros(64), spec, beta=beta)
     assert loss != base_loss
     # with 7 counts per bin everywhere, GD = 7/length and beta = N * len / 7

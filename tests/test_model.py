@@ -20,6 +20,7 @@ from dghm.harmonizer import (
     bin_counts,
     classification_loss_and_grad,
     flat_bins,
+    gradient_density,
     harmonize_weights,
     partition_of,
 )
@@ -378,7 +379,8 @@ def test_zero_epochs_returns_initialization():
     for a, b in zip(model.weights + model.biases,
                     reference.weights + reference.biases):
         np.testing.assert_array_equal(a, b)
-    assert log.epochs == []
+    assert log.mean_loss.shape == log.lr.shape == (0,)
+    assert log.epoch_histograms.shape == (0, 2, model_module.EPOCH_BINS)
 
 
 def test_training_bit_reproducible():
@@ -389,7 +391,8 @@ def test_training_bit_reproducible():
     m2, log2 = train(pool, cfg)
     for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
         np.testing.assert_array_equal(a, b)
-    assert [r.mean_loss for r in log1.epochs] == [r.mean_loss for r in log2.epochs]
+    np.testing.assert_array_equal(log1.mean_loss, log2.mean_loss)
+    np.testing.assert_array_equal(log1.epoch_histograms, log2.epoch_histograms)
 
 
 def test_training_learning_rate_schedule():
@@ -397,10 +400,10 @@ def test_training_learning_rate_schedule():
     cfg = TrainConfig(epochs=10, steps_per_epoch=1, learning_rate=1e-3, seed=0)
     assert cfg.decay_epochs == (6, 8)
     _, log = train(pool, cfg)
-    lrs = [r.lr for r in log.epochs]
-    assert lrs[5] == pytest.approx(1e-3)
-    assert lrs[6] == pytest.approx(1e-4)
-    assert lrs[8] == pytest.approx(1e-5)
+    assert log.lr.shape == (10,)
+    assert log.lr[5] == pytest.approx(1e-3)
+    assert log.lr[6] == pytest.approx(1e-4)
+    assert log.lr[8] == pytest.approx(1e-5)
 
 
 def test_training_all_loss_kinds_run():
@@ -409,7 +412,7 @@ def test_training_all_loss_kinds_run():
         cfg = TrainConfig(loss_spec=spec, epochs=1, steps_per_epoch=3,
                           batch_size=16, learning_rate=1e-3, seed=1)
         model, log = train(pool, cfg)
-        assert np.isfinite(log.epochs[0].mean_loss)
+        assert log.mean_loss.shape == (1,) and np.isfinite(log.mean_loss[0])
 
 
 def test_training_with_momentum_histograms():
@@ -418,7 +421,7 @@ def test_training_with_momentum_histograms():
     cfg = TrainConfig(loss_spec=spec, epochs=1, steps_per_epoch=4,
                       batch_size=16, learning_rate=1e-3, seed=1)
     model, log = train(pool, cfg)
-    assert np.isfinite(log.epochs[0].mean_loss)
+    assert log.mean_loss.shape == (1,) and np.isfinite(log.mean_loss[0])
 
 
 def test_epoch_histogram_counts_sum_to_examples_seen():
@@ -426,8 +429,9 @@ def test_epoch_histogram_counts_sum_to_examples_seen():
     cfg = TrainConfig(epochs=1, steps_per_epoch=4, batch_size=16,
                       learning_rate=1e-3, seed=2)
     _, log = train(pool, cfg)
-    counts = int(log.epoch_histograms[0].sum())
-    assert counts == 4 * 16
+    assert log.epoch_histograms.shape == (1, 2, model_module.EPOCH_BINS)
+    assert log.epoch_histograms.dtype == np.int64
+    assert int(log.epoch_histograms[0].sum()) == 4 * 16
 
 
 @pytest.mark.parametrize("kind", ["ce", "ghm_c", "dghm_c", "dghm_c_star"])
@@ -493,8 +497,8 @@ def test_train_runs_one_forward_per_step(monkeypatch, spec):
 
     monkeypatch.setattr(model_module, "forward", counted_forward)
     train(pool, cfg)
-    # one per step, plus one shared by the final two- and three-way pool histograms
-    assert len(calls) == cfg.epochs * cfg.steps_per_epoch + 1
+    # one per step, and none over the whole pool
+    assert len(calls) == cfg.epochs * cfg.steps_per_epoch
 
 
 def test_train_allocates_its_step_buffers_once(monkeypatch):
@@ -524,20 +528,20 @@ def test_train_allocates_its_step_buffers_once(monkeypatch):
     train(pool, cfg)
     steps = cfg.epochs * cfg.steps_per_epoch
     assert len(made) == 1  # one StepBuffers per train() call
-    assert len(caches) == steps + 1 and len(grads) == steps
+    assert len(caches) == len(grads) == steps
     assert grads[0] is made[0].grad.params
-    # every step writes the same layer outputs and the same gradient; the
-    # final whole-pool forward allocates its own
-    for cache in caches[1:steps]:
+    assert all(a is b for a, b in zip(caches[0][1:], made[0].layers))
+    # every step writes the same layer outputs and the same gradient
+    for cache in caches[1:]:
         assert all(a is b for a, b in zip(cache[1:], caches[0][1:]))
     assert all(g is grads[0] for g in grads)
-    assert not any(a is b for a, b in zip(caches[steps][1:], caches[0][1:]))
 
 
 def reference_classification(logits, p_star, a, spec, ema):
     """The classification kernel as it was before it took partition codes:
-    codes from the scene attributes, counts binned, then binned again for
-    the density; every CE from the two-log ce_loss."""
+    codes from the scene attributes, beta = N' / GD^gamma from its own EMA'd
+    counts, never through harmonize_weights; every CE from the two-log
+    ce_loss."""
     p_star = np.asarray(p_star, dtype=np.float64)
     p = sigmoid(logits)
     g = gradient_norm(p, p_star)
@@ -555,9 +559,11 @@ def reference_classification(logits, p_star, a, spec, ema):
     _, _, flat = flat_bins(g, codes, cfg.bin_count)
     m = len(MODE_PARTITIONS[cfg.mode])
     counts = ema.update(bin_counts(flat, m, cfg.bin_count).astype(np.float64))
-    batch = harmonize_weights(g, codes, cfg, histograms=counts)
-    loss = float(np.sum(batch.beta * ce_loss(p, p_star)) / (batch.M * n))
-    return loss, batch.beta * ce_grad_logit(p, p_star) / (batch.M * n), batch
+    gamma = np.where(g >= cfg.outlier_threshold, cfg.gamma_by_code[codes], 1.0)
+    n_prime = n if cfg.n_convention == "total" else np.bincount(codes, minlength=m)[codes]
+    beta = n_prime / gradient_density(counts, g, flat) ** gamma
+    loss = float(np.sum(beta * ce_loss(p, p_star)) / (m * n))
+    return loss, beta * ce_grad_logit(p, p_star) / (m * n), HarmonizedBatch(g=g, N=n, beta=beta)
 
 
 def smooth_l1(x):
@@ -676,11 +682,11 @@ def test_train_matches_the_per_step_reference(spec, pool_kind, hidden, reg_weigh
     model, log = train(pool, cfg)
     ref_model, ref_losses, ref_hists = reference_train(pool, cfg)
     np.testing.assert_array_equal(model.params, ref_model.params)
-    assert [r.mean_loss for r in log.epochs] == ref_losses
+    assert log.mean_loss.tolist() == ref_losses
     np.testing.assert_array_equal(log.epoch_histograms, ref_hists)
-    ref_two_way, ref_three_way = pool_gradient_histograms(ref_model, pool)
-    np.testing.assert_array_equal(log.final_histograms_two_way, ref_two_way)
-    np.testing.assert_array_equal(log.final_histograms_three_way, ref_three_way)
+    for hists, ref in zip(pool_gradient_histograms(model, pool),
+                          pool_gradient_histograms(ref_model, pool)):
+        np.testing.assert_array_equal(hists, ref)
 
 
 def sampled_steps(pool, cfg):
@@ -726,7 +732,7 @@ def test_nan_feature_in_a_row_never_sampled_leaves_the_steps_alone(monkeypatch):
     row = np.setdiff1d(np.arange(pool.size), drawn)[0]
     pool.features[row, 0] = np.nan
     calls = counted_adam(monkeypatch)
-    # every step runs; the row is named before the whole-pool histograms read it
+    # every step runs; the row is named before any later whole-pool forward reads it
     with pytest.raises(TrainingDiverged, match=f"^non-finite feature in pool row {row}, "
                                                f"which no step drew$"):
         train(pool, cfg)
@@ -750,9 +756,8 @@ def test_partition_codes_are_computed_once_per_train_call(monkeypatch, spec):
         train(pool, TrainConfig(loss_spec=spec, epochs=2, steps_per_epoch=steps,
                                 batch_size=16, learning_rate=1e-3, seed=1))
         counts.append(len(calls))
-    # the loss mode's codes (GHM and DGHM* only), the two-way codes, and the
-    # two-way and three-way codes of the final whole-pool histograms
-    assert counts == [4 if spec.harmonizer.mode is not Mode.DGHM else 3] * 2
+    # the loss mode's codes (GHM and DGHM* only) and the two-way codes
+    assert counts == [2 if spec.harmonizer.mode is not Mode.DGHM else 1] * 2
 
 
 def test_sanity_recall_on_separable_corpus():
