@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import shutil
@@ -32,7 +33,7 @@ from .harmonizer import (
 from .losses import sigmoid
 from .model import (
     TrainConfig,
-    forward,
+    forward_pool,
     pool_gradient_histograms,
     save_checkpoint,
     save_training_log_csv,
@@ -96,6 +97,9 @@ class RunRecord:
     report: M.MetricsReport
 
 
+_field_hints = functools.cache(typing.get_type_hints)  # once per config class
+
+
 def config_to_dict(obj, hint=None):
     """A config dataclass as JSON-ready values: dicts, lists and scalars.
 
@@ -104,7 +108,7 @@ def config_to_dict(obj, hint=None):
     floats were written.
     """
     if dataclasses.is_dataclass(obj):
-        hints = typing.get_type_hints(type(obj))
+        hints = _field_hints(type(obj))
         return {f.name: config_to_dict(getattr(obj, f.name), hints[f.name])
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, (tuple, list)):
@@ -156,7 +160,7 @@ def config_from_dict(cls, d: dict, where: str = ""):
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where.rstrip('.') or 'config'} must be a JSON object")
-    hints = typing.get_type_hints(cls)
+    hints = _field_hints(cls)
     unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(where + k for k in unknown)}")
@@ -236,14 +240,14 @@ def kfold_split(scenes, k: int, seed: int):
 
 def predict_scenes(model, pool, min_score: float = 0.0):
     """Detections for a pool's scenes at score >= min_score: forward every
-    anchor, then decode and suppress only those rows.
+    anchor by ``forward_pool``, then decode and suppress only those rows.
 
     Equal to the detections of all rows filtered to score >= min_score, row
     for row: greedy NMS drops a row only for a higher-ranked row of its scene,
     which scores at least as high, and the subset keeps the tie order.  A NaN
     score is not below min_score, so it is kept and Detections rejects it.
     """
-    logits, offsets, _ = forward(model, pool.features)
+    logits, offsets = forward_pool(model, pool.features)
     scores = sigmoid(logits)
     keep = ~(scores < min_score)
     return M.decode_and_suppress(pool.boxes[keep], pool.scene_id[keep], scores[keep],
@@ -252,10 +256,10 @@ def predict_scenes(model, pool, min_score: float = 0.0):
 
 def _test_fold_report(model, test_scenes, spec: SceneSpec,
                       corpus_seed: int) -> M.MetricsReport:
-    """The test-fold metrics (``metrics.evaluate_detections``) of one forward
-    over the test scenes' pool, which is freed on return."""
+    """The test-fold metrics (``metrics.evaluate_detections``) of one
+    ``forward_pool`` over the test scenes' pool, which is freed on return."""
     pool = build_pool(test_scenes, spec, corpus_seed)
-    logits, offsets, _ = forward(model, pool.features)
+    logits, offsets = forward_pool(model, pool.features)
     gt_by_scene = {s.scene_id: s.gt_boxes for s in test_scenes if s.is_abnormal}
     np_ids = [s.scene_id for s in test_scenes if not s.is_abnormal]
     return M.evaluate_detections(pool.boxes, pool.scene_id, sigmoid(logits), offsets,

@@ -156,6 +156,27 @@ def forward(model: Predictor, features, buffers: StepBuffers | None = None):
     return out[:, 0], out[:, 1:5], activations
 
 
+#: Most rows per forward of a whole-pool pass; bounds its layers' memory.
+FORWARD_ROWS = 2048
+
+
+def forward_pool(model: Predictor, features):
+    """(logits (n,), offsets (n, 4)) of every feature row, by forwards of
+    near-equal blocks of at most FORWARD_ROWS rows through one StepBuffers.
+    No block has 1 row unless the pool does, so the bits equal one forward's:
+    a (1, k) matmul operand takes another BLAS path."""
+    n = len(features)
+    blocks = max(-(-n // FORWARD_ROWS), 1)
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    out = np.empty((n, model.dims[-1]))
+    buffers = StepBuffers.for_model(model, 0)  # forward reads only its layers
+    hidden = [np.empty((-(-n // blocks), w)) for w in model.dims[1:-1]]
+    for start, stop in zip(bounds, bounds[1:]):
+        buffers.layers = [h[:stop - start] for h in hidden] + [out[start:stop]]
+        forward(model, features[start:stop], buffers)
+    return out[:, 0], out[:, 1:5]
+
+
 def backward(model: Predictor, activations, dlogit, doffsets,
              buffers: StepBuffers | None = None):
     """Backpropagate per-example output gradients into parameter gradients.
@@ -352,9 +373,9 @@ class TrainLog:
 
 def pool_gradient_histograms(model: Predictor, pool: AnchorPool, bin_count: int = 10):
     """Gradient-norm histograms of a model over the whole pool, from one
-    forward: the two-way (2, B) and the three-way (3, B) counts, the figure
+    forward_pool: the two-way (2, B) and the three-way (3, B) counts, the figure
     data cmd_train exports for the trained model."""
-    logits, _, _ = forward(model, pool.features)
+    logits, _ = forward_pool(model, pool.features)
     g = gradient_norm(sigmoid(logits), pool.p_star)
     hists = []
     for mode, n_partitions in ((Mode.DGHM, 2), (Mode.DGHM_STAR, 3)):

@@ -408,11 +408,16 @@ def _ziggurat_candidates(raw: np.ndarray):
     whether numpy returns x at once (the fast path)."""
     wi, bound, _ = _ziggurat_tables()
     idx = (raw & np.uint64(0xFF)).view(np.int64)  # a view: astype copies slowly
-    rabs = (raw >> np.uint64(9)) & _ZIGGURAT_ABS
-    x = rabs * wi[idx]
+    rabs = raw >> np.uint64(9)
+    rabs &= _ZIGGURAT_ABS
+    fast = rabs < bound[idx]
+    x = wi[idx]
+    x *= rabs
+    np.bitwise_and(raw, np.uint64(1 << 8), out=rabs)  # rabs is read: it holds bit 8
+    rabs <<= np.uint64(55)
     sign_bits = x.view(np.uint64)  # negated where bit 8 is set, by its sign bit
-    sign_bits ^= (raw & np.uint64(1 << 8)) << np.uint64(55)
-    return idx, x, rabs < bound[idx]
+    sign_bits ^= rabs
+    return idx, x, fast
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
@@ -471,11 +476,12 @@ def _draw_streams(seeds: np.ndarray, spec: SceneSpec):
     d = spec.feature_dim
     state = _pcg64_start(seeds)
     raw = _pcg64_outputs(state, d + 2)
-    _, normals, fast = _ziggurat_candidates(raw[:, :d])
+    normals, fast = _ziggurat_candidates(raw[:, :d])[1:]
     uniforms = _uniforms(raw[:, d:])
     slow = np.flatnonzero(~fast.all(axis=1))
+    raw = raw[slow]  # only the slow rows' outputs are read again
     spare = _pcg64_outputs([col[slow] for col in state], _SPARE)
-    rows, slow_normals, slow_uniforms = _cursor_pass(np.hstack([raw[slow], spare]), d)
+    rows, slow_normals, slow_uniforms = _cursor_pass(np.hstack([raw, spare]), d)
     normals[slow[rows]], uniforms[slow[rows]] = slow_normals, slow_uniforms
     replay = np.delete(slow, rows)
     rng = np.random.Generator(np.random.PCG64(0))

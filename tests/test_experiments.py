@@ -309,22 +309,45 @@ def test_run_single_deterministic():
     assert a.config_hash == b.config_hash
 
 
-def test_a_run_forwards_each_pool_once_after_training(monkeypatch):
-    # one forward per step, then the test fold's and the training pool's
-    # (predict_scenes); experiments binds forward at import, so both names count
+def forwarded_rows_of_a_run(monkeypatch, forward_rows):
+    """(rows of each forward, sizes of the pools built) over one run_single
+    with FORWARD_ROWS at forward_rows, and the run's step count."""
     cfg = tiny_config()
-    real_forward = model_module.forward
-    calls = []
+    real_forward, real_build = model_module.forward, experiments.build_pool
+    rows, pool_sizes = [], []
 
-    def counted_forward(*args):
-        calls.append(None)
-        return real_forward(*args)
+    def counted_forward(model, features, buffers=None):
+        rows.append(len(features))
+        return real_forward(model, features, buffers)
+
+    def recorded_build(*args):
+        pool = real_build(*args)
+        pool_sizes.append(pool.size)
+        return pool
 
     monkeypatch.setattr(model_module, "forward", counted_forward)
-    monkeypatch.setattr(experiments, "forward", counted_forward)
+    monkeypatch.setattr(model_module, "FORWARD_ROWS", forward_rows)
+    monkeypatch.setattr(experiments, "build_pool", recorded_build)
     record = run_single(cfg, "dghm_c", 0.5, fold=0, seed=0)
     assert "no_detections" not in record.report.flags
-    assert len(calls) == cfg.epochs * cfg.steps_per_epoch + 2
+    return rows, pool_sizes, cfg.epochs * cfg.steps_per_epoch
+
+
+def test_a_run_forwards_each_pool_once_after_training(monkeypatch):
+    # one forward per step, then the test fold's pool and the training pool
+    # (predict_scenes), each by forward_pool: here in one block each
+    rows, pool_sizes, steps = forwarded_rows_of_a_run(monkeypatch, model_module.FORWARD_ROWS)
+    assert len(pool_sizes) == 2
+    assert sum(rows[steps:]) == sum(pool_sizes)
+    assert len(rows) == steps + 2
+
+
+def test_a_run_forwards_each_pool_once_in_row_blocks(monkeypatch):
+    # at 64 rows a block, each 288-row pool is forwarded in five blocks
+    rows, pool_sizes, steps = forwarded_rows_of_a_run(monkeypatch, 64)
+    blocks = rows[steps:]
+    assert sum(blocks) == sum(pool_sizes) and pool_sizes == [288, 288]
+    assert len(blocks) == 10 and max(blocks) <= 64
 
 
 def test_fold_without_normal_scenes_has_undefined_nfps_and_froc(tmp_path):

@@ -6,7 +6,6 @@ score threshold and must agree exactly.
 """
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -740,22 +739,7 @@ def eval_heavy_shaped_fold(seed=0):
             rng.normal(0.0, 0.05, (n, 4)), gt_by_scene)
 
 
-def traced_peak_kib(fn, *args):
-    """The most memory fn(*args) held at once beyond what was live before, by tracemalloc."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return (tracemalloc.get_traced_memory()[1] - base) / 1024
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
-def test_nms_and_matching_hold_little_memory_at_a_time():
+def test_nms_and_matching_hold_little_memory_at_a_time(traced_peak_kib):
     """Pair passes bound what NMS and matching hold at once: 652 and 208 KiB
     here, against 491 and 76 KiB for the per-scene loops, and 1395 and
     582 KiB when every pass held its gathered box columns side by side."""

@@ -47,6 +47,7 @@ from dghm.model import (
     batch_loss_and_grads,
     finite_difference_check,
     forward,
+    forward_pool,
     load_checkpoint,
     pool_gradient_histograms,
     save_checkpoint,
@@ -121,6 +122,45 @@ def test_forward_dim_mismatch():
     model = Predictor.create(4)
     with pytest.raises(ValueError):
         forward(model, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("hidden", [(32,), (8, 8)])
+def test_forward_pool_equals_one_forward_bit_for_bit(hidden):
+    # FORWARD_ROWS + 1 splits in two near-equal blocks, never a 1-row tail,
+    # whose (1, k) matmul takes another BLAS path with other bits
+    rows = model_module.FORWARD_ROWS
+    model = Predictor.create(16, hidden=hidden, seed=1)
+    model.params[...] = np.random.default_rng(0).normal(0.0, 0.5, model.params.size)
+    for n in (1, 2, rows, rows + 1, rows * 5 // 2):
+        x = np.random.default_rng(n).normal(size=(n, 16))
+        logits, offsets, _ = forward(model, x)
+        pool_logits, pool_offsets = forward_pool(model, x)
+        np.testing.assert_array_equal(pool_logits, logits)
+        np.testing.assert_array_equal(pool_offsets, offsets)
+
+
+def test_forward_pool_blocks_are_near_equal_and_never_one_row(monkeypatch):
+    real_forward = model_module.forward
+    model = Predictor.create(3, hidden=(4,), seed=0)
+    for forward_rows in (3, 4, 7):
+        monkeypatch.setattr(model_module, "FORWARD_ROWS", forward_rows)
+        for n in range(1, 40):
+            rows = []
+            monkeypatch.setattr(model_module, "forward", lambda m, x, buffers:
+                                rows.append(len(x)) or real_forward(m, x, buffers))
+            forward_pool(model, np.zeros((n, 3)))
+            assert sum(rows) == n and len(rows) == -(-n // forward_rows)
+            assert max(rows) - min(rows) <= 1 and max(rows) <= forward_rows
+            assert min(rows) >= 2 or n == 1
+
+
+def test_forward_pool_holds_little_memory_beyond_its_output(traced_peak_kib):
+    """Scoring a 16384-row pool holds its (n, 5) outputs (640 KiB) and one
+    block's hidden layer (512 KiB): 1238 KiB, against 4802 KiB for one
+    forward over every row."""
+    model = Predictor.create(16, hidden=(32,), seed=0)
+    x = np.random.default_rng(0).normal(size=(16384, 16))
+    assert traced_peak_kib(forward_pool, model, x) < 1.5 * 1024
 
 
 def test_zero_beta_zero_classification_gradient():

@@ -590,6 +590,17 @@ def test_draw_streams_match_default_rng(feature_dim):
                 assert uniforms[row, 1] == rng.random()
 
 
+def test_draw_streams_hold_little_memory_per_chunk(traced_peak_kib):
+    """One 4096-row chunk returns 576 KiB of normals and uniforms and holds
+    2548 KiB at once, at most its raw outputs and four (rows, d) columns of
+    the fast-path pass; 3517 KiB when every raw output and the layer indices
+    outlived that pass and each of its steps took a fresh column."""
+    rows = np.arange(simdata._CHUNK)
+    seeds = simdata._anchor_seeds(42, rows // 64, rows % 64)
+    simdata._draw_streams(seeds, SceneSpec())  # the ziggurat tables are built once
+    assert traced_peak_kib(simdata._draw_streams, seeds, SceneSpec()) < 2.75 * 1024
+
+
 def test_pool_features_equal_with_every_anchor_replayed(monkeypatch):
     spec = dataclasses.replace(SMALL_SPEC, hard_fraction=0.3)
     scenes = generate_corpus(spec, 3, 2, seed=4)
