@@ -128,7 +128,8 @@ def _from_json(hint, value, key: str):
 
     Nested dicts become nested configs and lists become tuples, checked
     element by element; a ``float`` position stores an int as a float, so a
-    config hashes alike however its floats were written.
+    config hashes alike however its floats were written, and refuses the
+    NaN and Infinity that json reads.
     """
     if dataclasses.is_dataclass(hint):
         return config_from_dict(hint, value, f"{key}.")
@@ -143,8 +144,10 @@ def _from_json(hint, value, key: str):
         return tuple(_from_json(h, v, f"{key}[{i}]")
                      for i, (h, v) in enumerate(zip(elements, value)))
     allowed = (int, float) if hint is float else (hint,)
-    if hint in (int, float, str) and type(value) not in allowed:
+    if hint in (int, float, str, bool) and type(value) not in allowed:
         raise ValueError(f"{key} must be {hint.__name__}, got {value!r}")
+    if hint is float and not np.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
     return float(value) if hint is float else value
 
 
@@ -155,8 +158,9 @@ def config_from_dict(cls, d: dict, where: str = ""):
     Raises ValueError, naming the dotted key (``[i]`` for a tuple element), on
     an unknown key at any depth, a non-dict for a nested config, a non-list or
     a list of the wrong length for a tuple, a value that is not an int in an
-    ``int`` position, not a str in a ``str`` one, or neither an int nor a
-    float in a ``float`` one (a bool is neither).
+    ``int`` position, not a str in a ``str`` one, not a bool in a ``bool``
+    one, or neither an int nor a finite float in a ``float`` one (a bool is
+    neither).
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where.rstrip('.') or 'config'} must be a JSON object")

@@ -91,7 +91,7 @@ class HarmonizerConfig:
             raise ValueError("bin_count must be >= 1")
         if not 0.0 <= self.outlier_threshold <= 1.0:
             raise ValueError("outlier_threshold must be in [0, 1]")
-        if self.mu_n <= 0.0 or self.mu_c <= 0.0:
+        if not (self.mu_n > 0.0 and self.mu_c > 0.0):  # NaN fails it too
             raise ValueError("mu_n and mu_c must be > 0")
         if self.n_convention not in ("total", "partition"):
             raise ValueError("n_convention must be 'total' or 'partition'")
@@ -156,23 +156,16 @@ class EmaHistograms:
         return counts
 
 
-def gradient_density(counts, g, flat, scratch=None):
+def gradient_density(counts, g, flat):
     """GD(g) = count of g's bin / length of g's unit region clipped to [0, 1].
 
     counts is an (M, B) array and g, flat come from flat_bins at its width B.
     An empty bin counts as 1 so the density is always positive; that floor
     can only fire for curve sampling, never for a g that was itself binned.
-    scratch, a (2, n) float64 array, takes the region lengths (row 0) and
-    the density (row 1, which is returned), and then the counts must be
-    float64 too; without it both are allocated.
     """
-    length, gd = (None, None) if scratch is None else scratch
     half = 0.5 / counts.shape[-1]
-    upper = np.minimum(np.add(g, half, out=length), 1.0, out=length)
-    lower = np.maximum(np.subtract(g, half, out=gd), 0.0, out=gd)
-    length = np.subtract(upper, lower, out=upper)
-    density = np.maximum(counts.ravel().take(flat, out=gd), 1.0, out=gd)
-    return np.divide(density, length, out=gd)
+    length = np.minimum(g + half, 1.0) - np.maximum(g - half, 0.0)
+    return np.maximum(counts.ravel().take(flat), 1.0) / length
 
 
 def partition_of(p_star, a, mode: Mode):
@@ -216,8 +209,7 @@ class HarmonizedBatch:
     histograms: np.ndarray | None = None
 
 
-def harmonize_weights(g, codes, cfg: HarmonizerConfig, ema=None,
-                      buffers=None) -> HarmonizedBatch:
+def harmonize_weights(g, codes, cfg: HarmonizerConfig, ema=None) -> HarmonizedBatch:
     """Compute beta_i = N' / GD(g_i)^{gamma_i} for every example.
 
     N' is the total batch size under the "total" convention or the size of the
@@ -225,9 +217,6 @@ def harmonize_weights(g, codes, cfg: HarmonizerConfig, ema=None,
     the example's own row (the pooled row in GHM mode) of this batch's
     histograms; ema, an EmaHistograms, smooths them first.  In GHM mode the
     exponent is always 1.
-
-    buffers, the trainer's StepBuffers, lends rows 0 and 1 of its (3, n)
-    scratch to the density; the returned record holds fresh arrays only.
     """
     codes = np.asarray(codes, dtype=np.int64)
     # g is checked and binned once: one flat (code, bin) index serves the
@@ -237,11 +226,10 @@ def harmonize_weights(g, codes, cfg: HarmonizerConfig, ema=None,
     histograms = bin_counts(flat, m, cfg.bin_count).astype(np.float64)
     if ema is not None:
         histograms = ema.update(histograms)
-    gd = gradient_density(histograms, g, flat,
-                          None if buffers is None else buffers.scratch[:2])
+    gd = gradient_density(histograms, g, flat)
     gamma = np.where(g >= cfg.outlier_threshold, cfg.gamma_by_code.take(codes), 1.0)
     n_prime = n if cfg.n_convention == "total" else np.bincount(codes, minlength=m).take(codes)
-    beta = np.divide(n_prime, np.power(gd, gamma, out=gd))
+    beta = n_prime / gd**gamma
     return HarmonizedBatch(g=g, N=n, M=m, codes=codes, bins=bins, beta=beta,
                            gamma_applied=gamma, histograms=histograms)
 
@@ -279,7 +267,7 @@ class LossSpec:
 
 
 def classification_loss_and_grad(logits, p_star, codes, spec: LossSpec, ema=None,
-                                 beta=None, buffers=None):
+                                 beta=None):
     """Batch classification loss, per-example d(loss)/d(logit) and batch record.
 
     Returns (loss, dlogit, HarmonizedBatch).  Un-harmonized kinds take the
@@ -293,23 +281,14 @@ def classification_loss_and_grad(logits, p_star, codes, spec: LossSpec, ema=None
     ema, an EmaHistograms carried across batches, smooths this batch's counts
     before the weights are computed.  A fixed beta skips harmonizing: the
     kernel only applies the given weights.
-
-    buffers, the trainer's StepBuffers for n rows, holds the sigmoid and CE
-    scratch (rows of buffers.scratch) and receives dlogit in buffers.dlogit,
-    which is then returned; the HarmonizedBatch holds fresh arrays only.
-    Without buffers both are allocated.
     """
     logits = np.asarray(logits, dtype=np.float64)
     n = logits.size
     if n == 0:
         raise ValueError("empty batch")
     p_star = np.asarray(p_star, dtype=np.float64)
-    if buffers is None:
-        scratch, dlogit = np.empty((3, n)), np.empty(n)
-    else:
-        scratch, dlogit = buffers.scratch, buffers.dlogit
-    p = sigmoid(logits, out=scratch[0], scratch=scratch[1])
-    residual = np.subtract(p, p_star, out=dlogit)  # d(CE)/d(logit)
+    p = sigmoid(logits)
+    residual = p - p_star  # d(CE)/d(logit)
     g = np.abs(residual)  # gradient_norm(p, p_star), from the one subtraction
     if spec.kind in ("focal", "sce"):
         if spec.kind == "focal":
@@ -317,24 +296,21 @@ def classification_loss_and_grad(logits, p_star, codes, spec: LossSpec, ema=None
             grad = focal_grad_logit(p, p_star, spec.focal)
         else:
             per, grad = sce_loss(p, p_star, spec.sce), sce_grad_logit(p, p_star, spec.sce)
-        return float(np.mean(per)), np.divide(grad, n, out=dlogit), HarmonizedBatch(g=g, N=n)
+        return float(np.mean(per)), grad / n, HarmonizedBatch(g=g, N=n)
     # CE_i = -log q_i, where q_i = |1 - p*_i - p_i| is p for a positive and
     # 1 - p for a negative, ce_loss's two terms; the sums negate at the end
-    log_q = np.subtract(1.0 - p_star, p, out=scratch[2])
-    np.log(np.abs(log_q, out=log_q), out=log_q)
+    log_q = np.log(np.abs(1.0 - p_star - p))
     if not spec.is_harmonized:  # ce
-        dlogit = np.divide(residual, n, out=dlogit)
-        return -float(np.mean(log_q)), dlogit, HarmonizedBatch(g=g, N=n)
+        return -float(np.mean(log_q)), residual / n, HarmonizedBatch(g=g, N=n)
     cfg = spec.harmonizer
     if beta is None:
-        batch = harmonize_weights(g, codes, cfg, ema=ema, buffers=buffers)
+        batch = harmonize_weights(g, codes, cfg, ema=ema)
     else:
         batch = HarmonizedBatch(g=g, N=n, M=len(MODE_PARTITIONS[cfg.mode]),
                                 beta=np.asarray(beta, dtype=np.float64))
     norm = batch.M * n
-    loss = -float(np.multiply(batch.beta, log_q, out=log_q).sum() / norm)
-    np.multiply(batch.beta, residual, out=dlogit)
-    return loss, np.divide(dlogit, norm, out=dlogit), batch
+    loss = -float((batch.beta * log_q).sum() / norm)
+    return loss, batch.beta * residual / norm, batch
 
 
 # ---------------------------------------------------------------------------

@@ -17,21 +17,15 @@ import numpy as np
 EPS = 1e-12
 
 
-def sigmoid(logit, out=None, scratch=None):
-    """Clamped sigmoid: output lies in [EPS, 1 - EPS].
-
-    out and scratch, two float64 arrays shaped like logit, take p and the
-    temporaries; out is returned.  Without them both are allocated.
-    """
+def sigmoid(logit):
+    """Clamped sigmoid: output lies in [EPS, 1 - EPS]."""
     logit = np.asarray(logit, dtype=np.float64)
     # p = exp(min(x, 0)) / (1 + exp(-|x|)): the numerator is 1 on the x >= 0
     # side and e = exp(x) on the other.  exp(-|x|) never overflows, and
     # min(x, -x) is -|x| that keeps a NaN's sign, as -abs would not
-    e = np.exp(np.minimum(logit, np.negative(logit, out=scratch), out=scratch), out=scratch)
-    d = np.add(e, 1.0, out=out)
-    p = np.divide(np.exp(np.minimum(logit, 0.0, out=scratch), out=scratch), d, out=out)
-    p = np.maximum(p, EPS, out=out)  # np.clip, without its call overhead
-    return np.minimum(p, 1.0 - EPS, out=out)
+    e = np.exp(np.minimum(logit, -logit))
+    p = np.exp(np.minimum(logit, 0.0)) / (e + 1.0)
+    return np.minimum(np.maximum(p, EPS), 1.0 - EPS)  # np.clip, without its call overhead
 
 
 @dataclass(frozen=True)
@@ -141,14 +135,12 @@ def sce_grad_logit(p, p_star, params: SceParams = SceParams()):
     return params.alpha_sce * dce_dlogit + params.beta_sce * drce_dp * p * (1.0 - p)
 
 
-def smooth_l1_and_grad(x, out=None):
+def smooth_l1_and_grad(x):
     """Smooth-L1 loss and its derivative, the quadratic zone found once: 0.5 x^2
     and x for |x| < 1, |x| - 0.5 and sign(x) otherwise (transition fixed at 1).
-
-    The derivative goes to out when given, an array shaped like x.
     """
     x = np.asarray(x, dtype=np.float64)
     ax = np.abs(x)
     clipped = np.minimum(ax, 1.0)  # |x| in the quadratic zone, else 1
     # (|x| - 0.5 c) c is 0.5 x^2 exactly where c = |x|, as halving is exact
-    return (ax - 0.5 * clipped) * clipped, np.copysign(clipped, x, out=out)
+    return (ax - 0.5 * clipped) * clipped, np.copysign(clipped, x)

@@ -89,11 +89,12 @@ class Predictor:
 
 @dataclass
 class StepBuffers:
-    """Every array a training step writes, for batches of n rows.
+    """The arrays forward, backward and adam_step write in a training step,
+    for batches of n rows.
 
     train() allocates one set per call and each step overwrites it.  Given
-    none, forward, the classification kernel and adam_step allocate what
-    they write and backward a fresh set.
+    none, forward and adam_step allocate what they write and backward a
+    fresh set; the loss kernels always allocate their n-row results.
     """
 
     layers: list  # per dense layer, its (n, width) output
@@ -102,14 +103,6 @@ class StepBuffers:
     slopes: list  # per hidden layer, (n, width) scratch for 1 - tanh^2
     grad: Predictor  # the flat gradient and its per-layer views
     adam: np.ndarray  # (2, P) scratch for adam_step
-    scratch: np.ndarray  # (3, n) scratch of classification_loss_and_grad
-    dlogit: np.ndarray = field(init=False)  # the view delta[:, 0]
-    # the view delta[:k, 1:] for the last k asked for; delta[k:, 1:] is zero
-    doffsets: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.dlogit = self.delta[:, 0]
-        self.doffsets = self.delta[:, 1:]
 
     @classmethod
     def for_model(cls, model: Predictor, n: int) -> "StepBuffers":
@@ -119,31 +112,21 @@ class StepBuffers:
                    hidden=[np.empty((n, w)) for w in widths[:-1]],
                    slopes=[np.empty((n, w)) for w in widths[:-1]],
                    grad=Predictor(dims=model.dims, params=np.empty_like(model.params)),
-                   adam=np.empty((2, model.params.size)),
-                   scratch=np.empty((3, n)))
-
-    def offset_rows(self, k: int) -> np.ndarray:
-        """delta[:k, 1:] for the offset gradient of the k leading rows; the
-        rows past k are zeroed when k changes, so once per train() call."""
-        if len(self.doffsets) != k:
-            self.delta[k:, 1:] = 0.0
-            self.doffsets = self.delta[:k, 1:]
-        return self.doffsets
+                   adam=np.empty((2, model.params.size)))
 
 
-def forward(model: Predictor, features, buffers: StepBuffers | None = None):
+def forward(model: Predictor, features, outs=None):
     """Returns (logits (n,), offsets (n, 4), cache) for a batch of features.
 
-    cache is [input, every layer's output]; with buffers the outputs are
-    buffers.layers, overwritten.
+    cache is [input, every layer's output].  outs, one (n, width) array per
+    dense layer such as StepBuffers.layers, takes the outputs, overwritten;
+    without it they are allocated.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != model.dims[0]:
         raise ValueError(f"feature dim {x.shape[1]} != model dim {model.dims[0]}")
-    if buffers is None:
+    if outs is None:
         outs = [np.empty((len(x), w)) for w in model.dims[1:]]
-    else:
-        outs = buffers.layers
     activations = [x]
     last = len(outs) - 1
     for i, (w, b, z) in enumerate(zip(model.weights, model.biases, outs)):
@@ -162,18 +145,18 @@ FORWARD_ROWS = 2048
 
 def forward_pool(model: Predictor, features):
     """(logits (n,), offsets (n, 4)) of every feature row, by forwards of
-    near-equal blocks of at most FORWARD_ROWS rows through one StepBuffers.
-    No block has 1 row unless the pool does, so the bits equal one forward's:
-    a (1, k) matmul operand takes another BLAS path."""
+    near-equal blocks of at most FORWARD_ROWS rows, which share one array per
+    hidden layer and write their rows of one output.  No block has 1 row
+    unless the pool does, so the bits equal one forward's: a (1, k) matmul
+    operand takes another BLAS path."""
     n = len(features)
     blocks = max(-(-n // FORWARD_ROWS), 1)
     bounds = [n * i // blocks for i in range(blocks + 1)]
     out = np.empty((n, model.dims[-1]))
-    buffers = StepBuffers.for_model(model, 0)  # forward reads only its layers
     hidden = [np.empty((-(-n // blocks), w)) for w in model.dims[1:-1]]
     for start, stop in zip(bounds, bounds[1:]):
-        buffers.layers = [h[:stop - start] for h in hidden] + [out[start:stop]]
-        forward(model, features[start:stop], buffers)
+        forward(model, features[start:stop],
+                [h[:stop - start] for h in hidden] + [out[start:stop]])
     return out[:, 0], out[:, 1:5]
 
 
@@ -182,18 +165,16 @@ def backward(model: Predictor, activations, dlogit, doffsets,
     """Backpropagate per-example output gradients into parameter gradients.
 
     dlogit is (n,) and doffsets (k, 4) for the k <= n leading rows, the rest
-    having none; both already include loss normalizers.  Returns one flat
-    gradient laid out like model.params: buffers.grad.params when given,
-    overwritten.  Written in place as buffers.dlogit and
-    buffers.offset_rows(k), they are not copied.
+    having none; both already include loss normalizers.  They are copied into
+    buffers.delta.  Returns one flat gradient laid out like model.params:
+    buffers.grad.params when given, overwritten.
     """
     if buffers is None:
         buffers = StepBuffers.for_model(model, len(dlogit))
-    delta = buffers.delta
-    if dlogit is not buffers.dlogit:
-        buffers.dlogit[...] = dlogit
-    if doffsets is not buffers.doffsets:
-        buffers.offset_rows(len(doffsets))[...] = doffsets
+    delta, k = buffers.delta, len(doffsets)
+    delta[:, 0] = dlogit
+    delta[:k, 1:] = doffsets
+    delta[k:, 1:] = 0.0
     grad = buffers.grad
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(activations[i].T, delta, out=grad.weights[i])
@@ -231,20 +212,20 @@ def batch_loss_and_grads(model: Predictor, batch: Batch, spec: LossSpec,
     Returns (loss, flat gradient, HarmonizedBatch): the last is the
     classification kernel's record of the batch (gradient norms for every
     kind; beta and the harmonizer counts for harmonized kinds).  ema and beta
-    go to classification_loss_and_grad; buffers go to every layer, so the
-    gradient returned is then buffers.grad.params.
+    go to classification_loss_and_grad; buffers go to forward and backward,
+    so the gradient returned is then buffers.grad.params.
     """
-    logits, offsets, cache = forward(model, batch.features, buffers)
+    logits, offsets, cache = forward(model, batch.features,
+                                     None if buffers is None else buffers.layers)
     cls_loss, dlogit, harmonized = classification_loss_and_grad(
-        logits, batch.p_star, batch.codes, spec, ema=ema, beta=beta, buffers=buffers)
+        logits, batch.p_star, batch.codes, spec, ema=ema, beta=beta)
     k = len(batch.targets)
-    doffsets = np.empty((k, 4)) if buffers is None else buffers.offset_rows(k)
-    reg_loss = 0.0  # no positive, no offset gradient
+    reg_loss, doffsets = 0.0, np.empty((0, 4))  # no positive, no offset gradient
     if k:
-        per, slope = smooth_l1_and_grad(offsets[:k] - batch.targets, out=doffsets)
+        per, doffsets = smooth_l1_and_grad(offsets[:k] - batch.targets)
         reg_loss = float(per.sum() / k)
-        slope *= reg_weight
-        slope /= k
+        doffsets *= reg_weight
+        doffsets /= k
     grad = backward(model, cache, dlogit, doffsets, buffers)
     return cls_loss + reg_weight * reg_loss, grad, harmonized
 
@@ -347,7 +328,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN fails it too
             raise ValueError("learning rate must be positive")
         epochs = self.epochs
         if self.decay_epochs is None:

@@ -65,7 +65,18 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"hidden": [32.5]}, "hidden[0]"),
     ({"corpus": {"scene_spec": {"objects_per_ap_scene": [2.5, 6]}}},
      "corpus.scene_spec.objects_per_ap_scene[0]"),
-], ids=["nested_typo", "float_epochs", "float_hidden_width", "float_object_count"])
+    ({"include_dghm_star": "no"}, "include_dghm_star"),
+    ({"include_dghm_star": 0}, "include_dghm_star"),
+    ({"harmonizer": {"mu_n": float("nan")}}, "harmonizer.mu_n"),
+    ({"harmonizer": {"mu_c": float("inf")}}, "harmonizer.mu_c"),
+    ({"learning_rate": float("nan")}, "learning_rate"),
+    ({"reg_weight": float("nan")}, "reg_weight"),
+    ({"corpus": {"scene_spec": {"anchor_stride": float("nan")}}},
+     "corpus.scene_spec.anchor_stride"),
+    ({"lambda_grid": [-float("inf")]}, "lambda_grid[0]"),
+], ids=["nested_typo", "float_epochs", "float_hidden_width", "float_object_count",
+        "str_bool", "int_bool", "nan_mu_n", "inf_mu_c", "nan_learning_rate",
+        "nan_reg_weight", "nan_anchor_stride", "minus_inf_grid_element"])
 def test_check_config_rejects_schema_errors(tmp_path, capsys, config, key):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

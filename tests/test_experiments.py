@@ -316,9 +316,9 @@ def forwarded_rows_of_a_run(monkeypatch, forward_rows):
     real_forward, real_build = model_module.forward, experiments.build_pool
     rows, pool_sizes = [], []
 
-    def counted_forward(model, features, buffers=None):
+    def counted_forward(model, features, outs=None):
         rows.append(len(features))
-        return real_forward(model, features, buffers)
+        return real_forward(model, features, outs)
 
     def recorded_build(*args):
         pool = real_build(*args)

@@ -411,6 +411,8 @@ def test_harmonizer_config_validation():
     with pytest.raises(ValueError):
         HarmonizerConfig(mu_n=0.0)
     with pytest.raises(ValueError):
+        HarmonizerConfig(mu_n=float("nan"))
+    with pytest.raises(ValueError):
         HarmonizerConfig(n_convention="bogus")
     with pytest.raises(ValueError):
         HarmonizerConfig(momentum=1.0)
