@@ -33,7 +33,7 @@ from .losses import (
     sce_loss,
     sigmoid,
 )
-from .metrics import Detections, MetricsReport, froc, match_detections, nfps, operating_point
+from .metrics import Detections, MetricsReport
 from .model import Predictor, TrainConfig, finite_difference_check, train
 from .simdata import CorruptionSpec, Scene, SceneSpec, corrupt_annotations, iou
 
@@ -43,10 +43,9 @@ __all__ = [
     "Predictor", "SceParams", "Scene", "SceneSpec", "TrainConfig",
     "bin_counts", "ce_grad_logit", "ce_loss",
     "classification_loss_and_grad", "corrupt_annotations",
-    "finite_difference_check", "flat_bins", "focal_loss", "froc",
+    "finite_difference_check", "flat_bins", "focal_loss",
     "gradient_density", "gradient_norm", "harmonize_weights", "iou",
-    "match_detections", "nfps", "operating_point", "partition_of",
-    "sce_loss", "sigmoid", "train",
+    "partition_of", "sce_loss", "sigmoid", "train",
 ]
 
 __version__ = "0.1.0"

@@ -146,9 +146,15 @@ def _from_json(hint, value, key: str):
     allowed = (int, float) if hint is float else (hint,)
     if hint in (int, float, str, bool) and type(value) not in allowed:
         raise ValueError(f"{key} must be {hint.__name__}, got {value!r}")
-    if hint is float and not np.isfinite(value):
+    if hint is not float:
+        return value
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{key} must be finite, got an int too large for a float") from None
+    if not np.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
-    return float(value) if hint is float else value
+    return value
 
 
 def config_from_dict(cls, d: dict, where: str = ""):
@@ -183,7 +189,7 @@ def validate_config_dict(d: dict):
         for name in cfg.losses:
             loss_spec_for(name, cfg.harmonizer)
         _check_fold_count(cfg.folds, cfg.corpus.n_ap + cfg.corpus.n_np)
-        _ablation_cells(cfg)
+        cells = _ablation_cells(cfg)
         for seed in (cfg.corpus.seed, *cfg.seeds):
             np.random.SeedSequence(seed)
     except TypeError as exc:
@@ -192,6 +198,12 @@ def validate_config_dict(d: dict):
         raise ValueError("losses must be nonempty")
     if not cfg.seeds or len(set(cfg.seeds)) != len(cfg.seeds):
         raise ValueError("seeds must be nonempty and distinct")
+    # each grid entry is one summary row, keyed by its label: none may repeat
+    for key, labels in zip(("losses", "eta_grid", "mu_grid", "lambda_grid"),
+                           (cfg.losses, [f"{eta:g}" for eta in cfg.eta_grid],
+                            *([label for label, _ in grid] for grid in cells))):
+        if min(len(set(labels)), len(set(getattr(cfg, key)))) < len(labels):
+            raise ValueError(f"{key} repeats an entry or its label: {list(labels)}")
     return cfg
 
 
@@ -490,18 +502,14 @@ def _ablation_cells(cfg: ExperimentConfig):
 def _ablation_grid(cfg: ExperimentConfig, out_dir, name: str, cells, jobs: int):
     """Run dghm_c for each (label, harmonizer) cell and seed; write the grid's CSVs.
 
-    The summary has one row per distinct label, in grid order.
+    The summary has one row per cell, in grid order.
     """
     tasks = [(cfg, "dghm_c", cfg.eta, 0, seed, h) for _, h in cells for seed in cfg.seeds]
-    labels = [label for label, _ in cells for _ in cfg.seeds]
     records = run_many(tasks, jobs=jobs)
     write_run_rows(out_dir / f"ablate_{name}_runs.csv", records)
-    by_label: dict = {}
-    for label, rec in zip(labels, records):
-        by_label.setdefault(label, []).append(rec)
-    rows = []
-    for label, recs in by_label.items():
-        rows += summarize(recs, lambda r, lab=label: lab)
+    n = len(cfg.seeds)
+    rows = [row for i, (label, _) in enumerate(cells)
+            for row in summarize(records[i * n:(i + 1) * n], lambda r, lab=label: lab)]
     write_summary_rows(out_dir / f"ablate_{name}_summary.csv", rows)
     return records
 

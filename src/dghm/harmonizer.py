@@ -209,6 +209,12 @@ class HarmonizedBatch:
     histograms: np.ndarray | None = None
 
 
+def _weights(g, codes, gd, n_prime, cfg: HarmonizerConfig):
+    """(beta, gamma): gamma = mu of the code where g >= lambda, else 1; beta = N' / GD^gamma."""
+    gamma = np.where(g >= cfg.outlier_threshold, cfg.gamma_by_code.take(codes), 1.0)
+    return n_prime / gd**gamma, gamma
+
+
 def harmonize_weights(g, codes, cfg: HarmonizerConfig, ema=None) -> HarmonizedBatch:
     """Compute beta_i = N' / GD(g_i)^{gamma_i} for every example.
 
@@ -226,10 +232,8 @@ def harmonize_weights(g, codes, cfg: HarmonizerConfig, ema=None) -> HarmonizedBa
     histograms = bin_counts(flat, m, cfg.bin_count).astype(np.float64)
     if ema is not None:
         histograms = ema.update(histograms)
-    gd = gradient_density(histograms, g, flat)
-    gamma = np.where(g >= cfg.outlier_threshold, cfg.gamma_by_code.take(codes), 1.0)
     n_prime = n if cfg.n_convention == "total" else np.bincount(codes, minlength=m).take(codes)
-    beta = n_prime / gd**gamma
+    beta, gamma = _weights(g, codes, gradient_density(histograms, g, flat), n_prime, cfg)
     return HarmonizedBatch(g=g, N=n, M=m, codes=codes, bins=bins, beta=beta,
                            gamma_applied=gamma, histograms=histograms)
 
@@ -345,10 +349,8 @@ def reformulated_gradient_curve(spec: LossSpec, histograms=None, partition: int 
     cfg = spec.harmonizer
     counts = np.atleast_2d(histograms)
     g, _, flat = flat_bins(g, np.full(samples, partition), counts.shape[1])
-    gd = gradient_density(counts, g, flat)
-    gamma = np.where(g >= cfg.outlier_threshold, cfg.gamma_by_code[partition], 1.0)
     n_prime = counts.sum() if cfg.n_convention == "total" else counts[partition].sum()
-    beta = n_prime / gd**gamma
+    beta, _ = _weights(g, partition, gradient_density(counts, g, flat), n_prime, cfg)
     return g, beta * g
 
 

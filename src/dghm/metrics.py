@@ -188,25 +188,11 @@ def _greedy_claims(dets, gt_by_scene, iou_thr):
     return order, is_tp
 
 
-def match_detections(dets, gt_boxes, iou_thr: float = EVAL_IOU) -> MatchReport:
-    """Greedy one-to-one matching of every detection against one (n, 4) gt array.
-
-    Scene ids are ignored.  Detections are processed by descending score; each
-    claims the unmatched gt with the highest IoU >= iou_thr.
-    """
-    one_scene = Detections(np.zeros_like(dets.scene_id), dets.boxes, dets.score)
-    return aggregate_match(one_scene, {0: gt_boxes}, iou_thr)
-
-
-def _gt_count(gt_by_scene) -> int:
-    return sum(len(g) for g in gt_by_scene.values())
-
-
 def aggregate_match(dets, gt_by_scene, iou_thr: float = EVAL_IOU) -> MatchReport:
     """Match per scene and sum counts; detections in scenes without gt are FP."""
     _, is_tp = _greedy_claims(dets, gt_by_scene, iou_thr)
     tp = int(np.count_nonzero(is_tp))
-    return MatchReport(tp=tp, fp=len(dets) - tp, fn=_gt_count(gt_by_scene) - tp)
+    return MatchReport(tp=tp, fp=len(dets) - tp, fn=sum(map(len, gt_by_scene.values())) - tp)
 
 
 def recall(report: MatchReport):
@@ -223,22 +209,9 @@ def precision(report: MatchReport):
     return report.tp / (report.tp + report.fp), False
 
 
-def mean_np_detections(dets, np_scene_ids) -> float:
-    """W: average number of detections per normal scene."""
-    np_scene_ids = set(np_scene_ids)
-    if not np_scene_ids:
-        raise ValueError("at least one normal scene is required")
-    n = np.count_nonzero(np.isin(dets.scene_id, list(np_scene_ids)))
-    return n / len(np_scene_ids)
-
-
 def nfps_from_w(w: float) -> float:
+    """NFPs from W, the mean detection count per normal scene."""
     return max(100.0 - w, 0.0)
-
-
-def nfps(dets, np_scene_ids, threshold: float) -> float:
-    """NFPs score at the given operating threshold."""
-    return nfps_from_w(mean_np_detections(dets[dets.score >= threshold], np_scene_ids))
 
 
 def _sweep_curves(dets, gt_by_scene, np_scene_ids=()):
@@ -259,15 +232,13 @@ def _sweep_curves(dets, gt_by_scene, np_scene_ids=()):
     return scores[last], cum_tp[last], last + 1, cum_np[last]
 
 
-def sweep_report(curves, total_gt: int, n_np: int,
-                 min_precision: float = MIN_PRECISION,
-                 levels=FROC_LEVELS) -> MetricsReport:
+def sweep_report(curves, total_gt: int, n_np: int) -> MetricsReport:
     """The test-fold metrics read off one greedy sweep (``_sweep_curves``).
 
-    The operating threshold is the lowest whose precision is >= min_precision;
+    The operating threshold is the lowest whose precision is >= MIN_PRECISION;
     when none is, the (first) threshold of maximum precision, flagged.  Recall,
     precision and NFPs are read at that threshold's group.  FROC averages over
-    the levels the best recall of any threshold whose mean normal-scene count
+    FROC_LEVELS the best recall of any threshold whose mean normal-scene count
     W stays <= level; a level no threshold meets contributes 0.  With n_np = 0
     (no normal scenes) NFPs and FROC are None; T-/R-recall are left None.
     """
@@ -275,7 +246,7 @@ def sweep_report(curves, total_gt: int, n_np: int,
     if not thresholds.size:
         return MetricsReport(flags=["no_detections"])
     precisions = tp / n_det
-    ok = np.flatnonzero(precisions >= min_precision)
+    ok = np.flatnonzero(precisions >= MIN_PRECISION)
     # thresholds are descending; the last qualifying one is the lowest
     k = int(ok[-1]) if ok.size else int(np.argmax(precisions))
     flags = [] if ok.size else ["precision_floor_unreached"]
@@ -294,7 +265,7 @@ def sweep_report(curves, total_gt: int, n_np: int,
         froc_value = 0.0
         if total_gt:
             # (level, threshold) feasibility
-            feasible = np_det / n_np <= np.asarray(levels)[:, None]
+            feasible = np_det / n_np <= np.asarray(FROC_LEVELS)[:, None]
             froc_value = float(np.mean(
                 np.where(feasible, tp / total_gt, 0.0).max(axis=1, initial=0.0)))
     return MetricsReport(recall=rec, precision=prec, nfps=nfps_value, froc=froc_value,
@@ -334,7 +305,7 @@ def evaluate_detections(anchor_boxes, scene_ids, scores, offsets, gt_by_scene,
     scores = np.asarray(scores, dtype=np.float64)
     scene_ids = np.asarray(scene_ids)
     np_scene_ids = sorted(set(np_scene_ids))
-    total_gt, n_np, n = _gt_count(gt_by_scene), len(np_scene_ids), scores.size
+    total_gt, n_np, n = sum(map(len, gt_by_scene.values())), len(np_scene_ids), scores.size
     order = np.argsort(-scores, kind="stable")
     rows = n
     if total_gt and not np.isnan(scores).any():
@@ -354,36 +325,6 @@ def evaluate_detections(anchor_boxes, scene_ids, scores, offsets, gt_by_scene,
         if rows == n or sweep_is_deep_enough(curves, total_gt, n_np):
             return sweep_report(curves, total_gt, n_np)
         rows = min(2 * rows, n)
-
-
-def froc(dets, gt_by_scene, np_scene_ids, levels=FROC_LEVELS) -> float:
-    """Average recall over FP-per-normal-scene levels (see ``sweep_report``).
-
-    For each level, the recall is the highest recall achievable at any score
-    threshold whose mean normal-scene detection count W stays <= level.  If W
-    never reaches the level even at the lowest threshold, the recall at the
-    lowest threshold is used (it satisfies W <= level); if even the highest
-    threshold exceeds the level, that level contributes 0.
-    """
-    np_scene_ids = set(np_scene_ids)
-    if not np_scene_ids:
-        raise ValueError("at least one normal scene is required")
-    curves = _sweep_curves(dets, gt_by_scene, np_scene_ids)
-    return sweep_report(curves, _gt_count(gt_by_scene), len(np_scene_ids),
-                        levels=levels).froc
-
-
-def operating_point(dets, gt_by_scene, min_precision: float = MIN_PRECISION):
-    """Lowest score threshold whose precision is >= min_precision.
-
-    Returns (threshold, flagged).  When no threshold reaches the floor, the
-    threshold of maximum precision is returned and flagged.
-    """
-    if not dets:
-        raise ValueError("no detections to choose an operating point from")
-    report = sweep_report(_sweep_curves(dets, gt_by_scene), _gt_count(gt_by_scene), 0,
-                          min_precision)
-    return report.threshold, "precision_floor_unreached" in report.flags
 
 
 def t_r_recall(dets, kept_by_scene, removed_by_scene, threshold: float,

@@ -32,12 +32,12 @@ from dghm.losses import (
 from dghm.metrics import (
     Detections,
     MatchReport,
+    _sweep_curves,
     aggregate_match,
-    froc,
     nfps_from_w,
-    operating_point,
     precision,
     recall,
+    sweep_report,
 )
 from dghm.model import Batch, Predictor, finite_difference_check, pool_gradient_histograms
 
@@ -258,6 +258,12 @@ def _brute_operating_point(dets, gt_by_scene, min_precision=0.2):
     return best_t, True
 
 
+def _swept(dets, gt_by_scene, np_ids=()):
+    """The pipeline's report of one detection set: ``sweep_report`` of its sweep."""
+    n_gt = sum(len(b) for b in gt_by_scene.values())
+    return sweep_report(_sweep_curves(dets, gt_by_scene, np_ids), n_gt, len(np_ids))
+
+
 def test_criterion_5_metric_oracles():
     # exact formulas on hand-built reports
     rep = MatchReport(tp=6, fp=2, fn=4)
@@ -271,12 +277,12 @@ def test_criterion_5_metric_oracles():
         dets, gt, np_ids = _random_detection_sets(rng)
         if not dets:
             continue
-        if abs(froc(dets, gt, np_ids) - _brute_froc(dets, gt, np_ids)) > 1e-12:
+        if abs(_swept(dets, gt, np_ids).froc - _brute_froc(dets, gt, np_ids)) > 1e-12:
             agree = False
             break
-        thr, flagged = operating_point(dets, gt)
+        report = _swept(dets, gt)
         bthr, bflag = _brute_operating_point(dets, gt)
-        if thr != bthr or flagged != bflag:
+        if report.threshold != bthr or ("precision_floor_unreached" in report.flags) != bflag:
             agree = False
             break
     _verdict(5, "metric formulas exact; FROC/operating point match "

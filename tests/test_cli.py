@@ -74,9 +74,13 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"corpus": {"scene_spec": {"anchor_stride": float("nan")}}},
      "corpus.scene_spec.anchor_stride"),
     ({"lambda_grid": [-float("inf")]}, "lambda_grid[0]"),
+    ({"reg_weight": 10**400}, "reg_weight"),
+    ({"corpus": {"scene_spec": {"anchor_stride": 10**400}}},
+     "corpus.scene_spec.anchor_stride"),
 ], ids=["nested_typo", "float_epochs", "float_hidden_width", "float_object_count",
         "str_bool", "int_bool", "nan_mu_n", "inf_mu_c", "nan_learning_rate",
-        "nan_reg_weight", "nan_anchor_stride", "minus_inf_grid_element"])
+        "nan_reg_weight", "nan_anchor_stride", "minus_inf_grid_element",
+        "huge_int_reg_weight", "huge_int_anchor_stride"])
 def test_check_config_rejects_schema_errors(tmp_path, capsys, config, key):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -216,6 +216,23 @@ def test_validate_rejects_duplicate_seeds():
         validate_config_dict({"seeds": [1, 1]})
 
 
+@pytest.mark.parametrize("d, key", [
+    ({"losses": ["ce", "ce"]}, "losses"),
+    ({"eta_grid": [0.5, 0.5]}, "eta_grid"),
+    ({"eta_grid": [0.2, 0.2000001]}, "eta_grid"),
+    ({"eta_grid": [0.0, -0.0]}, "eta_grid"),
+    ({"mu_grid": [[1, 2], [1.0, 2.0]]}, "mu_grid"),
+    ({"mu_grid": [[1, 2], [1.0000001, 2]]}, "mu_grid"),
+    ({"lambda_grid": [0.8, 0.8]}, "lambda_grid"),
+    ({"lambda_grid": [0.8, 0.8000001]}, "lambda_grid"),
+], ids=["losses", "eta_grid", "eta_labels", "eta_signed_zero", "mu_grid", "mu_labels",
+        "lambda_grid", "lambda_labels"])
+def test_validate_rejects_grids_whose_summary_rows_would_merge(d, key):
+    # a repeated entry runs twice, and two whose :g labels collide share a summary row
+    with pytest.raises(ValueError, match=key):
+        validate_config_dict(d)
+
+
 def test_validate_rejects_empty_losses():
     with pytest.raises(ValueError, match="losses"):
         validate_config_dict({"losses": []})

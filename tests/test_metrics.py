@@ -1,8 +1,9 @@
 """Metric-suite tests: formula exactness plus brute-force sweep oracles.
 
-The FROC and operating-point implementations use a single-pass prefix trick;
-the oracles here re-run full greedy matching independently at every distinct
-score threshold and must agree exactly.
+FROC and the operating point are read off one greedy sweep (``sweep_report``
+of ``_sweep_curves``, the pipeline's path); the oracles here re-run full
+greedy matching independently at every distinct score threshold and must
+agree exactly.
 """
 
 import dataclasses
@@ -23,16 +24,12 @@ from dghm.metrics import (
     decode_and_suppress,
     decode_boxes,
     evaluate_detections,
-    froc,
-    match_detections,
-    mean_np_detections,
-    nfps,
     nfps_from_w,
-    operating_point,
     precision,
     read_report,
     recall,
     sweep_is_deep_enough,
+    sweep_report,
     t_r_recall,
     write_report,
 )
@@ -49,6 +46,12 @@ def det(*rows):
 def gt(*rows):
     """Ground-truth boxes as an (n, 4) array of (cx, cy, w, h) rows."""
     return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+def swept(dets, gt_by_scene, np_scene_ids=()):
+    """The pipeline's report of one detection set: ``sweep_report`` of its sweep."""
+    curves = _sweep_curves(dets, gt_by_scene, np_scene_ids)
+    return sweep_report(curves, sum(map(len, gt_by_scene.values())), len(set(np_scene_ids)))
 
 
 def random_detection_sets(seed, n_sets):
@@ -91,12 +94,12 @@ def random_detection_sets(seed, n_sets):
 def test_perfect_match():
     gts = gt((10, 10, 6, 6), (30, 30, 6, 6))
     dets = det((0, 10, 10, 6, 6, 0.9), (0, 30, 30, 6, 6, 0.8))
-    rep = match_detections(dets, gts)
+    rep = aggregate_match(dets, {0: gts})
     assert (rep.tp, rep.fp, rep.fn) == (2, 0, 0)
 
 
 def test_no_detections():
-    rep = match_detections(det(), gt(*[(10, 10, 6, 6)] * 3))
+    rep = aggregate_match(det(), {0: gt(*[(10, 10, 6, 6)] * 3)})
     assert (rep.tp, rep.fp, rep.fn) == (0, 0, 3)
 
 
@@ -104,7 +107,7 @@ def test_two_matched_one_stray():
     gts = gt((10, 10, 6, 6), (30, 30, 6, 6), (50, 50, 6, 6))
     dets = det((0, 10, 10, 6, 6, 0.9), (0, 30, 30, 6, 6, 0.8),
                (0, 5, 50, 3, 3, 0.7))
-    rep = match_detections(dets, gts)
+    rep = aggregate_match(dets, {0: gts})
     assert (rep.tp, rep.fp, rep.fn) == (2, 1, 1)
 
 
@@ -112,14 +115,14 @@ def test_matching_is_one_to_one():
     # two detections on one gt: only the higher-scored one claims it
     gts = gt((10, 10, 6, 6))
     dets = det((0, 10, 10, 6, 6, 0.9), (0, 10.5, 10, 6, 6, 0.8))
-    rep = match_detections(dets, gts)
+    rep = aggregate_match(dets, {0: gts})
     assert (rep.tp, rep.fp, rep.fn) == (1, 1, 0)
 
 
 def test_matching_respects_iou_threshold():
     gts = gt((10, 10, 6, 6))
     dets = det((0, 20, 20, 6, 6, 0.9))  # zero overlap
-    rep = match_detections(dets, gts)
+    rep = aggregate_match(dets, {0: gts})
     assert (rep.tp, rep.fp, rep.fn) == (0, 1, 1)
 
 
@@ -160,15 +163,17 @@ def test_nfps_formula_and_clamp():
 
 
 def test_nfps_thresholding():
-    dets = det((7, 10, 10, 4, 4, 0.9), (7, 20, 20, 4, 4, 0.4),
-               (8, 30, 30, 4, 4, 0.6))
-    assert nfps(dets, [7, 8], threshold=0.5) == pytest.approx(100 - 1.0)
-    assert nfps(dets, [7, 8], threshold=0.0) == pytest.approx(100 - 1.5)
-
-
-def test_mean_np_detections_requires_np_scene():
-    with pytest.raises(ValueError):
-        mean_np_detections(det(), [])
+    # normal-scene detections at 0.9, 0.6 and 0.4 and a hit at 0.5: precision
+    # 1/3 at 0.5 and 1/6 at 0.4, so the operating threshold is 0.5 and W
+    # counts the two normal-scene detections at or above it
+    gts = {0: gt((10, 10, 6, 6))}
+    dets = det((7, 10, 10, 4, 4, 0.9), (8, 30, 30, 4, 4, 0.6), (0, 10, 10, 6, 6, 0.5),
+               *[(7, 20 + 8 * i, 20, 4, 4, 0.4) for i in range(3)])
+    report = swept(dets, gts, [7, 8])
+    assert report.threshold == 0.5 and report.flags == []
+    assert report.nfps == pytest.approx(100 - 1.0)
+    # one more normal scene spreads the same detections thinner
+    assert swept(dets, gts, [7, 8, 9]).nfps == pytest.approx(100 - 2 / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +235,7 @@ def test_froc_simple_mean():
             rows.append((99, 30, 30, 4, 4, s))
         cum = target
     dets = det(*rows)
-    value = froc(dets, gts, [99])
+    value = swept(dets, gts, [99]).froc
     assert value == pytest.approx(brute_force_froc(dets, gts, [99]))
     assert value == pytest.approx(np.mean([0.5, 0.6, 0.7, 0.8, 0.9, 1.0]))
 
@@ -238,24 +243,25 @@ def test_froc_simple_mean():
 def test_froc_zero_fp_detector():
     gts = {0: gt((10, 10, 6, 6))}
     dets = det((0, 10, 10, 6, 6, 0.9))
-    assert froc(dets, gts, [5]) == 1.0
+    assert swept(dets, gts, [5]).froc == 1.0
 
 
 def test_froc_empty_detections():
-    assert froc(det(), {0: gt((10, 10, 6, 6))}, [5]) == 0.0
+    report = swept(det(), {0: gt((10, 10, 6, 6))}, [5])
+    assert report.froc == 0.0 and report.flags == ["no_detections"]
 
 
 def test_froc_range_property():
     for dets, gts, np_ids in random_detection_sets(21, 20):
         if not np_ids:
             continue
-        v = froc(dets, gts, np_ids)
+        v = swept(dets, gts, np_ids).froc
         assert 0.0 <= v <= 1.0
 
 
 def test_froc_matches_brute_force_100_random_sets():
     for dets, gts, np_ids in random_detection_sets(42, 100):
-        fast = froc(dets, gts, np_ids)
+        fast = swept(dets, gts, np_ids).froc
         slow = brute_force_froc(dets, gts, np_ids)
         assert fast == pytest.approx(slow, abs=1e-12), (fast, slow)
 
@@ -265,10 +271,10 @@ def test_operating_point_matches_brute_force_100_random_sets():
     for dets, gts, np_ids in random_detection_sets(1234, 100):
         if not dets:
             continue
-        fast_thr, fast_flag = operating_point(dets, gts)
+        report = swept(dets, gts)
         slow_thr, slow_flag = brute_force_operating_point(dets, gts)
-        assert fast_flag == slow_flag
-        assert fast_thr == pytest.approx(slow_thr, abs=1e-12)
+        assert ("precision_floor_unreached" in report.flags) == slow_flag
+        assert report.threshold == pytest.approx(slow_thr, abs=1e-12)
         checked += 1
     assert checked >= 90
 
@@ -276,21 +282,15 @@ def test_operating_point_matches_brute_force_100_random_sets():
 def test_operating_point_perfect_detector():
     gts = {0: gt((10, 10, 6, 6))}
     dets = det((0, 10, 10, 6, 6, 0.05))
-    thr, flagged = operating_point(dets, gts)
-    assert thr == pytest.approx(0.05)
-    assert not flagged
+    report = swept(dets, gts)
+    assert report.threshold == pytest.approx(0.05)
+    assert "precision_floor_unreached" not in report.flags
 
 
 def test_operating_point_all_fp_flagged():
     gts = {0: gt((10, 10, 6, 6))}
     dets = det(*[(0, 40, 40, 3, 3, s) for s in (0.9, 0.8)])
-    thr, flagged = operating_point(dets, gts, min_precision=0.2)
-    assert flagged
-
-
-def test_operating_point_empty_rejected():
-    with pytest.raises(ValueError):
-        operating_point(det(), {})
+    assert "precision_floor_unreached" in swept(dets, gts).flags
 
 
 def test_monotone_curves_property():
@@ -566,12 +566,6 @@ def test_greedy_claims_match_scalar_oracle():
         assert claims(dets, {0: gts}, EVAL_IOU)[1].tolist() == [True, True, False]
 
 
-def test_match_detections_ignores_scene_ids():
-    gts = gt((10, 10, 6, 6), (30, 30, 6, 6))
-    rep = match_detections(det((3, 10, 10, 6, 6, 0.9), (7, 30, 30, 6, 6, 0.8)), gts)
-    assert (rep.tp, rep.fp, rep.fn) == (2, 0, 0)
-
-
 # ---------------------------------------------------------------------------
 # the all-scene sweep and pair passes against the per-scene loops
 # ---------------------------------------------------------------------------
@@ -766,8 +760,9 @@ def test_detection_score_validated():
 
 def full_pass_reference(anchor_boxes, scene_ids, scores, offsets, gt_by_scene, np_ids):
     """The test-fold evaluation as a full pass: every row through NMS, then
-    four greedy passes (operating point, matching at it, NFPs, FROC), with the
-    operating-point and FROC arithmetic written out on their own sweeps."""
+    greedy passes for the operating point, the matching at it and FROC, with
+    their arithmetic written out on their own sweeps, and NFPs from its own
+    count of normal-scene detections at or above the threshold."""
     keep = ~(scores < 0.0)
     dets = decode_and_suppress(anchor_boxes[keep], scene_ids[keep], scores[keep],
                                offsets[keep])
@@ -799,7 +794,8 @@ def full_pass_reference(anchor_boxes, scene_ids, scores, offsets, gt_by_scene, n
         _, tp, _, np_det = _sweep_curves(dets, gt_by_scene, set(np_ids))
         ok = np_det / len(set(np_ids)) <= np.asarray(FROC_LEVELS)[:, None]
         froc_value = float(np.mean(np.where(ok, tp / total_gt, 0.0).max(axis=1, initial=0.0)))
-    return MetricsReport(recall=rec, precision=prec, nfps=nfps(dets, np_ids, thr),
+    w = np.count_nonzero(np.isin(dets.scene_id, np_ids) & (dets.score >= thr))
+    return MetricsReport(recall=rec, precision=prec, nfps=nfps_from_w(w / len(set(np_ids))),
                          froc=froc_value, threshold=thr, flags=flags)
 
 
