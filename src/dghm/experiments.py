@@ -40,8 +40,10 @@ from .model import (
     train,
 )
 from .simdata import (
+    _CHUNK,
     CorruptionSpec,
     SceneSpec,
+    build_anchor_grid,
     build_pool,
     corrupt_annotations,
     generate_corpus,
@@ -254,35 +256,63 @@ def kfold_split(scenes, k: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def predict_scenes(model, pool, min_score: float = 0.0):
-    """Detections for a pool's scenes at score >= min_score: forward every
-    anchor by ``forward_pool``, then decode and suppress only those rows.
+def _score_pool(model, pool):
+    """The four columns evaluation reads of a pool, by one ``forward_pool``:
+    (anchor boxes, scene ids, scores, offsets)."""
+    logits, offsets = forward_pool(model, pool.features)
+    return pool.boxes, pool.scene_id, sigmoid(logits), offsets
+
+
+def predict_scenes(scored, min_score: float = 0.0):
+    """Detections of scored rows (``_score_pool``) at score >= min_score:
+    only those rows are decoded and suppressed.
 
     Equal to the detections of all rows filtered to score >= min_score, row
     for row: greedy NMS drops a row only for a higher-ranked row of its scene,
     which scores at least as high, and the subset keeps the tie order.  A NaN
     score is not below min_score, so it is kept and Detections rejects it.
     """
-    logits, offsets = forward_pool(model, pool.features)
-    scores = sigmoid(logits)
-    keep = ~(scores < min_score)
-    return M.decode_and_suppress(pool.boxes[keep], pool.scene_id[keep], scores[keep],
-                                 offsets[keep])
+    keep = ~(scored[2] < min_score)
+    return M.decode_and_suppress(*(column[keep] for column in scored))
+
+
+def _scene_groups(scenes, spec: SceneSpec):
+    """Consecutive groups of scenes holding at most _CHUNK anchors each, or
+    one scene's.  A group of 1 anchor takes in its neighbours, unless the
+    scenes hold 1 in all: ``forward_pool`` of 1 row takes another BLAS path."""
+    sizes = {}  # anchors per extent
+    groups, rows = [[]], 0
+    for scene in scenes:
+        extent = tuple(scene.extent)
+        if extent not in sizes:
+            sizes[extent] = len(build_anchor_grid(scene, spec))
+        if rows > 1 and rows + sizes[extent] > _CHUNK:
+            groups.append([])
+            rows = 0
+        groups[-1].append(scene)
+        rows += sizes[extent]
+    if rows == 1 and len(groups) > 1:
+        groups[-2].extend(groups.pop())
+    return groups
 
 
 def _test_fold_report(model, test_scenes, spec: SceneSpec,
                       corpus_seed: int) -> M.MetricsReport:
-    """The test-fold metrics (``metrics.evaluate_detections``) of one
-    ``forward_pool`` over the test scenes' pool, which is freed on return."""
-    pool = build_pool(test_scenes, spec, corpus_seed)
-    logits, offsets = forward_pool(model, pool.features)
+    """The test-fold metrics (``metrics.evaluate_detections``) of the test
+    scenes' scored rows.  Each of ``_scene_groups`` is built and scored in
+    turn, and its pool freed before the next is built.  Exact: an anchor's
+    row depends only on the corpus seed, its scene, its index and its scene's
+    boxes, so each group's pool is its rows of one pool over every scene."""
+    parts = [_score_pool(model, build_pool(group, spec, corpus_seed))
+             for group in _scene_groups(test_scenes, spec)]
+    scored = [np.concatenate(columns) for columns in zip(*parts)]
+    del parts
     gt_by_scene = {s.scene_id: s.gt_boxes for s in test_scenes if s.is_abnormal}
     np_ids = [s.scene_id for s in test_scenes if not s.is_abnormal]
-    return M.evaluate_detections(pool.boxes, pool.scene_id, sigmoid(logits), offsets,
-                                 gt_by_scene, np_ids)
+    return M.evaluate_detections(*scored, gt_by_scene, np_ids)
 
 
-def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes,
+def evaluate_model(model, train_scored, train_scenes_corrupted, test_scenes,
                    spec: SceneSpec, corpus_seed: int) -> M.MetricsReport:
     """Full metric suite: test-fold detection metrics plus training T/R-recall.
 
@@ -291,17 +321,18 @@ def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes,
     dropped, because ``run_single``'s scenes start fully annotated.
 
     The operating threshold is chosen on the test fold (precision >= 0.2) and
-    reused for the training-scene recalls, predicted from the pool the model
-    was trained on: its features and boxes do not depend on the annotations.
-    Each pool is suppressed only as deep as its metrics read: the test fold
-    down to where its sweep stops mattering, the training pool at scores >=
-    threshold, the only detections T/R-recall counts.
+    reused for the training-scene recalls, predicted from train_scored, the
+    scored rows (``_score_pool``) of the pool the model was trained on: its
+    features and boxes do not depend on the annotations.  Each scene set is
+    suppressed only as deep as its metrics read: the test fold down to where
+    its sweep stops mattering, the training rows at scores >= threshold, the
+    only detections T/R-recall counts.
     """
     report = _test_fold_report(model, test_scenes, spec, corpus_seed)
     if "no_detections" in report.flags:
         return report
     thr = report.threshold
-    train_dets = predict_scenes(model, train_pool, min_score=thr)
+    train_dets = predict_scenes(train_scored, min_score=thr)
     train_ap = [s for s in train_scenes_corrupted if s.is_abnormal]
     kept_by_scene = {s.scene_id: s.gt_boxes[s.annotated] for s in train_ap}
     removed_by_scene = {s.scene_id: s.gt_boxes[~s.annotated]
@@ -316,7 +347,12 @@ def evaluate_model(model, train_pool, train_scenes_corrupted, test_scenes,
 def run_single(cfg: ExperimentConfig, loss_name: str, eta: float, fold: int,
                seed: int, harmonizer: HarmonizerConfig | None = None,
                return_model: bool = False):
-    """One (loss, eta, fold, seed) training/evaluation cycle."""
+    """One (loss, eta, fold, seed) training/evaluation cycle.
+
+    The training pool is scored once right after training.  Unless it is
+    returned, it is then dropped, so that the run holds at most one scene
+    set's pool at a time.
+    """
     scenes = generate_corpus(cfg.corpus.scene_spec, cfg.corpus.n_ap,
                              cfg.corpus.n_np, cfg.corpus.seed)
     folds = kfold_split(scenes, cfg.folds, cfg.corpus.seed)
@@ -327,8 +363,11 @@ def run_single(cfg: ExperimentConfig, loss_name: str, eta: float, fold: int,
     pool = build_pool(corrupted, cfg.corpus.scene_spec, cfg.corpus.seed)
     spec = loss_spec_for(loss_name, harmonizer or cfg.harmonizer)
     model, log = train(pool, _train_config(cfg, spec, seed))
-    report = evaluate_model(model, pool, corrupted, test_scenes, cfg.corpus.scene_spec,
-                            cfg.corpus.seed)
+    train_scored = _score_pool(model, pool)
+    if not return_model:
+        del pool
+    report = evaluate_model(model, train_scored, corrupted, test_scenes,
+                            cfg.corpus.scene_spec, cfg.corpus.seed)
     record = RunRecord(config_hash=cfg.config_hash(), loss=loss_name, eta=eta,
                        fold=fold, seed=seed, report=report)
     if return_model:

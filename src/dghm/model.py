@@ -377,8 +377,8 @@ def train(pool: AnchorPool, cfg: TrainConfig):
     batch feature, loss or gradient before the update and on a non-finite
     parameter after it, naming the epoch and the 0-based step; and after the
     last step on a non-finite feature in a row no batch drew, naming the row,
-    so that no later forward over the pool (pool_gradient_histograms,
-    predict_scenes) meets it first.
+    so that no later forward over the pool (pool_gradient_histograms, the
+    run's scoring of its training pool) meets it first.
 
     What depends only on the pool is computed once per call: the partition
     codes, which rows hold a non-finite feature, and the number k of leading

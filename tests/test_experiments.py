@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -43,7 +44,15 @@ from dghm.harmonizer import HarmonizerConfig
 from dghm.losses import sigmoid
 from dghm.metrics import NMS_IOU, MetricsReport, decode_and_suppress
 from dghm.model import Predictor
-from dghm.simdata import SceneSpec, build_pool, generate_corpus, iou_matrix
+from dghm.simdata import (
+    AnchorPool,
+    CorruptionSpec,
+    SceneSpec,
+    build_pool,
+    corrupt_annotations,
+    generate_corpus,
+    iou_matrix,
+)
 
 TINY_SPEC = SceneSpec(extent=(24.0, 24.0), objects_per_ap_scene=(1, 2),
                       object_size=(6.0, 8.0), anchor_stride=4.0,
@@ -326,20 +335,21 @@ def test_run_single_deterministic():
     assert a.config_hash == b.config_hash
 
 
-def forwarded_rows_of_a_run(monkeypatch, forward_rows):
-    """(rows of each forward, sizes of the pools built) over one run_single
-    with FORWARD_ROWS at forward_rows, and the run's step count."""
+def forward_events_of_a_run(monkeypatch, forward_rows):
+    """The pool builds and forwards of one run_single, in order, as ("build",
+    pool size) and ("forward", rows) with FORWARD_ROWS at forward_rows, and
+    the run's step count."""
     cfg = tiny_config()
     real_forward, real_build = model_module.forward, experiments.build_pool
-    rows, pool_sizes = [], []
+    events = []
 
     def counted_forward(model, features, outs=None):
-        rows.append(len(features))
+        events.append(("forward", len(features)))
         return real_forward(model, features, outs)
 
     def recorded_build(*args):
         pool = real_build(*args)
-        pool_sizes.append(pool.size)
+        events.append(("build", pool.size))
         return pool
 
     monkeypatch.setattr(model_module, "forward", counted_forward)
@@ -347,24 +357,148 @@ def forwarded_rows_of_a_run(monkeypatch, forward_rows):
     monkeypatch.setattr(experiments, "build_pool", recorded_build)
     record = run_single(cfg, "dghm_c", 0.5, fold=0, seed=0)
     assert "no_detections" not in record.report.flags
-    return rows, pool_sizes, cfg.epochs * cfg.steps_per_epoch
+    return events, cfg.epochs * cfg.steps_per_epoch
 
 
 def test_a_run_forwards_each_pool_once_after_training(monkeypatch):
-    # one forward per step, then the test fold's pool and the training pool
-    # (predict_scenes), each by forward_pool: here in one block each
-    rows, pool_sizes, steps = forwarded_rows_of_a_run(monkeypatch, model_module.FORWARD_ROWS)
-    assert len(pool_sizes) == 2
-    assert sum(rows[steps:]) == sum(pool_sizes)
-    assert len(rows) == steps + 2
+    # the training pool's build, one forward per step, then the training
+    # pool's forward (for predict_scenes) before the test fold's pool is
+    # built and forwarded, each pool by forward_pool: here in one block each
+    events, steps = forward_events_of_a_run(monkeypatch, model_module.FORWARD_ROWS)
+    (first, train_size), *rest = events
+    assert first == "build"
+    assert all(kind == "forward" for kind, _ in rest[:steps])
+    assert rest[steps:] == [("forward", train_size), ("build", 288), ("forward", 288)]
+    assert train_size == 288
 
 
 def test_a_run_forwards_each_pool_once_in_row_blocks(monkeypatch):
     # at 64 rows a block, each 288-row pool is forwarded in five blocks
-    rows, pool_sizes, steps = forwarded_rows_of_a_run(monkeypatch, 64)
-    blocks = rows[steps:]
+    events, steps = forward_events_of_a_run(monkeypatch, 64)
+    pool_sizes = [n for kind, n in events if kind == "build"]
+    blocks = [n for kind, n in events[1 + steps:] if kind == "forward"]
     assert sum(blocks) == sum(pool_sizes) and pool_sizes == [288, 288]
     assert len(blocks) == 10 and max(blocks) <= 64
+    # the training pool's five blocks come before the test pool's build
+    assert [kind for kind, _ in events[1 + steps:]] == ["forward"] * 5 + ["build"] + ["forward"] * 5
+
+
+@pytest.mark.parametrize("return_model", [False, True])
+def test_a_run_holds_one_scene_sets_pool_at_a_time(monkeypatch, return_model):
+    # the training pool is dead when the test fold's first build starts,
+    # unless the run returns it
+    real_build = experiments.build_pool
+    refs, alive = [], []
+
+    def recorded_build(*args):
+        alive.append([ref() is not None for ref in refs])
+        pool = real_build(*args)
+        refs.append(weakref.ref(pool))
+        return pool
+
+    monkeypatch.setattr(experiments, "build_pool", recorded_build)
+    result = run_single(tiny_config(), "ce", 0.5, fold=0, seed=0, return_model=return_model)
+    assert alive == [[], [return_model]]
+    if return_model:
+        assert result[3] is refs[0]()
+
+
+def test_a_returned_training_pool_equals_a_fresh_build():
+    cfg = tiny_config()
+    _, _, _, pool = run_single(cfg, "ce", cfg.eta, fold=0, seed=0, return_model=True)
+    corrupted, _ = corrupt_annotations(fold_zero(cfg)[0], CorruptionSpec(eta=cfg.eta, seed=0))
+    assert_pools_equal(pool, build_pool(corrupted, cfg.corpus.scene_spec, cfg.corpus.seed))
+
+
+def assert_pools_equal(got, want):
+    for f in dataclasses.fields(AnchorPool):
+        have, expect = getattr(got, f.name), getattr(want, f.name)
+        assert (have.dtype, have.shape) == (expect.dtype, expect.shape), f.name
+        assert have.tobytes() == expect.tobytes(), f.name
+
+
+#: the eval_heavy shape: the default corpus in 2 folds, 120 training steps
+EVAL_HEAVY = ExperimentConfig(folds=2, epochs=2, steps_per_epoch=60)
+
+
+def fold_zero(cfg):
+    """(training scenes, test scenes) of cfg's corpus at fold 0."""
+    scenes = generate_corpus(cfg.corpus.scene_spec, cfg.corpus.n_ap, cfg.corpus.n_np,
+                             cfg.corpus.seed)
+    test_ids = set(kfold_split(scenes, cfg.folds, cfg.corpus.seed)[0])
+    return ([s for s in scenes if s.scene_id not in test_ids],
+            [s for s in scenes if s.scene_id in test_ids])
+
+
+def test_scene_groups_never_hold_one_anchor_unless_all_do(monkeypatch):
+    # one anchor per scene: groups of at most 3 would leave the seventh
+    # scene alone, so it joins the group before it
+    spec = SceneSpec(extent=(4.0, 4.0), objects_per_ap_scene=(1, 1), object_size=(3.0, 3.0),
+                     anchor_sizes=(4.0,), feature_dim=2)
+    scenes = generate_corpus(spec, 4, 3, seed=0)
+    monkeypatch.setattr(experiments, "_CHUNK", 3)
+    groups = experiments._scene_groups(scenes, spec)
+    assert [len(g) for g in groups] == [3, 4]
+    assert [s for g in groups for s in g] == scenes
+    assert [len(g) for g in experiments._scene_groups(scenes[:1], spec)] == [1]
+    # a larger scene than _CHUNK anchors makes a group of its own
+    monkeypatch.setattr(experiments, "_CHUNK", 100)
+    big = dataclasses.replace(TINY_SPEC, anchor_stride=1.0)  # 576 anchors a scene
+    tiny_scenes = generate_corpus(big, 2, 1, seed=0)
+    assert [len(g) for g in experiments._scene_groups(tiny_scenes, big)] == [1, 1, 1]
+
+
+def test_grouped_pools_equal_the_rows_of_one_build_on_the_eval_heavy_test_fold():
+    cfg, (_, test_scenes) = EVAL_HEAVY, fold_zero(EVAL_HEAVY)
+    spec, seed = cfg.corpus.scene_spec, cfg.corpus.seed
+    # 64 test scenes of 256 anchors: four groups of 16, one stream pass each
+    groups = experiments._scene_groups(test_scenes, spec)
+    assert [len(g) for g in groups] == [16] * 4
+    parts = [build_pool(g, spec, seed) for g in groups]
+    assert_pools_equal(concatenated_pools(parts), build_pool(test_scenes, spec, seed))
+
+
+def test_grouped_pools_equal_the_rows_of_one_build_with_scenes_without_boxes():
+    cfg = tiny_config()
+    spec, seed = cfg.corpus.scene_spec, cfg.corpus.seed
+    scenes, _ = corrupt_annotations(generate_corpus(spec, 6, 5, seed=seed),
+                                    CorruptionSpec(eta=0.7, seed=1))
+    assert any(len(s.gt_boxes) == 0 for s in scenes)  # the normal scenes
+    assert any(len(s.gt_boxes) and not s.annotated.any() for s in scenes)
+    whole = build_pool(scenes, spec, seed)
+    for cut in range(1, len(scenes)):  # every split into two groups
+        parts = [build_pool(scenes[:cut], spec, seed), build_pool(scenes[cut:], spec, seed)]
+        assert_pools_equal(concatenated_pools(parts), whole)
+    singles = [build_pool([s], spec, seed) for s in scenes]
+    assert_pools_equal(concatenated_pools(singles), whole)
+
+
+def concatenated_pools(pools):
+    return AnchorPool(**{f.name: np.concatenate([getattr(p, f.name) for p in pools])
+                         for f in dataclasses.fields(AnchorPool)})
+
+
+def test_the_test_fold_report_does_not_depend_on_its_groups(monkeypatch):
+    cfg = tiny_config()
+    _, model, _, _ = run_single(cfg, "ce", cfg.eta, fold=0, seed=0, return_model=True)
+    args = (model, fold_zero(cfg)[1], cfg.corpus.scene_spec, cfg.corpus.seed)
+    one_group = experiments._test_fold_report(*args)
+    for chunk in (36, 100, 144):  # groups of 1, 2 and 4 of the 8 test scenes
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+        assert experiments._test_fold_report(*args) == one_group
+
+
+#: the test fold's phase at the eval_heavy shape held 4732 KiB at most, in
+#: its last group's build_pool; one build of all 64 test scenes held 6708 KiB
+TEST_FOLD_PEAK_KIB = 5.25 * 1024
+
+
+def test_the_test_fold_holds_one_group_of_scenes_at_a_time(traced_peak_kib):
+    cfg = EVAL_HEAVY
+    _, model, _, _ = run_single(cfg, "ce", cfg.eta, fold=0, seed=0, return_model=True)
+    peak = traced_peak_kib(experiments._test_fold_report, model, fold_zero(cfg)[1],
+                           cfg.corpus.scene_spec, cfg.corpus.seed)
+    assert peak < TEST_FOLD_PEAK_KIB
 
 
 def test_fold_without_normal_scenes_has_undefined_nfps_and_froc(tmp_path):
@@ -500,8 +634,9 @@ LEVEL_SCORES = sigmoid(LEVEL_LOGITS)
 
 
 def score_floor_case(seed):
-    """A linear model and pool whose score is sigmoid(feature 0) and whose
-    offsets are 0, so each detection keeps its anchor's integer box.
+    """The scored rows (boxes, scene ids, scores, offsets) of a linear model
+    over a pool, whose score is sigmoid(feature 0) and whose offsets are 0,
+    so each detection keeps its anchor's integer box.
 
     Five scenes of 40 anchors on a coarse grid, so many boxes overlap; every
     fourth anchor and the next form a pair at IoU exactly NMS_IOU.  Logits
@@ -525,7 +660,8 @@ def score_floor_case(seed):
     w = np.zeros((3, 5))
     w[0, 0] = 1.0
     model = Predictor.from_layers([w], [np.zeros(5)])
-    return model, SimpleNamespace(features=features, boxes=boxes, scene_id=scene_id)
+    pool = SimpleNamespace(features=features, boxes=boxes, scene_id=scene_id)
+    return experiments._score_pool(model, pool)
 
 
 SCORE_FLOORS = {
@@ -540,14 +676,14 @@ SCORE_FLOORS = {
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("floor", sorted(SCORE_FLOORS))
 def test_predict_scenes_at_a_floor_equals_the_filtered_full_pass(seed, floor):
-    model, pool = score_floor_case(seed)
-    full = predict_scenes(model, pool)
-    assert len(full) < pool.scene_id.size  # NMS suppressed rows
+    scored = score_floor_case(seed)
+    full = predict_scenes(scored)
+    assert len(full) < scored[1].size  # NMS suppressed rows
     assert np.count_nonzero(full.score == LEVEL_SCORES[4]) > 1  # the floors' tie
     assert np.any(full.scene_id == 4)
     thr = SCORE_FLOORS[floor]
     expected = full[full.score >= thr]
-    got = predict_scenes(model, pool, min_score=thr)
+    got = predict_scenes(scored, min_score=thr)
     for column in ("scene_id", "boxes", "score"):
         want, have = getattr(expected, column), getattr(got, column)
         assert (have.dtype, have.shape) == (want.dtype, want.shape)
@@ -558,11 +694,11 @@ def test_predict_scenes_at_a_floor_equals_the_filtered_full_pass(seed, floor):
 
 
 def test_predict_scenes_rejects_a_nan_score_at_any_floor():
-    model, pool = score_floor_case(0)
-    pool.features[7, 0] = np.nan
+    scored = score_floor_case(0)
+    scored[2][7] = np.nan
     for floor in (0.0, LEVEL_SCORES[4]):
         with pytest.raises(ValueError, match="score must be in"):
-            predict_scenes(model, pool, min_score=floor)
+            predict_scenes(scored, min_score=floor)
 
 
 def test_a_run_never_imports_numpy_ma():
