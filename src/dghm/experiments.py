@@ -279,19 +279,14 @@ def predict_scenes(scored, min_score: float = 0.0):
 def _scene_groups(scenes, spec: SceneSpec):
     """Consecutive groups of scenes holding at most _CHUNK anchors each, or
     one scene's.  A group of 1 anchor takes in its neighbours, unless the
-    scenes hold 1 in all: ``forward_pool`` of 1 row takes another BLAS path."""
-    sizes = {}  # anchors per extent
-    groups, rows = [[]], 0
-    for scene in scenes:
-        extent = tuple(scene.extent)
-        if extent not in sizes:
-            sizes[extent] = len(build_anchor_grid(scene, spec))
-        if rows > 1 and rows + sizes[extent] > _CHUNK:
-            groups.append([])
-            rows = 0
-        groups[-1].append(scene)
-        rows += sizes[extent]
-    if rows == 1 and len(groups) > 1:
+    scenes hold 1 in all: ``forward_pool`` of 1 row takes another BLAS path.
+
+    Every scene must have the anchor grid of scenes[0], as the scenes of one
+    corpus, generated from one SceneSpec, do."""
+    size = len(build_anchor_grid(scenes[0], spec))
+    per = max(_CHUNK // size, 1)
+    groups = [scenes[i:i + per] for i in range(0, len(scenes), per)]
+    if size * len(groups[-1]) == 1 and len(groups) > 1:
         groups[-2].extend(groups.pop())
     return groups
 
@@ -485,19 +480,19 @@ def cmd_gen(cfg: ExperimentConfig, out_dir, force: bool = False):
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir, loss_name: str | None = None,
-              eta: float | None = None, seed: int | None = None):
-    """Train one model and export checkpoint, log, and histogram CSVs; the
-    histograms are of the trained model over its training pool."""
+              eta: float | None = None):
+    """Train one model, at fold 0 and the first seed, and export checkpoint,
+    log, and histogram CSVs; the histograms are of the trained model over its
+    training pool, at the harmonizer's bin count."""
     out_dir.mkdir(parents=True, exist_ok=True)
     loss_name = loss_name or cfg.losses[0]
     eta = cfg.eta if eta is None else eta
-    seed = cfg.seeds[0] if seed is None else seed
-    record, model, log, pool = run_single(cfg, loss_name, eta, fold=0, seed=seed,
+    record, model, log, pool = run_single(cfg, loss_name, eta, fold=0, seed=cfg.seeds[0],
                                           return_model=True)
     save_checkpoint(out_dir / "checkpoint.npz", model)
     hist2_path = out_dir / "gradient_hist_two_way.csv"
     hist3_path = out_dir / "gradient_hist_three_way.csv"
-    two_way, three_way = pool_gradient_histograms(model, pool)
+    two_way, three_way = pool_gradient_histograms(model, pool, cfg.harmonizer.bin_count)
     export_histograms_csv(hist2_path, Mode.DGHM, two_way)
     export_histograms_csv(hist3_path, Mode.DGHM_STAR, three_way)
     save_training_log_csv(out_dir / "training_log.csv", log,

@@ -20,6 +20,7 @@ EVAL_IOU = 0.3
 NMS_IOU = 0.5
 FROC_LEVELS = (1, 2, 4, 8, 16, 32)
 MIN_PRECISION = 0.2  # precision floor of the operating threshold
+MAX_LOG_SCALE = 4.0  # bound on a decoded box's log width and height scale
 #: row pairs per IoU pass in NMS and matching: a float64 temporary of one is
 #: 16 KiB, well under malloc's 128 KiB mmap threshold
 PAIR_PASS = 2048
@@ -68,13 +69,14 @@ class MetricsReport:
     flags: list = field(default_factory=list)
 
 
-def decode_boxes(anchor_boxes, offsets, max_log_scale: float = 4.0):
-    """Invert the regression parameterization; log-scales are clipped."""
+def decode_boxes(anchor_boxes, offsets):
+    """Invert the regression parameterization; log-scales are clipped to
+    +-MAX_LOG_SCALE."""
     anchor_boxes = np.asarray(anchor_boxes, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
     cx = anchor_boxes[:, 0] + offsets[:, 0] * anchor_boxes[:, 2]
     cy = anchor_boxes[:, 1] + offsets[:, 1] * anchor_boxes[:, 3]
-    s = np.clip(offsets[:, 2:4], -max_log_scale, max_log_scale)
+    s = np.clip(offsets[:, 2:4], -MAX_LOG_SCALE, MAX_LOG_SCALE)
     w = anchor_boxes[:, 2] * np.exp(s[:, 0])
     h = anchor_boxes[:, 3] * np.exp(s[:, 1])
     return np.stack([cx, cy, w, h], axis=1)
@@ -188,9 +190,10 @@ def _greedy_claims(dets, gt_by_scene, iou_thr):
     return order, is_tp
 
 
-def aggregate_match(dets, gt_by_scene, iou_thr: float = EVAL_IOU) -> MatchReport:
-    """Match per scene and sum counts; detections in scenes without gt are FP."""
-    _, is_tp = _greedy_claims(dets, gt_by_scene, iou_thr)
+def aggregate_match(dets, gt_by_scene) -> MatchReport:
+    """Match per scene at EVAL_IOU and sum counts; detections in scenes
+    without gt are FP."""
+    _, is_tp = _greedy_claims(dets, gt_by_scene, EVAL_IOU)
     tp = int(np.count_nonzero(is_tp))
     return MatchReport(tp=tp, fp=len(dets) - tp, fn=sum(map(len, gt_by_scene.values())) - tp)
 
@@ -252,11 +255,9 @@ def sweep_report(curves, total_gt: int, n_np: int) -> MetricsReport:
     flags = [] if ok.size else ["precision_floor_unreached"]
     rep = MatchReport(tp=int(tp[k]), fp=int(n_det[k] - tp[k]), fn=total_gt - int(tp[k]))
     rec, rec_flag = recall(rep)
-    prec, prec_flag = precision(rep)
+    prec, _ = precision(rep)  # n_det[k] >= 1: never a zero denominator
     if rec_flag:
         flags.append("recall_zero_denominator")
-    if prec_flag:
-        flags.append("precision_zero_denominator")
     nfps_value = froc_value = None
     if not n_np:
         flags.append("no_normal_scenes")
@@ -327,8 +328,7 @@ def evaluate_detections(anchor_boxes, scene_ids, scores, offsets, gt_by_scene,
         rows = min(2 * rows, n)
 
 
-def t_r_recall(dets, kept_by_scene, removed_by_scene, threshold: float,
-               iou_thr: float = EVAL_IOU):
+def t_r_recall(dets, kept_by_scene, removed_by_scene, threshold: float):
     """Recall against kept and removed training annotations, independently.
 
     Two separate matching passes are run, one per annotation pool; a detection
@@ -336,13 +336,13 @@ def t_r_recall(dets, kept_by_scene, removed_by_scene, threshold: float,
     where r_recall is None (flagged) when the removed pool is empty.
     """
     above = dets[dets.score >= threshold]
-    t_rep = aggregate_match(above, kept_by_scene, iou_thr)
+    t_rep = aggregate_match(above, kept_by_scene)
     t_rec, _ = recall(t_rep)
     if not any(map(len, removed_by_scene.values())):
         return t_rec, None, True
     # a detection pairs only with its own scene's gts, so one in a scene
     # without removed gts can add an FP but never a TP, and recall reads no FP
-    r_rec, _ = recall(aggregate_match(above, removed_by_scene, iou_thr))
+    r_rec, _ = recall(aggregate_match(above, removed_by_scene))
     return t_rec, r_rec, False
 
 

@@ -32,7 +32,8 @@ from .simdata import AnchorPool, minibatch_quota, sample_minibatch
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss, a gradient or a parameter becomes non-finite."""
+    """Raised on a non-finite pool feature, or when the loss, a gradient or a
+    parameter becomes non-finite."""
 
 
 @dataclass
@@ -231,15 +232,17 @@ def batch_loss_and_grads(model: Predictor, batch: Batch, spec: LossSpec,
 
 
 def finite_difference_check(model: Predictor, batch: Batch, spec: LossSpec,
-                            reg_weight: float = 1.0, step: float = 1e-6,
-                            max_params: int = 1000, seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients.
+                            reg_weight: float = 1.0, max_params: int = 1000,
+                            seed: int = 0) -> float:
+    """Max relative error between analytic and central-difference gradients,
+    the differences taken at a parameter step of 1e-6.
 
     Harmonizer weights are computed once at the unperturbed point and frozen,
     matching the training contract.  Regression targets sitting within 1e-3 of
     the smooth-L1 kink are nudged away before checking.  Above max_params, a
     random subsample of coordinates is checked.
     """
+    step = 1e-6
     batch = replace(batch, targets=batch.targets.copy())
     logits0, offsets0, _ = forward(model, batch.features)
     diff = offsets0[:len(batch.targets)] - batch.targets
@@ -275,19 +278,16 @@ def finite_difference_check(model: Predictor, batch: Batch, spec: LossSpec,
     return max_rel
 
 
+#: Adam's moment decays and the offset of its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+_ADAM_DECAYS = np.array([[ADAM_BETA1], [ADAM_BETA2]])  # (2, 1), for rows m and v
+_ADAM_RATES = 1.0 - _ADAM_DECAYS
+
+
 @dataclass
 class AdamState:
     moments: np.ndarray  # (2, P): rows m and v, each laid out like model.params
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    decays: np.ndarray = field(init=False, repr=False)  # (2, 1): beta1, beta2
-    rates: np.ndarray = field(init=False, repr=False)  # (2, 1): 1 - beta1, 1 - beta2
-
-    def __post_init__(self):
-        self.decays = np.array([[self.beta1], [self.beta2]])
-        self.rates = 1.0 - self.decays
 
     @classmethod
     def for_model(cls, model: Predictor) -> "AdamState":
@@ -300,15 +300,15 @@ def adam_step(model: Predictor, state: AdamState, grad, lr: float, scratch=None)
     holds the temporaries; without it they are allocated."""
     state.step += 1
     t = state.step
-    work = np.multiply(state.rates, grad, out=scratch)  # (1 - beta) g, for m and v
+    work = np.multiply(_ADAM_RATES, grad, out=scratch)  # (1 - beta) g, for m and v
     work[1] *= grad
-    state.moments *= state.decays
+    state.moments *= _ADAM_DECAYS
     state.moments += work
     # m_hat and v_hat
-    np.divide(state.moments, [[1.0 - state.beta1**t], [1.0 - state.beta2**t]], out=work)
+    np.divide(state.moments, [[1.0 - ADAM_BETA1**t], [1.0 - ADAM_BETA2**t]], out=work)
     step, denom = work
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     step *= lr
     step /= denom
     model.params -= step
@@ -318,8 +318,6 @@ def adam_step(model: Predictor, state: AdamState, grad, lr: float, scratch=None)
 class TrainConfig:
     loss_spec: LossSpec = field(default_factory=LossSpec)
     learning_rate: float = 1e-4
-    decay_factor: float = 0.1
-    decay_epochs: tuple | None = None  # default: 60% and 80% of total epochs
     epochs: int = 15
     batch_size: int = 8
     steps_per_epoch: int = 150
@@ -330,13 +328,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:  # NaN fails it too
             raise ValueError("learning rate must be positive")
-        epochs = self.epochs
-        if self.decay_epochs is None:
-            first = min(max(int(epochs * 0.6), 1), epochs)
-            second = min(max(int(epochs * 0.8), 2), epochs)
-            self.decay_epochs = (first, second)
-        if any(e < 0 or e > epochs for e in self.decay_epochs):
-            raise ValueError("decay epochs must lie within the epoch range")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("steps_per_epoch", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 #: Bins of the per-epoch clean/noisy gradient-norm counts in TrainLog.
@@ -373,20 +368,25 @@ def _check_finite(what: str, arr, epoch: int, step: int):
 def train(pool: AnchorPool, cfg: TrainConfig):
     """Seeded training loop: sample -> forward -> harmonize -> backward -> Adam.
 
-    Returns (trained model, TrainLog).  Raises TrainingDiverged on a non-finite
-    batch feature, loss or gradient before the update and on a non-finite
-    parameter after it, naming the epoch and the 0-based step; and after the
-    last step on a non-finite feature in a row no batch drew, naming the row,
-    so that no later forward over the pool (pool_gradient_histograms, the
-    run's scoring of its training pool) meets it first.
+    Returns (trained model, TrainLog).  The learning rate drops x0.1 at 60 %
+    and at 80 % of the epochs, once per distinct epoch.
+
+    Raises TrainingDiverged before the first step when a pool row holds a
+    non-finite feature, naming the first such row, so that neither a step
+    nor a later forward over the pool meets it; and on a non-finite loss or
+    gradient before the update and on a non-finite parameter after it,
+    naming the epoch and the 0-based step.
 
     What depends only on the pool is computed once per call: the partition
-    codes, which rows hold a non-finite feature, and the number k of leading
-    positives in every batch, and so the batch labels.  So are the
-    StepBuffers and the Batch, as every batch has the same size: a step
-    gathers its rows into them.  Each epoch's clean/noisy counts take one
-    bin_counts over the flat (partition, bin) index of every row it drew.
+    codes and the number k of leading positives in every batch, and so the
+    batch labels.  So are the StepBuffers and the Batch, as every batch has
+    the same size: a step gathers its rows into them.  Each epoch's
+    clean/noisy counts take one bin_counts over the flat (partition, bin)
+    index of every row it drew.
     """
+    finite_rows = np.isfinite(pool.features).all(axis=1)
+    if not finite_rows.all():
+        raise TrainingDiverged(f"non-finite feature in pool row {np.argmin(finite_rows)}")
     model = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     state = AdamState.for_model(model)
     rng = np.random.default_rng([cfg.seed, 0xD64])
@@ -411,22 +411,20 @@ def train(pool: AnchorPool, cfg: TrainConfig):
     epoch_offsets = (two_way * EPOCH_BINS).astype(np.int8)
     same_bins = spec.is_harmonized and spec.harmonizer.bin_count == EPOCH_BINS
     epoch_rows = np.empty((cfg.steps_per_epoch, n), dtype=np.int8)
-    bad_rows = ~np.isfinite(pool.features).all(axis=1)
-    any_bad = bad_rows.any()
+    epochs = cfg.epochs
+    decay_epochs = (min(max(int(epochs * 0.6), 1), epochs),
+                    min(max(int(epochs * 0.8), 2), epochs))
     lr = cfg.learning_rate
     ema = EmaHistograms(spec.harmonizer)
     log = TrainLog(mean_loss=np.empty(cfg.epochs), lr=np.empty(cfg.epochs),
                    epoch_histograms=np.empty((cfg.epochs, 2, EPOCH_BINS), dtype=np.int64))
     for epoch in range(cfg.epochs):
-        if epoch in cfg.decay_epochs:
-            lr *= cfg.decay_factor
+        if epoch in decay_epochs:
+            lr *= 0.1
         losses = []
         for row in epoch_rows:
             step = state.step
             idx = sample_minibatch(quota, rng)
-            # a NaN feature would reach the harmonizer's histogram bins first
-            if any_bad and bad_rows.take(idx).any():
-                raise TrainingDiverged(f"non-finite feature at epoch {epoch}, step {step}")
             # idx lies in the pool, and "clip" lets take write out unbuffered
             pool.features.take(idx, axis=0, out=batch.features, mode="clip")
             batch.codes = codes.take(idx)  # fresh: the HarmonizedBatch keeps it
@@ -445,9 +443,6 @@ def train(pool: AnchorPool, cfg: TrainConfig):
         log.mean_loss[epoch] = np.mean(losses)
         log.lr[epoch] = lr
         log.epoch_histograms[epoch] = bin_counts(epoch_rows.ravel(), 2, EPOCH_BINS)
-    if any_bad:
-        raise TrainingDiverged(f"non-finite feature in pool row "
-                               f"{np.flatnonzero(bad_rows)[0]}, which no step drew")
     return model, log
 
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from dghm.cli import EXIT_CONFIG, EXIT_OK, main
+from dghm import experiments
+from dghm.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 
 TINY_CONFIG = {
     "corpus": {
@@ -97,8 +98,14 @@ def test_check_config_rejects_schema_errors(tmp_path, capsys, config, key):
     ({}, ["--seed", "-1"]),
     ({"corpus": {"scene_spec": {"anchor_sizes": []}}}, []),
     ({"corpus": {"scene_spec": {"anchor_sizes": [-12.0]}}}, []),
+    ({"epochs": -1}, []),
+    ({"steps_per_epoch": 0}, []),
+    ({"steps_per_epoch": -1}, []),
+    ({"batch_size": 0}, []),
+    ({"batch_size": -4}, []),
 ], ids=["lambda_grid", "mu_grid", "corpus_seed", "run_seed", "seed_override",
-        "no_anchor_sizes", "negative_anchor_size"])
+        "no_anchor_sizes", "negative_anchor_size", "negative_epochs", "no_steps",
+        "negative_steps", "empty_batch", "negative_batch"])
 def test_check_config_rejects_what_every_run_rejects(tmp_path, capsys, config, argv):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -134,6 +141,19 @@ def test_train_prints_undefined_froc_without_normal_scenes(tmp_path, capsys):
     assert "nfps=undefined froc=undefined" in capsys.readouterr().out
     report = (run_dir / "report.txt").read_text()
     assert "froc=undefined" in report and "no_normal_scenes" in report
+
+
+def test_train_exits_2_on_a_non_finite_feature(config_path, tmp_path, capsys, monkeypatch):
+    real_build_pool = experiments.build_pool
+
+    def poisoned(*args):
+        pool = real_build_pool(*args)
+        pool.features[5, 1] = float("nan")
+        return pool
+
+    monkeypatch.setattr(experiments, "build_pool", poisoned)
+    assert run(["--config", config_path, "--out", tmp_path / "run", "train"]) == EXIT_DIVERGED
+    assert "training diverged: non-finite feature in pool row 5\n" in capsys.readouterr().err
 
 
 def test_train_and_export_figs(config_path, tmp_path, capsys):

@@ -31,7 +31,12 @@ def assert_python_runs(args, cwd, timeout):
     return proc.stdout
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+#: the demos a test below pins whole: it asserts their exit 0 and full stdout
+PINNED_DEMOS = ("01_weighting_walkthrough.py", "03_train_and_inspect.py")
+
+
+@pytest.mark.parametrize("demo", [d for d in DEMOS if d.name not in PINNED_DEMOS],
+                         ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     assert_python_runs([str(demo)], tmp_path, timeout=300)
 

@@ -40,10 +40,15 @@ from dghm.experiments import (
 )
 from dghm import experiments, metrics
 from dghm import model as model_module
-from dghm.harmonizer import HarmonizerConfig
+from dghm.harmonizer import (
+    HarmonizerConfig,
+    LossSpec,
+    load_histograms_csv,
+    reformulated_gradient_curve,
+)
 from dghm.losses import sigmoid
 from dghm.metrics import NMS_IOU, MetricsReport, decode_and_suppress
-from dghm.model import Predictor
+from dghm.model import Predictor, pool_gradient_histograms
 from dghm.simdata import (
     AnchorPool,
     CorruptionSpec,
@@ -264,8 +269,14 @@ def test_validate_accepts_defaults():
     ({"seeds": [-1, 0]}, "non-negative"),
     ({"seeds": [1.5]}, "int"),
     ({"losses": ["ce", "bogus"]}, "unknown loss kind 'bogus'"),
+    ({"epochs": -1}, "^epochs must be >= 0"),
+    ({"steps_per_epoch": 0}, "^steps_per_epoch must be >= 1"),
+    ({"steps_per_epoch": -1}, "^steps_per_epoch must be >= 1"),
+    ({"batch_size": 0}, "^batch_size must be >= 1"),
+    ({"batch_size": -4}, "^batch_size must be >= 1"),
 ], ids=["eta", "eta_grid", "one_fold", "more_folds_than_scenes", "learning_rate",
-        "lambda_grid", "mu_grid", "corpus_seed", "run_seed", "float_seed", "unknown_loss"])
+        "lambda_grid", "mu_grid", "corpus_seed", "run_seed", "float_seed", "unknown_loss",
+        "negative_epochs", "no_steps", "negative_steps", "empty_batch", "negative_batch"])
 def test_validate_rejects_values_every_run_rejects(d, message):
     with pytest.raises(ValueError, match=message):
         validate_config_dict(d)
@@ -616,6 +627,26 @@ def test_cmd_export_figures(tmp_path):
     assert {"ce", "focal", "ghm_c", "dghm_c_clean", "dghm_c_noisy"} <= names
     ce_rows = [r for r in rows if r["loss_name"] == "ce"]
     assert all(float(r["g"]) == float(r["effective_gradient"]) for r in ce_rows)
+
+
+def test_cmd_train_exports_histograms_at_the_harmonizer_bin_count(tmp_path):
+    cfg = tiny_config(harmonizer=HarmonizerConfig(bin_count=20))
+    cmd_train(cfg, tmp_path / "run", loss_name="dghm_c")
+    _, model, _, pool = run_single(cfg, "dghm_c", cfg.eta, 0, cfg.seeds[0], return_model=True)
+    hists = pool_gradient_histograms(model, pool, 20)
+    for name, expected in zip(("two_way", "three_way"), hists):
+        _, counts = load_histograms_csv(tmp_path / "run" / f"gradient_hist_{name}.csv")
+        assert counts.shape == (len(expected), 20)
+        np.testing.assert_array_equal(counts, expected)
+    # export-figs draws the DGHM curves from the density the run trained with
+    out = cmd_export_figures(tmp_path / "run", tmp_path / "figs", harmonizer=cfg.harmonizer)
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    spec = LossSpec(kind="dghm_c", harmonizer=cfg.harmonizer)
+    for partition, name in enumerate(("dghm_c_clean", "dghm_c_noisy")):
+        g, eff = reformulated_gradient_curve(spec, histograms=hists[0], partition=partition)
+        assert [(r["g"], r["effective_gradient"]) for r in rows if r["loss_name"] == name] \
+            == [(f"{a:.10g}", f"{b:.10g}") for a, b in zip(g, eff)]
 
 
 def test_cmd_export_figures_missing_artifacts(tmp_path):

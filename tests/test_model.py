@@ -354,7 +354,7 @@ def test_adam_single_step_closed_form():
     before = model.params.copy()
     adam_step(model, state, np.full_like(model.params, g), lr=0.01)
     m_hat, v_hat = g, g * g  # bias correction cancels the (1 - beta) factors
-    expected_delta = 0.01 * m_hat / (np.sqrt(v_hat) + state.eps)
+    expected_delta = 0.01 * m_hat / (np.sqrt(v_hat) + model_module.ADAM_EPS)
     np.testing.assert_allclose(before - model.params, expected_delta, rtol=1e-12)
     assert state.step == 1
 
@@ -388,7 +388,7 @@ def tiny_pool(eta=0.0, seed=0):
 
 def test_zero_epochs_returns_initialization():
     pool = tiny_pool()
-    cfg = TrainConfig(epochs=0, decay_epochs=(0, 0), steps_per_epoch=2, seed=3)
+    cfg = TrainConfig(epochs=0, steps_per_epoch=2, seed=3)
     model, log = train(pool, cfg)
     reference = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=3)
     for a, b in zip(model.weights + model.biases,
@@ -410,15 +410,27 @@ def test_training_bit_reproducible():
     np.testing.assert_array_equal(log1.epoch_histograms, log2.epoch_histograms)
 
 
+def decay_epochs_of(epochs):
+    """The epochs at which the learning rate drops x0.1: at 60 % and at 80 %
+    of the E epochs, the first no earlier than 1 and the second no earlier
+    than 2, both no later than E; a shared epoch drops it once."""
+    return {min(max(int(epochs * 0.6), 1), epochs), min(max(int(epochs * 0.8), 2), epochs)}
+
+
 def test_training_learning_rate_schedule():
     pool = tiny_pool()
-    cfg = TrainConfig(epochs=10, steps_per_epoch=1, learning_rate=1e-3, seed=0)
-    assert cfg.decay_epochs == (6, 8)
-    _, log = train(pool, cfg)
-    assert log.lr.shape == (10,)
-    assert log.lr[5] == pytest.approx(1e-3)
-    assert log.lr[6] == pytest.approx(1e-4)
-    assert log.lr[8] == pytest.approx(1e-5)
+    # E -> the epochs in range(E) whose rate is x0.1 the epoch before's
+    drops = {0: [], 1: [], 2: [1], 3: [1, 2], 5: [3, 4], 10: [6, 8], 40: [24, 32]}
+    for epochs, epoch_drops in drops.items():
+        assert sorted(e for e in decay_epochs_of(epochs) if e < epochs) == epoch_drops
+        _, log = train(pool, TrainConfig(epochs=epochs, steps_per_epoch=1,
+                                         learning_rate=1e-3, seed=0))
+        lr, expected = 1e-3, []
+        for epoch in range(epochs):
+            if epoch in epoch_drops:
+                lr *= 0.1
+            expected.append(lr)
+        assert log.lr.tolist() == expected
 
 
 def test_training_all_loss_kinds_run():
@@ -451,13 +463,13 @@ def test_epoch_histogram_counts_sum_to_examples_seen():
 
 @pytest.mark.parametrize("kind", ["ce", "ghm_c", "dghm_c", "dghm_c_star"])
 def test_divergence_detected(kind):
-    # poisoned inputs stop training at the first step under every loss; the
-    # harmonized ones would otherwise fail binning NaN gradient norms
+    # poisoned inputs stop training before the first step under every loss;
+    # the harmonized ones would otherwise fail binning NaN gradient norms
     pool = tiny_pool()
     pool.features[:, 0] = np.nan
     cfg = TrainConfig(loss_spec=LossSpec(kind=kind), epochs=2, steps_per_epoch=10,
                       learning_rate=1e-3, seed=0)
-    with pytest.raises(TrainingDiverged, match="epoch 0, step 0$"):
+    with pytest.raises(TrainingDiverged, match="^non-finite feature in pool row 0$"):
         train(pool, cfg)
 
 
@@ -605,8 +617,8 @@ def reference_train(pool, cfg):
     ema = EmaHistograms(cfg.loss_spec.harmonizer)
     losses, epoch_hists = [], []
     for epoch in range(cfg.epochs):
-        if epoch in cfg.decay_epochs:
-            lr *= cfg.decay_factor
+        if epoch in decay_epochs_of(cfg.epochs):
+            lr *= 0.1
         step_losses, hist_acc = [], np.zeros((2, 10), dtype=np.int64)
         for _ in range(cfg.steps_per_epoch):
             idx = sample_minibatch(quota, rng)
@@ -723,35 +735,24 @@ def counted_adam(monkeypatch):
     return calls
 
 
-def test_nan_feature_first_sampled_late_names_its_step(monkeypatch):
-    pool = tiny_pool(eta=0.5)
+def test_a_non_finite_feature_raises_before_the_first_step(monkeypatch):
     cfg = TrainConfig(epochs=3, steps_per_epoch=3, batch_size=16,
                       learning_rate=1e-3, seed=0)
+    pool = tiny_pool(eta=0.5)
     steps = sampled_steps(pool, cfg)
     step = cfg.steps_per_epoch + 1  # epoch 1's second step
-    # a row this step draws and no earlier step did
-    row = np.setdiff1d(steps[step], np.concatenate(steps[:step]))[0]
-    pool.features[row, 3] = np.nan
+    first = steps[0][0]  # a row the first step draws
+    late = np.setdiff1d(steps[step], np.concatenate(steps[:step]))[0]  # first drawn there
+    never = np.setdiff1d(np.arange(pool.size), np.concatenate(steps))[0]
     calls = counted_adam(monkeypatch)
-    with pytest.raises(TrainingDiverged, match=f"^non-finite feature at epoch 1, "
-                                               f"step {step}$"):
-        train(pool, cfg)
-    assert len(calls) == step  # every earlier step reached Adam
-
-
-def test_nan_feature_in_a_row_never_sampled_leaves_the_steps_alone(monkeypatch):
-    pool = tiny_pool(eta=0.5)
-    cfg = TrainConfig(epochs=2, steps_per_epoch=3, batch_size=16,
-                      learning_rate=1e-3, seed=0)
-    drawn = np.unique(np.concatenate(sampled_steps(pool, cfg)))
-    row = np.setdiff1d(np.arange(pool.size), drawn)[0]
-    pool.features[row, 0] = np.nan
-    calls = counted_adam(monkeypatch)
-    # every step runs; the row is named before any later whole-pool forward reads it
-    with pytest.raises(TrainingDiverged, match=f"^non-finite feature in pool row {row}, "
-                                               f"which no step drew$"):
-        train(pool, cfg)
-    assert len(calls) == cfg.epochs * cfg.steps_per_epoch
+    for rows, value in [([first], np.nan), ([late], np.inf), ([never], -np.inf),
+                        ([late, never, first], np.nan)]:
+        pool = tiny_pool(eta=0.5)
+        pool.features[rows, 3] = value
+        with pytest.raises(TrainingDiverged,
+                           match=f"^non-finite feature in pool row {min(rows)}$"):
+            train(pool, cfg)
+    assert not calls
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
@@ -822,8 +823,11 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=float("nan"))
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=5, decay_epochs=(3, 9))
+    for field, bad in [("epochs", -1), ("steps_per_epoch", 0), ("steps_per_epoch", -1),
+                       ("batch_size", 0), ("batch_size", -4)]:
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            TrainConfig(**{field: bad})
+    TrainConfig(epochs=0, steps_per_epoch=1, batch_size=1)
 
 
 # ---------------------------------------------------------------------------
