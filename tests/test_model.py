@@ -735,24 +735,41 @@ def counted_adam(monkeypatch):
     return calls
 
 
-def test_a_non_finite_feature_raises_before_the_first_step(monkeypatch):
-    cfg = TrainConfig(epochs=3, steps_per_epoch=3, batch_size=16,
-                      learning_rate=1e-3, seed=0)
+NAN_CFG = TrainConfig(epochs=3, steps_per_epoch=3, batch_size=16, learning_rate=1e-3, seed=0)
+
+
+def assert_raises_before_the_first_step(monkeypatch, rows, value):
+    """Setting rows' feature 3 to value makes train() name the first row before any step."""
     pool = tiny_pool(eta=0.5)
-    steps = sampled_steps(pool, cfg)
-    step = cfg.steps_per_epoch + 1  # epoch 1's second step
-    first = steps[0][0]  # a row the first step draws
-    late = np.setdiff1d(steps[step], np.concatenate(steps[:step]))[0]  # first drawn there
-    never = np.setdiff1d(np.arange(pool.size), np.concatenate(steps))[0]
+    pool.features[rows, 3] = value
     calls = counted_adam(monkeypatch)
+    with pytest.raises(TrainingDiverged, match=f"^non-finite feature in pool row {min(rows)}$"):
+        train(pool, NAN_CFG)
+    assert not calls
+
+
+def test_nan_feature_first_sampled_late_names_its_step(monkeypatch):
+    # the error names the row, and no step runs, not even those before the row is drawn
+    steps = sampled_steps(tiny_pool(eta=0.5), NAN_CFG)
+    step = NAN_CFG.steps_per_epoch + 1  # epoch 1's second step
+    late = np.setdiff1d(steps[step], np.concatenate(steps[:step]))[0]  # first drawn there
+    assert_raises_before_the_first_step(monkeypatch, [late], np.nan)
+
+
+def test_nan_feature_in_a_row_never_sampled_leaves_the_steps_alone(monkeypatch):
+    steps = sampled_steps(tiny_pool(eta=0.5), NAN_CFG)
+    never = np.setdiff1d(np.arange(tiny_pool(eta=0.5).size), np.concatenate(steps))[0]
+    assert_raises_before_the_first_step(monkeypatch, [never], np.nan)
+
+
+def test_a_non_finite_feature_raises_before_the_first_step(monkeypatch):
+    steps = sampled_steps(tiny_pool(eta=0.5), NAN_CFG)
+    first = steps[0][0]  # a row the first step draws
+    late = np.setdiff1d(steps[4], np.concatenate(steps[:4]))[0]
+    never = np.setdiff1d(np.arange(tiny_pool(eta=0.5).size), np.concatenate(steps))[0]
     for rows, value in [([first], np.nan), ([late], np.inf), ([never], -np.inf),
                         ([late, never, first], np.nan)]:
-        pool = tiny_pool(eta=0.5)
-        pool.features[rows, 3] = value
-        with pytest.raises(TrainingDiverged,
-                           match=f"^non-finite feature in pool row {min(rows)}$"):
-            train(pool, cfg)
-    assert not calls
+        assert_raises_before_the_first_step(monkeypatch, rows, value)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
