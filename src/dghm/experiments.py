@@ -60,6 +60,11 @@ class CorpusConfig:
     n_np: int = 64
     seed: int = 42
 
+    def __post_init__(self):
+        for name in ("n_ap", "n_np"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -279,11 +284,8 @@ def predict_scenes(scored, min_score: float = 0.0):
 def _scene_groups(scenes, spec: SceneSpec):
     """Consecutive groups of scenes holding at most _CHUNK anchors each, or
     one scene's.  A group of 1 anchor takes in its neighbours, unless the
-    scenes hold 1 in all: ``forward_pool`` of 1 row takes another BLAS path.
-
-    Every scene must have the anchor grid of scenes[0], as the scenes of one
-    corpus, generated from one SceneSpec, do."""
-    size = len(build_anchor_grid(scenes[0], spec))
+    scenes hold 1 in all: ``forward_pool`` of 1 row takes another BLAS path."""
+    size = len(build_anchor_grid(spec))
     per = max(_CHUNK // size, 1)
     groups = [scenes[i:i + per] for i in range(0, len(scenes), per)]
     if size * len(groups[-1]) == 1 and len(groups) > 1:

@@ -205,11 +205,10 @@ def recall(report: MatchReport):
     return report.tp / (report.tp + report.fn), False
 
 
-def precision(report: MatchReport):
-    """TP / (TP + FP); 0 with a flag when there are no detections."""
-    if report.tp + report.fp == 0:
-        return 0.0, True
-    return report.tp / (report.tp + report.fp), False
+def precision(report: MatchReport) -> float:
+    """TP / (TP + FP); 0 when there are no detections."""
+    n_det = report.tp + report.fp
+    return report.tp / n_det if n_det else 0.0
 
 
 def nfps_from_w(w: float) -> float:
@@ -255,7 +254,7 @@ def sweep_report(curves, total_gt: int, n_np: int) -> MetricsReport:
     flags = [] if ok.size else ["precision_floor_unreached"]
     rep = MatchReport(tp=int(tp[k]), fp=int(n_det[k] - tp[k]), fn=total_gt - int(tp[k]))
     rec, rec_flag = recall(rep)
-    prec, _ = precision(rep)  # n_det[k] >= 1: never a zero denominator
+    prec = precision(rep)
     if rec_flag:
         flags.append("recall_zero_denominator")
     nfps_value = froc_value = None

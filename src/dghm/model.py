@@ -332,6 +332,8 @@ class TrainConfig:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
 
 
 #: Bins of the per-epoch clean/noisy gradient-norm counts in TrainLog.

@@ -75,7 +75,6 @@ class Scene:
     image_class: str  # AP or NP
     gt_boxes: np.ndarray  # (n, 4) rows of (cx, cy, w, h)
     annotated: np.ndarray  # boolean mask over gt_boxes
-    extent: tuple
 
     def __post_init__(self):
         self.gt_boxes = np.asarray(self.gt_boxes, dtype=np.float64).reshape(-1, 4)
@@ -114,6 +113,8 @@ class SceneSpec:
             raise ValueError("empty objects_per_ap_scene range")
         if self.object_size[0] > self.object_size[1] or self.object_size[0] <= 0:
             raise ValueError("invalid object size range")
+        if self.object_size[1] > min(self.extent):
+            raise ValueError(f"object_size {self.object_size} exceeds the extent {self.extent}")
         if self.anchor_stride <= 0:
             raise ValueError("anchor stride must be positive")
         if not self.anchor_sizes or not all(0 < size < np.inf for size in self.anchor_sizes):
@@ -137,8 +138,6 @@ class CorruptionSpec:
 def generate_scene(spec: SceneSpec, image_class: str, rng) -> Scene:
     """Sample one scene; deterministic given the rng state."""
     width, height = spec.extent
-    if spec.object_size[1] > min(width, height):
-        raise ValueError("objects cannot exceed the scene extent")
     boxes = []
     if image_class == AP:
         lo, hi = spec.objects_per_ap_scene
@@ -152,7 +151,7 @@ def generate_scene(spec: SceneSpec, image_class: str, rng) -> Scene:
     elif image_class != NP_CLASS:
         raise ValueError(f"unknown image class {image_class!r}")
     return Scene(scene_id=-1, image_class=image_class, gt_boxes=boxes,
-                 annotated=np.ones(len(boxes), dtype=bool), extent=(width, height))
+                 annotated=np.ones(len(boxes), dtype=bool))
 
 
 def generate_corpus(spec: SceneSpec, n_ap: int, n_np: int, seed: int):
@@ -185,12 +184,13 @@ def corrupt_annotations(scenes, spec: CorruptionSpec):
             for s, part in zip(scenes, parts)], k
 
 
-def build_anchor_grid(scene: Scene, spec: SceneSpec) -> np.ndarray:
-    """Regular grid of square anchors covering the extent, one per size entry.
+def build_anchor_grid(spec: SceneSpec) -> np.ndarray:
+    """The one anchor grid of every scene of spec: square anchors covering the
+    extent on a regular grid, one per size entry.
 
     Returns (n, 4) rows of (cx, cy, w, h), ordered by size, then row, then column.
     """
-    width, height = scene.extent
+    width, height = spec.extent
     stride = spec.anchor_stride
     nx = max(int(np.ceil(width / stride)), 1)
     ny = max(int(np.ceil(height / stride)), 1)
@@ -594,44 +594,34 @@ def build_pool(scenes, spec: SceneSpec, corpus_seed: int) -> AnchorPool:
 
     p_star is labeled against each scene's annotated boxes; ideal_p_star and
     the features against all of its boxes, so only p_star and the regression
-    targets depend on the annotation mask.  The scenes of one extent share
-    its anchor grid and are labeled together by _label_scenes, in groups
-    whose IoU matrix holds at most _IOU_PAIRS entries (or one scene's).
+    targets depend on the annotation mask.  Every scene has the spec's one
+    anchor grid, and the scenes are labeled together by _label_scenes, in
+    groups whose IoU matrix holds at most _IOU_PAIRS entries (or one scene's).
     """
     if not scenes:
         raise ValueError("build_pool needs a non-empty scene list")
-    by_extent = {}  # the anchor grid depends only on the extent and the spec
-    for i, scene in enumerate(scenes):
-        by_extent.setdefault(tuple(scene.extent), []).append(i)
-    grids = {extent: build_anchor_grid(scenes[members[0]], spec)
-             for extent, members in by_extent.items()}
-    sizes = np.array([len(grids[tuple(s.extent)]) for s in scenes])
-    starts = np.cumsum(sizes) - sizes
-    n = int(sizes.sum())
-    best_iou, p_star = np.empty(n), np.empty(n, dtype=np.int64)
-    anchor_index, boxes, targets = np.empty(n, dtype=np.int64), np.empty((n, 4)), np.zeros((n, 4))
-    for extent, members in by_extent.items():
-        grid = grids[extent]
-        # scenes per IoU pass, sized by the one with the most boxes; the + 1
-        # also bounds the (anchors, scenes) maxima of scenes without boxes
-        widest = len(grid) * (1 + max(len(scenes[i].gt_boxes) for i in members))
-        step = max(_IOU_PAIRS // widest, 1)
-        for group in (members[i:i + step] for i in range(0, len(members), step)):
-            group_starts = starts[group]
-            best, positive, anchor, scene, pos_targets = _label_scenes(
-                grid, [scenes[i] for i in group])
-            rows = (group_starts[:, None] + np.arange(len(grid))).ravel()
-            best_iou[rows], p_star[rows] = best.T.ravel(), positive.T.ravel()
-            anchor_index[rows] = np.tile(np.arange(len(grid)), len(group))
-            boxes[rows] = np.tile(grid, (len(group), 1))
-            targets[group_starts[scene] + anchor] = pos_targets
-    scene_id = np.repeat(np.array([s.scene_id for s in scenes], dtype=np.int64), sizes)
+    grid = build_anchor_grid(spec)
+    n_scenes, size = len(scenes), len(grid)
+    best_iou, p_star = np.empty((n_scenes, size)), np.empty((n_scenes, size), dtype=np.int64)
+    targets = np.zeros((n_scenes, size, 4))
+    # scenes per IoU pass, sized by the one with the most boxes; the + 1
+    # also bounds the (anchors, scenes) maxima of scenes without boxes
+    step = max(_IOU_PAIRS // (size * (1 + max(len(s.gt_boxes) for s in scenes))), 1)
+    for start in range(0, n_scenes, step):
+        group = slice(start, start + step)
+        best, positive, anchor, scene, pos_targets = _label_scenes(grid, scenes[group])
+        best_iou[group], p_star[group] = best.T, positive.T
+        targets[start + scene, anchor] = pos_targets
+    best_iou = best_iou.ravel()
+    scene_id = np.repeat(np.array([s.scene_id for s in scenes], dtype=np.int64), size)
+    anchor_index = np.tile(np.arange(size), n_scenes)
     features = _anchor_features(best_iou, scene_id, anchor_index, spec, corpus_seed)
     return AnchorPool(
-        features=features, p_star=p_star,
-        a=np.repeat(np.array([int(s.is_abnormal) for s in scenes], dtype=np.int64), sizes),
+        features=features, p_star=p_star.ravel(),
+        a=np.repeat(np.array([int(s.is_abnormal) for s in scenes], dtype=np.int64), size),
         ideal_p_star=(best_iou >= IOU_POSITIVE).astype(np.int64), scene_id=scene_id,
-        anchor_index=anchor_index, targets=targets, boxes=boxes)
+        anchor_index=anchor_index, targets=targets.reshape(-1, 4),
+        boxes=np.tile(grid, (n_scenes, 1)))
 
 
 def minibatch_quota(pool: AnchorPool, batch_size: int):
@@ -674,10 +664,12 @@ def save_corpus(path, scenes, spec: SceneSpec, seed: int, manifest_path=None):
 
     Format:  scene <id> <class> <width> <height>
              box <cx> <cy> <w> <h> <annotated 0|1>
+    where width and height repeat spec.extent.
     """
+    width, height = spec.extent
     with open(path, "w") as fh:
         for s in scenes:
-            fh.write(f"scene {s.scene_id} {s.image_class} {s.extent[0]!r} {s.extent[1]!r}\n")
+            fh.write(f"scene {s.scene_id} {s.image_class} {width!r} {height!r}\n")
             # Python floats: the repr of an np.float64 is np.float64(...) under numpy 2
             for (cx, cy, w, h), keep in zip(s.gt_boxes.tolist(), s.annotated.tolist()):
                 fh.write(f"box {cx!r} {cy!r} {w!r} {h!r} {int(keep)}\n")
@@ -702,7 +694,8 @@ def load_corpus(path):
     """The scenes of a save_corpus file.
 
     A malformed record raises ValueError naming its line; a scene that Scene
-    rejects (a box side <= 0, say) names the line of its scene record.
+    rejects (a box side <= 0, say) names the line of its scene record.  A
+    scene record's width and height, which repeat spec.extent, are not kept.
     """
     records = []
     with open(path) as fh:
@@ -718,10 +711,10 @@ def load_corpus(path):
                     raise ValueError(f"{kind} record needs {_RECORD_FIELDS[kind]} fields, "
                                      f"got {len(fields)}")
                 if kind == "scene":
+                    for value in fields[2:]:  # the width and height
+                        float(value)
                     records.append(dict(line=lineno, scene_id=int(fields[0]),
-                                        image_class=fields[1],
-                                        extent=(float(fields[2]), float(fields[3])),
-                                        gt_boxes=[], annotated=[]))
+                                        image_class=fields[1], gt_boxes=[], annotated=[]))
                 elif not records:
                     raise ValueError("box record before any scene record")
                 else:

@@ -267,7 +267,7 @@ def _swept(dets, gt_by_scene, np_ids=()):
 def test_criterion_5_metric_oracles():
     # exact formulas on hand-built reports
     rep = MatchReport(tp=6, fp=2, fn=4)
-    exact = (recall(rep)[0] == 0.6 and precision(rep)[0] == 0.75
+    exact = (recall(rep)[0] == 0.6 and precision(rep) == 0.75
              and nfps_from_w(0.0) == 100.0 and nfps_from_w(100.0) == 0.0
              and nfps_from_w(150.0) == 0.0)
     # sweep oracles on 100 random detection sets

@@ -53,6 +53,12 @@ def test_check_config_defaults_without_file(capsys):
     assert run(["check-config"]) == EXIT_OK
 
 
+def test_check_config_accepts_no_hidden_layer(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"hidden": []}))
+    assert run(["--config", path, "check-config"]) == EXIT_OK
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"not_a_key": 1}))
@@ -111,6 +117,22 @@ def test_check_config_rejects_what_every_run_rejects(tmp_path, capsys, config, a
     path.write_text(json.dumps(config))
     assert run(["--config", path, *argv, "check-config"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"corpus": {"scene_spec": {"object_size": [10.0, 70.0]}}}, "object_size"),
+    ({"hidden": [-3]}, "hidden"),
+    ({"hidden": [0]}, "hidden"),
+    ({"corpus": {"n_ap": -4, "n_np": 70}}, "n_ap"),
+    ({"corpus": {"n_np": -1}}, "n_np"),
+], ids=["objects_exceed_extent", "negative_hidden_width", "zero_hidden_width",
+        "negative_n_ap", "negative_n_np"])
+def test_check_config_names_the_field_a_run_would_reject(tmp_path, capsys, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(["--config", path, "check-config"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
 
 
 def test_malformed_json_exit_code(tmp_path, capsys):

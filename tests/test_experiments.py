@@ -222,7 +222,8 @@ def test_float_positions_hash_alike_however_the_config_was_built():
     assert config_to_dict(as_ints) == config_to_dict(ExperimentConfig())
     assert as_ints.config_hash() == ExperimentConfig().config_hash() == "d383204e89746613"
     # a tuple of another length than its hint is written whole, as it is held
-    assert config_to_dict(SceneSpec(extent=(64, 64, 1)))["extent"] == [64, 64, 1]
+    three = config_to_dict(SceneSpec(hard_attenuation=(0.1, 0.4, 0.2)))
+    assert three["hard_attenuation"] == [0.1, 0.4, 0.2]
 
 
 def test_validate_rejects_duplicate_seeds():

@@ -141,18 +141,18 @@ def test_aggregate_match_counts_np_scene_fp():
 def test_recall_precision_formulas():
     rep = MatchReport(tp=3, fp=2, fn=1)
     assert recall(rep) == (0.75, False)
-    assert precision(rep) == (0.6, False)
+    assert precision(rep) == 0.6
 
 
 def test_recall_precision_zero_denominators_flagged():
     assert recall(MatchReport(tp=0, fp=5, fn=0)) == (0.0, True)
-    assert precision(MatchReport(tp=0, fp=0, fn=5)) == (0.0, True)
+    assert precision(MatchReport(tp=0, fp=0, fn=5)) == 0.0  # no detections
 
 
 def test_perfect_scores():
     rep = MatchReport(tp=4, fp=0, fn=0)
     assert recall(rep)[0] == 1.0
-    assert precision(rep)[0] == 1.0
+    assert precision(rep) == 1.0
 
 
 def test_nfps_formula_and_clamp():
@@ -779,11 +779,9 @@ def full_pass_reference(anchor_boxes, scene_ids, scores, offsets, gt_by_scene, n
         flags.append("precision_floor_unreached")
     rep = aggregate_match(dets[dets.score >= thr], gt_by_scene)
     rec, rec_flag = recall(rep)
-    prec, prec_flag = precision(rep)
+    prec = precision(rep)
     if rec_flag:
         flags.append("recall_zero_denominator")
-    if prec_flag:
-        flags.append("precision_zero_denominator")
     if not np_ids:
         flags.append("no_normal_scenes")
         return MetricsReport(recall=rec, precision=prec, nfps=None, froc=None,

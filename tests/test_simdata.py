@@ -54,13 +54,13 @@ def test_comparing_scenes_does_not_raise():
 @pytest.mark.parametrize("box", [(0, 0, -1, 1), (0, 0, 1, 0), (0, 0, 1, np.nan)])
 def test_scene_rejects_non_positive_box_sides(box):
     with pytest.raises(ValueError, match="box sides must be positive"):
-        Scene(0, AP, [box], [True], (32.0, 32.0))
+        Scene(0, AP, [box], [True])
 
 
 def test_scene_coerces_gt_boxes_to_rows():
-    scene = Scene(0, AP, [(1, 2, 3, 4)], [True], (32.0, 32.0))
+    scene = Scene(0, AP, [(1, 2, 3, 4)], [True])
     assert scene.gt_boxes.dtype == np.float64 and scene.gt_boxes.shape == (1, 4)
-    assert Scene(1, NP_CLASS, [], [], (32.0, 32.0)).gt_boxes.shape == (0, 4)
+    assert Scene(1, NP_CLASS, [], []).gt_boxes.shape == (0, 4)
 
 
 def test_iou_identity_disjoint_analytic():
@@ -130,15 +130,14 @@ def test_boxes_inside_extent():
 
 
 def test_impossible_geometry_rejected():
-    spec = dataclasses.replace(SMALL_SPEC, object_size=(40.0, 50.0))
-    with pytest.raises(ValueError):
-        generate_scene(spec, AP, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="object_size .* exceeds the extent"):
+        dataclasses.replace(SMALL_SPEC, object_size=(40.0, 50.0))
 
 
 def test_np_scene_with_boxes_rejected():
     with pytest.raises(ValueError):
         Scene(scene_id=0, image_class=NP_CLASS, gt_boxes=[(5, 5, 2, 2)],
-              annotated=np.array([True]), extent=(32, 32))
+              annotated=np.array([True]))
 
 
 def test_corpus_layout_and_determinism():
@@ -260,8 +259,7 @@ def test_corruption_spec_validation():
 def test_anchor_grid_arithmetic():
     spec = SceneSpec(extent=(10.0, 10.0), anchor_stride=5.0, anchor_sizes=(2.0,),
                      object_size=(2.0, 4.0))
-    scene = Scene(0, NP_CLASS, [], np.zeros(0, dtype=bool), (10.0, 10.0))
-    anchors = build_anchor_grid(scene, spec)
+    anchors = build_anchor_grid(spec)
     assert len(anchors) == 4
     assert set(map(tuple, anchors[:, :2].tolist())) == {(2.5, 2.5), (7.5, 2.5),
                                                         (2.5, 7.5), (7.5, 7.5)}
@@ -270,15 +268,13 @@ def test_anchor_grid_arithmetic():
 def test_anchor_grid_degenerate_stride():
     spec = SceneSpec(extent=(10.0, 10.0), anchor_stride=100.0, anchor_sizes=(2.0,),
                      object_size=(2.0, 4.0))
-    scene = Scene(0, NP_CLASS, [], np.zeros(0, dtype=bool), (10.0, 10.0))
-    assert len(build_anchor_grid(scene, spec)) == 1
+    assert len(build_anchor_grid(spec)) == 1
 
 
 def test_anchor_grid_two_scales_doubles():
     spec = SceneSpec(extent=(10.0, 10.0), anchor_stride=5.0,
                      anchor_sizes=(2.0, 4.0), object_size=(2.0, 4.0))
-    scene = Scene(0, NP_CLASS, [], np.zeros(0, dtype=bool), (10.0, 10.0))
-    assert len(build_anchor_grid(scene, spec)) == 8
+    assert len(build_anchor_grid(spec)) == 8
 
 
 def assert_label_invariants(pool: AnchorPool):
@@ -294,7 +290,7 @@ def test_label_assignment_cases():
                      object_size=(6.0, 10.0))
     # one annotated box centered on an anchor site, one removed box elsewhere
     boxes = [(10.0, 10.0, 8.0, 8.0), (26.0, 26.0, 8.0, 8.0)]
-    scene = Scene(0, AP, boxes, np.array([True, False]), (32.0, 32.0))
+    scene = Scene(0, AP, boxes, np.array([True, False]))
     pool = build_pool([scene], spec, corpus_seed=0)
     row = {(cx, cy): i for i, (cx, cy) in enumerate(pool.boxes[:, :2].tolist())}
     on_kept = row[(10.0, 10.0)]
@@ -307,7 +303,7 @@ def test_label_assignment_cases():
 
 def test_np_scene_labels_all_negative():
     spec = SceneSpec(extent=(16.0, 16.0), object_size=(4.0, 6.0))
-    scene = Scene(5, NP_CLASS, [], np.zeros(0, dtype=bool), (16.0, 16.0))
+    scene = Scene(5, NP_CLASS, [], np.zeros(0, dtype=bool))
     pool = build_pool([scene], spec, corpus_seed=0)
     assert np.all((pool.p_star == 0) & (pool.a == 0) & (pool.ideal_p_star == 0))
 
@@ -378,7 +374,7 @@ def reference_pool_features(scenes, spec, corpus_seed):
     """Every anchor's features from its own default_rng([corpus_seed, scene_id, idx])."""
     expected = []
     for scene in scenes:
-        for idx, row in enumerate(build_anchor_grid(scene, spec)):
+        for idx, row in enumerate(build_anchor_grid(spec)):
             best = max((iou(row, gt) for gt in scene.gt_boxes), default=0.0)
             rng = np.random.default_rng([corpus_seed, scene.scene_id, idx])
             expected.append(reference_features(best, spec, rng))
@@ -646,33 +642,9 @@ def test_scene_block_independent_of_other_scenes(order, pick):
         np.testing.assert_array_equal(getattr(pool, f.name)[rows], getattr(alone, f.name))
 
 
-def test_build_pool_with_mixed_extents_matches_each_scene_alone(monkeypatch):
-    """The anchor grid is built once per distinct extent, a list extent (as a
-    loaded corpus gives) keyed like the equal tuple."""
-    wide = dataclasses.replace(PROPERTY_SCENES[1], extent=(48.0, 32.0))
-    listed = dataclasses.replace(PROPERTY_SCENES[2], extent=list(PROPERTY_SCENES[2].extent))
-    scenes = [PROPERTY_SCENES[0], wide, listed, PROPERTY_SCENES[3]]
-    real = simdata.build_anchor_grid
-    grids = []
-
-    def counted(scene, spec):
-        grids.append(tuple(scene.extent))
-        return real(scene, spec)
-
-    monkeypatch.setattr(simdata, "build_anchor_grid", counted)
-    pool = build_pool(scenes, SMALL_SPEC, corpus_seed=21)
-    assert grids == [(32.0, 32.0), (48.0, 32.0)]
-    for scene in scenes:
-        alone = build_pool([scene], SMALL_SPEC, corpus_seed=21)
-        rows = pool.scene_id == scene.scene_id
-        assert rows.sum() == len(real(scene, SMALL_SPEC))
-        for f in dataclasses.fields(AnchorPool):
-            np.testing.assert_array_equal(getattr(pool, f.name)[rows], getattr(alone, f.name))
-
-
 def reference_scene_columns(scene: Scene, spec: SceneSpec) -> dict:
     """One scene's AnchorPool columns but the features, labeled on its own with scalar IoU."""
-    anchors = build_anchor_grid(scene, spec)
+    anchors = build_anchor_grid(spec)
     n = len(anchors)
     ious = np.array([[iou(row, gt) for gt in scene.gt_boxes] for row in anchors]).reshape(n, -1)
     kept, kept_ious = scene.gt_boxes[scene.annotated], ious[:, scene.annotated]
@@ -689,19 +661,17 @@ def reference_scene_columns(scene: Scene, spec: SceneSpec) -> dict:
 
 @pytest.mark.parametrize("iou_pairs", [None, 1, 1000], ids=["default", "one_scene", "few_scenes"])
 def test_build_pool_matches_per_scene_reference(iou_pairs, monkeypatch):
-    """Scenes of three extents, interleaved, with and without boxes, fully,
-    partly and not at all annotated, labeled in IoU passes of any size."""
+    """AP and NP scenes, interleaved, with and without boxes, fully, partly
+    and not at all annotated, labeled in IoU passes of any size."""
     if iou_pairs is not None:
         monkeypatch.setattr(simdata, "_IOU_PAIRS", iou_pairs)
-    extents = [(32.0, 32.0), (48.0, 32.0), (24.0, 40.0)]
-    scenes = [dataclasses.replace(scene, extent=extents[i % 3])
-              for i, scene in enumerate(PROPERTY_SCENES)]
     n_boxes = len(PROPERTY_SCENES[0].gt_boxes)
-    dropped, full = (dataclasses.replace(PROPERTY_SCENES[0], scene_id=sid, extent=extents[sid % 3],
+    dropped, full = (dataclasses.replace(PROPERTY_SCENES[0], scene_id=sid,
                                          annotated=np.full(n_boxes, keep))
                      for sid, keep in ((40, False), (41, True)))
-    boxless = Scene(42, AP, [], np.zeros(0, dtype=bool), extents[0])
-    scenes = [*scenes[:3], dropped, *scenes[3:], full, boxless]
+    boxless = Scene(42, AP, [], np.zeros(0, dtype=bool))
+    scenes = [*PROPERTY_SCENES[:3], dropped, PROPERTY_SCENES[4], boxless, PROPERTY_SCENES[3],
+              full, PROPERTY_SCENES[5]]
     assert {s.annotated.mean() for s in scenes if len(s.gt_boxes)} > {0.0, 1.0}
     assert {len(s.gt_boxes) for s in scenes if s.is_abnormal} > {0}
     pool = build_pool(scenes, SMALL_SPEC, corpus_seed=21)
@@ -847,11 +817,12 @@ def test_corpus_round_trip(tmp_path):
     path = tmp_path / "corpus.txt"
     manifest = tmp_path / "manifest.json"
     save_corpus(path, corrupted, SMALL_SPEC, seed=17, manifest_path=manifest)
+    records = [line.split() for line in path.read_text().splitlines() if line.startswith("scene")]
+    assert [tuple(map(float, r[3:])) for r in records] == [SMALL_SPEC.extent] * len(corrupted)
     loaded = load_corpus(path)
     assert len(loaded) == len(corrupted)
     for a, b in zip(corrupted, loaded):
         assert a.scene_id == b.scene_id and a.image_class == b.image_class
-        assert a.extent == b.extent
         np.testing.assert_array_equal(a.annotated, b.annotated)
         np.testing.assert_array_equal(a.gt_boxes, b.gt_boxes, strict=True)
     assert manifest.exists()
