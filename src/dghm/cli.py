@@ -20,9 +20,9 @@ from .experiments import (
     cmd_gen,
     cmd_sweep_eta,
     cmd_train,
+    config_from_dict,
     config_to_dict,
     kfold_split,
-    validate_config_dict,
 )
 from .model import TrainingDiverged
 from .simdata import generate_corpus
@@ -45,7 +45,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
             cfg_dict = json.load(fh)
     if seed_override is not None:
         cfg_dict = {**cfg_dict, "seeds": [seed_override]}
-    return validate_config_dict(cfg_dict)
+    return config_from_dict(ExperimentConfig, cfg_dict)
 
 
 def build_parser() -> argparse.ArgumentParser:

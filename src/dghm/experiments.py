@@ -64,9 +64,11 @@ class CorpusConfig:
         for name in ("n_ap", "n_np"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     losses: tuple[str, ...] = DEFAULT_LOSSES
@@ -88,6 +90,28 @@ class ExperimentConfig:
     hidden: tuple[int, ...] = (32,)
     reg_weight: float = 1.0
     include_dghm_star: bool = False
+
+    def __post_init__(self):
+        """The checks every run of this config would make, made once, so that
+        a config that builds is one that runs."""
+        for eta in (self.eta, *self.eta_grid):
+            CorruptionSpec(eta=eta, seed=0)
+        _train_config(self, LossSpec(), seed=0)
+        if not self.losses:
+            raise ValueError("losses must be nonempty")
+        for name in self.losses:
+            loss_spec_for(name, self.harmonizer)
+        _check_fold_count(self.folds, self.corpus.n_ap + self.corpus.n_np)
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonempty, distinct and non-negative, "
+                             f"got {list(self.seeds)}")
+        cells = _ablation_cells(self)
+        # each grid entry is one summary row, keyed by its label: none may repeat
+        for key, labels in zip(("losses", "eta_grid", "mu_grid", "lambda_grid"),
+                               (self.losses, [f"{eta:g}" for eta in self.eta_grid],
+                                *([label for label, _ in grid] for grid in cells))):
+            if min(len(set(labels)), len(set(getattr(self, key)))) < len(labels):
+                raise ValueError(f"{key} repeats an entry or its label: {list(labels)}")
 
     def config_hash(self) -> str:
         payload = json.dumps(config_to_dict(self), sort_keys=True)
@@ -122,9 +146,7 @@ def config_to_dict(obj, hint=None):
         elements = typing.get_args(hint)
         if elements[-1:] == (Ellipsis,):
             elements = elements[:1] * len(obj)
-        elif len(elements) != len(obj):  # a bare tuple, or one of another length
-            elements = (None,) * len(obj)
-        return [config_to_dict(v, h) for v, h in zip(obj, elements)]
+        return [config_to_dict(v, h) for v, h in zip(obj, elements, strict=True)]
     if isinstance(obj, Mode):
         return obj.value
     return float(obj) if hint is float and type(obj) is int else obj
@@ -183,35 +205,6 @@ def config_from_dict(cls, d: dict, where: str = ""):
         raise ValueError(f"unknown config keys: {sorted(where + k for k in unknown)}")
     return cls(**{name: _from_json(hints[name], value, where + name)
                   for name, value in d.items()})
-
-
-def validate_config_dict(d: dict):
-    """Raise ValueError on unknown keys, malformed values or values every run rejects."""
-    try:
-        cfg = config_from_dict(ExperimentConfig, d)
-        # the checks a run makes, made once up front
-        for eta in (cfg.eta, *cfg.eta_grid):
-            CorruptionSpec(eta=eta, seed=0)
-        _train_config(cfg, LossSpec(), seed=0)
-        for name in cfg.losses:
-            loss_spec_for(name, cfg.harmonizer)
-        _check_fold_count(cfg.folds, cfg.corpus.n_ap + cfg.corpus.n_np)
-        cells = _ablation_cells(cfg)
-        for seed in (cfg.corpus.seed, *cfg.seeds):
-            np.random.SeedSequence(seed)
-    except TypeError as exc:
-        raise ValueError(str(exc)) from exc
-    if not cfg.losses:
-        raise ValueError("losses must be nonempty")
-    if not cfg.seeds or len(set(cfg.seeds)) != len(cfg.seeds):
-        raise ValueError("seeds must be nonempty and distinct")
-    # each grid entry is one summary row, keyed by its label: none may repeat
-    for key, labels in zip(("losses", "eta_grid", "mu_grid", "lambda_grid"),
-                           (cfg.losses, [f"{eta:g}" for eta in cfg.eta_grid],
-                            *([label for label, _ in grid] for grid in cells))):
-        if min(len(set(labels)), len(set(getattr(cfg, key)))) < len(labels):
-            raise ValueError(f"{key} repeats an entry or its label: {list(labels)}")
-    return cfg
 
 
 def loss_spec_for(name: str, harmonizer: HarmonizerConfig) -> LossSpec:

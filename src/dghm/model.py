@@ -321,7 +321,7 @@ class TrainConfig:
     epochs: int = 15
     batch_size: int = 8
     steps_per_epoch: int = 150
-    hidden: tuple = (32,)
+    hidden: tuple[int, ...] = (32,)
     reg_weight: float = 1.0
     seed: int = 0
 
@@ -332,6 +332,8 @@ class TrainConfig:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        if self.reg_weight < 0:
+            raise ValueError(f"reg_weight must be >= 0, got {self.reg_weight}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
 

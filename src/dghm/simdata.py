@@ -29,6 +29,7 @@ NP_CLASS = "NP"
 
 IOU_POSITIVE = 0.5  # anchor is positive iff best IoU >= this
 _IOU_PAIRS = 1 << 16  # anchor x box pairs labeled per IoU pass; bounds its memory
+MAX_ANCHORS_PER_SCENE = 1 << 16  # a SceneSpec's grid bound: 256x the default grid
 
 
 def iou(a, b) -> float:
@@ -109,20 +110,31 @@ class SceneSpec:
     signal_background: float = 0.0
 
     def __post_init__(self):
-        if self.objects_per_ap_scene[0] > self.objects_per_ap_scene[1]:
-            raise ValueError("empty objects_per_ap_scene range")
-        if self.object_size[0] > self.object_size[1] or self.object_size[0] <= 0:
-            raise ValueError("invalid object size range")
+        for name in ("extent", "objects_per_ap_scene", "object_size", "hard_attenuation"):
+            pair = getattr(self, name)
+            if len(pair) != 2 or name != "extent" and pair[0] > pair[1]:
+                raise ValueError(f"{name} must be a pair, a range's low end first, got {pair!r}")
+        if self.objects_per_ap_scene[0] < 0:
+            raise ValueError(f"objects_per_ap_scene must be >= 0, got {self.objects_per_ap_scene}")
+        if self.object_size[0] <= 0:
+            raise ValueError(f"object_size must be positive, got {self.object_size}")
+        if self.noise_level < 0:
+            raise ValueError(f"noise_level must be >= 0, got {self.noise_level}")
         if self.object_size[1] > min(self.extent):
             raise ValueError(f"object_size {self.object_size} exceeds the extent {self.extent}")
         if self.anchor_stride <= 0:
-            raise ValueError("anchor stride must be positive")
+            raise ValueError("anchor_stride must be positive")
         if not self.anchor_sizes or not all(0 < size < np.inf for size in self.anchor_sizes):
             raise ValueError("anchor_sizes must be nonempty, positive and finite")
         if not 0.0 <= self.hard_fraction <= 1.0:
             raise ValueError("hard_fraction must be in [0, 1]")
         if self.feature_dim < 2:
             raise ValueError("feature_dim must be at least 2")
+        nx, ny = _grid_shape(self)
+        if nx * ny * len(self.anchor_sizes) > MAX_ANCHORS_PER_SCENE:
+            raise ValueError(f"extent {self.extent}, anchor_stride {self.anchor_stride} and "
+                             f"anchor_sizes {self.anchor_sizes} give a grid of more than "
+                             f"{MAX_ANCHORS_PER_SCENE} anchors per scene")
 
 
 @dataclass(frozen=True)
@@ -184,16 +196,19 @@ def corrupt_annotations(scenes, spec: CorruptionSpec):
             for s, part in zip(scenes, parts)], k
 
 
+def _grid_shape(spec: SceneSpec):
+    """Columns and rows of spec's anchor grid, as floats, so a grid too big to build counts too."""
+    return [max(np.ceil(side / spec.anchor_stride), 1.0) for side in spec.extent]
+
+
 def build_anchor_grid(spec: SceneSpec) -> np.ndarray:
     """The one anchor grid of every scene of spec: square anchors covering the
     extent on a regular grid, one per size entry.
 
     Returns (n, 4) rows of (cx, cy, w, h), ordered by size, then row, then column.
     """
-    width, height = spec.extent
     stride = spec.anchor_stride
-    nx = max(int(np.ceil(width / stride)), 1)
-    ny = max(int(np.ceil(height / stride)), 1)
+    nx, ny = (int(n) for n in _grid_shape(spec))
     size, cy, cx = np.meshgrid(spec.anchor_sizes, (np.arange(ny) + 0.5) * stride,
                                (np.arange(nx) + 0.5) * stride, indexing="ij")
     return np.stack([cx, cy, size, size], axis=-1).reshape(-1, 4)

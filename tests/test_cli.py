@@ -125,8 +125,16 @@ def test_check_config_rejects_what_every_run_rejects(tmp_path, capsys, config, a
     ({"hidden": [0]}, "hidden"),
     ({"corpus": {"n_ap": -4, "n_np": 70}}, "n_ap"),
     ({"corpus": {"n_np": -1}}, "n_np"),
+    ({"corpus": {"scene_spec": {"objects_per_ap_scene": [-2, 1]}}}, "objects_per_ap_scene"),
+    ({"corpus": {"scene_spec": {"hard_attenuation": [0.9, 0.1]}}}, "hard_attenuation"),
+    ({"corpus": {"scene_spec": {"noise_level": -1.0}}}, "noise_level"),
+    ({"reg_weight": -1.0}, "reg_weight"),
+    ({"corpus": {"scene_spec": {"anchor_stride": 0.001}}}, "anchor_stride"),
+    ({"corpus": {"scene_spec": {"anchor_sizes": [12.0] * 257}}}, "anchor_sizes"),
 ], ids=["objects_exceed_extent", "negative_hidden_width", "zero_hidden_width",
-        "negative_n_ap", "negative_n_np"])
+        "negative_n_ap", "negative_n_np", "negative_object_count", "unordered_attenuation",
+        "negative_noise_level", "negative_reg_weight", "huge_grid_stride",
+        "huge_grid_sizes"])
 def test_check_config_names_the_field_a_run_would_reject(tmp_path, capsys, config, key):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

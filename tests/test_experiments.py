@@ -4,6 +4,7 @@ Grid commands are exercised on a deliberately tiny corpus/config so the whole
 file stays fast; the full-scale trend checks live in the acceptance tests.
 """
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -17,6 +18,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dghm.experiments import (
     CorpusConfig,
@@ -35,7 +38,6 @@ from dghm.experiments import (
     read_run_rows,
     run_single,
     summarize,
-    validate_config_dict,
     write_run_rows,
 )
 from dghm import experiments, metrics
@@ -128,6 +130,18 @@ def test_kfold_deterministic():
 # ---------------------------------------------------------------------------
 
 
+class Py(dict):
+    """``dataclasses.replace`` arguments: a case built in Python, not loaded from JSON."""
+
+
+def load(d):
+    """The config of a JSON dict by ``config_from_dict``, or of a Py case by
+    ``dataclasses.replace`` of the defaults: either way it checks itself."""
+    if isinstance(d, Py):
+        return dataclasses.replace(ExperimentConfig(), **d)
+    return config_from_dict(ExperimentConfig, d)
+
+
 def test_config_dict_round_trip():
     cfg = tiny_config()
     d = config_to_dict(cfg)
@@ -142,15 +156,15 @@ def test_config_hash_stable_and_sensitive():
 
 def test_validate_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
-        validate_config_dict({"bogus_knob": 1})
+        load({"bogus_knob": 1})
 
 
 def test_validate_rejects_unknown_nested_keys():
     d = {"corpus": {"scene_spec": {"feature_dimm": 8}}}
     with pytest.raises(ValueError, match=r"unknown config keys: \['corpus\.scene_spec\.feature_dimm'\]"):
-        validate_config_dict(d)
+        load(d)
     with pytest.raises(ValueError, match="harmonizer.bin_cnt"):
-        validate_config_dict({"harmonizer": {"bin_cnt": 10}})
+        load({"harmonizer": {"bin_cnt": 10}})
 
 
 @pytest.mark.parametrize("d, key", [
@@ -164,7 +178,7 @@ def test_validate_rejects_unknown_nested_keys():
 ], ids=["epochs", "batch_size", "bin_count", "n_ap", "bool_int", "bool_float", "str_float"])
 def test_validate_rejects_wrong_scalar_types(d, key):
     with pytest.raises(ValueError, match=f"^{key} must be "):
-        validate_config_dict(d)
+        load(d)
 
 
 @pytest.mark.parametrize("d, message", [
@@ -174,7 +188,7 @@ def test_validate_rejects_wrong_scalar_types(d, key):
 ])
 def test_validate_rejects_wrong_containers(d, message):
     with pytest.raises(ValueError, match=message):
-        validate_config_dict(d)
+        load(d)
 
 
 @pytest.mark.parametrize("d, message", [
@@ -191,15 +205,14 @@ def test_validate_rejects_wrong_containers(d, message):
         "mu_str", "extent_length"])
 def test_validate_rejects_wrong_tuple_elements(d, message):
     with pytest.raises(ValueError, match=message):
-        validate_config_dict(d)
+        load(d)
 
 
 def test_float_positions_store_ints_as_floats():
-    as_ints = validate_config_dict({"eta": 1, "mu_grid": [[1, 2]], "eta_grid": [0, 1],
-                                    "corpus": {"scene_spec": {"extent": [64, 64]}}})
-    as_floats = validate_config_dict({"eta": 1.0, "mu_grid": [[1.0, 2.0]],
-                                      "eta_grid": [0.0, 1.0],
-                                      "corpus": {"scene_spec": {"extent": [64.0, 64.0]}}})
+    as_ints = load({"eta": 1, "mu_grid": [[1, 2]], "eta_grid": [0, 1],
+                    "corpus": {"scene_spec": {"extent": [64, 64]}}})
+    as_floats = load({"eta": 1.0, "mu_grid": [[1.0, 2.0]], "eta_grid": [0.0, 1.0],
+                      "corpus": {"scene_spec": {"extent": [64.0, 64.0]}}})
     assert as_ints.config_hash() == as_floats.config_hash()
     assert type(as_ints.eta) is float and type(as_ints.mu_grid[0][0]) is float
     assert as_ints.corpus.scene_spec.extent == (64.0, 64.0)
@@ -209,7 +222,7 @@ def test_float_positions_store_ints_as_floats():
 def test_default_config_hash_survives_the_dict_round_trip():
     cfg = ExperimentConfig()
     assert cfg.config_hash() == "d383204e89746613"
-    loaded = validate_config_dict(json.loads(json.dumps(config_to_dict(cfg))))
+    loaded = load(json.loads(json.dumps(config_to_dict(cfg))))
     assert loaded.config_hash() == cfg.config_hash()
 
 
@@ -221,14 +234,15 @@ def test_float_positions_hash_alike_however_the_config_was_built():
         corpus=CorpusConfig(scene_spec=SceneSpec(extent=(64, 64), anchor_sizes=(12,))))
     assert config_to_dict(as_ints) == config_to_dict(ExperimentConfig())
     assert as_ints.config_hash() == ExperimentConfig().config_hash() == "d383204e89746613"
-    # a tuple of another length than its hint is written whole, as it is held
-    three = config_to_dict(SceneSpec(hard_attenuation=(0.1, 0.4, 0.2)))
-    assert three["hard_attenuation"] == [0.1, 0.4, 0.2]
+    # a variadic tuple is written whole, each element as its hint says
+    sizes = config_to_dict(SceneSpec(anchor_sizes=(12, 7, 5.5)))["anchor_sizes"]
+    assert sizes == [12.0, 7.0, 5.5] and all(type(size) is float for size in sizes)
 
 
 def test_validate_rejects_duplicate_seeds():
-    with pytest.raises(ValueError, match="seeds"):
-        validate_config_dict({"seeds": [1, 1]})
+    for d in ({"seeds": [1, 1]}, Py(seeds=(1, 1)), Py(seeds=())):
+        with pytest.raises(ValueError, match="seeds"):
+            load(d)
 
 
 @pytest.mark.parametrize("d, key", [
@@ -240,21 +254,26 @@ def test_validate_rejects_duplicate_seeds():
     ({"mu_grid": [[1, 2], [1.0000001, 2]]}, "mu_grid"),
     ({"lambda_grid": [0.8, 0.8]}, "lambda_grid"),
     ({"lambda_grid": [0.8, 0.8000001]}, "lambda_grid"),
+    (Py(losses=("ce", "ce")), "losses"),
+    (Py(mu_grid=((1, 2), (1.0, 2.0))), "mu_grid"),
+    (Py(lambda_grid=(0.8, 0.8000001)), "lambda_grid"),
 ], ids=["losses", "eta_grid", "eta_labels", "eta_signed_zero", "mu_grid", "mu_labels",
-        "lambda_grid", "lambda_labels"])
+        "lambda_grid", "lambda_labels", "python_losses", "python_mu_grid",
+        "python_lambda_labels"])
 def test_validate_rejects_grids_whose_summary_rows_would_merge(d, key):
     # a repeated entry runs twice, and two whose :g labels collide share a summary row
     with pytest.raises(ValueError, match=key):
-        validate_config_dict(d)
+        load(d)
 
 
 def test_validate_rejects_empty_losses():
-    with pytest.raises(ValueError, match="losses"):
-        validate_config_dict({"losses": []})
+    for d in ({"losses": []}, Py(losses=())):
+        with pytest.raises(ValueError, match="losses"):
+            load(d)
 
 
 def test_validate_accepts_defaults():
-    cfg = validate_config_dict({})
+    cfg = load({})
     assert cfg == ExperimentConfig()
 
 
@@ -275,18 +294,98 @@ def test_validate_accepts_defaults():
     ({"steps_per_epoch": -1}, "^steps_per_epoch must be >= 1"),
     ({"batch_size": 0}, "^batch_size must be >= 1"),
     ({"batch_size": -4}, "^batch_size must be >= 1"),
+    (Py(eta=2.0), "eta"),
+    (Py(eta_grid=(0.2, -0.1)), "eta"),
+    (Py(folds=1), "fold count"),
+    (Py(learning_rate=0.0), "learning rate"),
+    (Py(lambda_grid=(1.5,)), "outlier_threshold"),
+    (Py(mu_grid=((0.0, 1.0),)), "mu_n and mu_c"),
+    (Py(seeds=(-1,)), "non-negative"),
+    (Py(losses=("bogus",)), "unknown loss kind 'bogus'"),
+    (Py(epochs=-1), "^epochs must be >= 0"),
+    (Py(batch_size=0), "^batch_size must be >= 1"),
 ], ids=["eta", "eta_grid", "one_fold", "more_folds_than_scenes", "learning_rate",
         "lambda_grid", "mu_grid", "corpus_seed", "run_seed", "float_seed", "unknown_loss",
-        "negative_epochs", "no_steps", "negative_steps", "empty_batch", "negative_batch"])
+        "negative_epochs", "no_steps", "negative_steps", "empty_batch", "negative_batch",
+        "python_eta", "python_eta_grid", "python_one_fold", "python_learning_rate",
+        "python_lambda_grid", "python_mu_grid", "python_run_seed", "python_unknown_loss",
+        "python_negative_epochs", "python_empty_batch"])
 def test_validate_rejects_values_every_run_rejects(d, message):
     with pytest.raises(ValueError, match=message):
-        validate_config_dict(d)
+        load(d)
 
 
 def test_validate_accepts_range_edges():
     n = ExperimentConfig().corpus.n_ap + ExperimentConfig().corpus.n_np
-    validate_config_dict({"eta": 1.0, "eta_grid": [0.0, 1.0], "folds": n})
-    validate_config_dict({"folds": 2})
+    load({"eta": 1.0, "eta_grid": [0.0, 1.0], "folds": n})
+    load({"folds": 2})
+
+
+def _pairs(elements, ordered=False):
+    pairs = st.lists(elements, min_size=2, max_size=2)
+    return pairs.map(sorted) if ordered else pairs
+
+
+# Toy sizes: at most 4 + 4 scenes of at most 12 x 12 anchors per size, and 6
+# steps.  Each field spans the values a run accepts, to their edges, and some
+# reach a little past them.
+_SCENE_SPECS = st.fixed_dictionaries({
+    "extent": _pairs(st.floats(6.0, 24.0)),
+    "objects_per_ap_scene": _pairs(st.integers(0, 3), ordered=True),
+    "object_size": _pairs(st.floats(0.5, 8.0), ordered=True),
+    "anchor_stride": st.floats(2.0, 8.0),
+}, optional={
+    "anchor_sizes": st.lists(st.floats(0.5, 12.0), min_size=1, max_size=2),
+    "feature_dim": st.integers(2, 6),
+    "noise_level": st.floats(-0.1, 1.0),
+    "hard_fraction": st.floats(0.0, 1.0),
+    "hard_attenuation": _pairs(st.floats(0.0, 1.0), ordered=True),
+    "signal_gain": st.floats(-2.0, 2.0),
+    "secondary_gain": st.floats(-2.0, 2.0),
+    "signal_background": st.floats(-1.0, 1.0),
+})
+_HARMONIZERS = st.fixed_dictionaries({}, optional={
+    "mode": st.sampled_from(["GHM", "DGHM", "DGHM_STAR"]),
+    "bin_count": st.integers(0, 12),
+    "mu_n": st.floats(0.0, 3.0),
+    "mu_c": st.floats(0.0, 3.0),
+    "outlier_threshold": st.floats(0.0, 1.0),
+    "n_convention": st.sampled_from(["total", "partition"]),
+    "momentum": st.floats(0.0, 1.0),
+})
+_CONFIG_DICTS = st.fixed_dictionaries({
+    "corpus": st.fixed_dictionaries(
+        {"scene_spec": _SCENE_SPECS, "n_ap": st.integers(0, 4), "n_np": st.integers(0, 4)},
+        optional={"seed": st.integers(-1, 3)}),
+    "losses": st.lists(st.sampled_from(LossSpec.KINDS), min_size=1, max_size=2),
+    "folds": st.integers(2, 4),
+    "seeds": st.lists(st.integers(0, 3), min_size=1, max_size=2),
+    "epochs": st.integers(0, 2),
+    "steps_per_epoch": st.integers(1, 3),
+    "batch_size": st.integers(1, 16),
+}, optional={
+    "eta": st.floats(0.0, 1.0),
+    "eta_grid": st.lists(st.floats(-0.1, 1.0), max_size=3),
+    "mu_grid": st.lists(_pairs(st.floats(0.0, 3.0)), max_size=2),
+    "lambda_grid": st.lists(st.floats(0.0, 1.1), max_size=2),
+    "harmonizer": _HARMONIZERS,
+    "learning_rate": st.floats(0.0, 1.0),
+    "hidden": st.lists(st.integers(1, 8), max_size=2),
+    "reg_weight": st.floats(-0.1, 2.0),
+    "include_dghm_star": st.booleans(),
+})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(d=_CONFIG_DICTS)
+def test_a_config_that_loads_runs_each_of_its_losses(d):
+    try:
+        cfg = config_from_dict(ExperimentConfig, d)
+    except ValueError:
+        return
+    for loss in cfg.losses:
+        with contextlib.suppress(model_module.TrainingDiverged):
+            run_single(cfg, loss, cfg.eta, fold=0, seed=cfg.seeds[0])
 
 
 # ---------------------------------------------------------------------------

@@ -841,10 +841,10 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=float("nan"))
     for field, bad in [("epochs", -1), ("steps_per_epoch", 0), ("steps_per_epoch", -1),
-                       ("batch_size", 0), ("batch_size", -4)]:
+                       ("batch_size", 0), ("batch_size", -4), ("reg_weight", -1.0)]:
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
             TrainConfig(**{field: bad})
-    TrainConfig(epochs=0, steps_per_epoch=1, batch_size=1)
+    TrainConfig(epochs=0, steps_per_epoch=1, batch_size=1, reg_weight=0.0)
 
 
 # ---------------------------------------------------------------------------

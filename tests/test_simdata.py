@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dghm.simdata import (
     AP,
     IOU_POSITIVE,
+    MAX_ANCHORS_PER_SCENE,
     NP_CLASS,
     AnchorPool,
     CorruptionSpec,
@@ -866,6 +867,21 @@ def test_scene_spec_validation():
         SceneSpec(anchor_stride=0.0)
     with pytest.raises(ValueError):
         SceneSpec(hard_fraction=1.5)
+    for field, bad in [("extent", (64.0, 64.0, 100.0)), ("object_size", (10.0,)),
+                       ("objects_per_ap_scene", (-2, 1)), ("hard_attenuation", (0.9, 0.1)),
+                       ("hard_attenuation", (0.1, 0.4, 0.2)), ("noise_level", -1.0)]:
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            SceneSpec(**{field: bad})
+    SceneSpec(objects_per_ap_scene=(0, 0), hard_attenuation=(0.3, 0.3), noise_level=0.0)
+    # the anchor grid is bounded: 0.001 would ask for 64000 x 64000 anchors, 1e-320
+    # for a grid too large to count
+    for stride in (0.001, 1e-320):
+        with pytest.raises(ValueError, match="^extent .* anchor_stride .* anchor_sizes "):
+            SceneSpec(anchor_stride=stride)
+    with pytest.raises(ValueError, match=f"more than {MAX_ANCHORS_PER_SCENE} anchors"):
+        SceneSpec(anchor_sizes=(12.0,) * 257)
+    at_bound = SceneSpec(anchor_sizes=(12.0,) * 256)  # 256 sizes of the 256-anchor grid
+    assert len(build_anchor_grid(at_bound)) == MAX_ANCHORS_PER_SCENE
 
 
 @pytest.mark.parametrize("sizes", [(), (-12.0,), (0.0,), (12.0, float("inf")), (float("nan"),)],
