@@ -21,7 +21,6 @@ import numpy as np
 
 from . import metrics as M
 from .harmonizer import (
-    HARMONIZED_MODES,
     HarmonizerConfig,
     LossSpec,
     Mode,
@@ -33,6 +32,7 @@ from .harmonizer import (
 from .losses import sigmoid
 from .model import (
     TrainConfig,
+    check_int,
     forward_pool,
     pool_gradient_histograms,
     save_checkpoint,
@@ -69,7 +69,7 @@ class CorpusConfig:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(TrainConfig):
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     losses: tuple[str, ...] = DEFAULT_LOSSES
     eta: float = 0.7
@@ -81,30 +81,26 @@ class ExperimentConfig:
         default_factory=lambda: HarmonizerConfig(momentum=0.7))
     folds: int = 5
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    # desk-scale training defaults; the paper-scale learning schedule shape
-    # (x0.1 decay at 60%/80% of epochs) is preserved
-    learning_rate: float = 3e-3
-    epochs: int = 40
-    batch_size: int = 256
-    steps_per_epoch: int = 60
-    hidden: tuple[int, ...] = (32,)
-    reg_weight: float = 1.0
     include_dghm_star: bool = False
 
     def __post_init__(self):
         """The checks every run of this config would make, made once, so that
         a config that builds is one that runs."""
+        super().__post_init__()
         for eta in (self.eta, *self.eta_grid):
             CorruptionSpec(eta=eta, seed=0)
-        _train_config(self, LossSpec(), seed=0)
         if not self.losses:
             raise ValueError("losses must be nonempty")
         for name in self.losses:
-            loss_spec_for(name, self.harmonizer)
+            LossSpec(kind=name)
         _check_fold_count(self.folds, self.corpus.n_ap + self.corpus.n_np)
         if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
             raise ValueError(f"seeds must be nonempty, distinct and non-negative, "
                              f"got {list(self.seeds)}")
+        for i, seed in enumerate(self.seeds):
+            check_int(f"seeds[{i}]", seed, 0)
+        if any(len(pair) != 2 for pair in self.mu_grid):
+            raise ValueError(f"mu_grid entries must be pairs, got {list(self.mu_grid)}")
         cells = _ablation_cells(self)
         # each grid entry is one summary row, keyed by its label: none may repeat
         for key, labels in zip(("losses", "eta_grid", "mu_grid", "lambda_grid"),
@@ -152,16 +148,16 @@ def config_to_dict(obj, hint=None):
     return float(obj) if hint is float and type(obj) is int else obj
 
 
-def _from_json(hint, value, key: str):
+def _from_json(hint, value, key: str, default):
     """``value`` as the field type ``hint`` says, or ValueError naming ``key``.
 
-    Nested dicts become nested configs and lists become tuples, checked
-    element by element; a ``float`` position stores an int as a float, so a
-    config hashes alike however its floats were written, and refuses the
-    NaN and Infinity that json reads.
+    Nested dicts become ``default`` with their keys replaced and lists
+    tuples, checked element by element; a ``float`` position stores an int as
+    a float, so a config hashes alike however its floats were written, and
+    refuses the NaN and Infinity that json reads.
     """
     if dataclasses.is_dataclass(hint):
-        return config_from_dict(hint, value, f"{key}.")
+        return config_from_dict(default, value, f"{key}.")
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{key} must be a list, got {value!r}")
@@ -170,7 +166,7 @@ def _from_json(hint, value, key: str):
             elements = elements[:1] * len(value)
         elif len(value) != len(elements):
             raise ValueError(f"{key} must have {len(elements)} elements, got {value!r}")
-        return tuple(_from_json(h, v, f"{key}[{i}]")
+        return tuple(_from_json(h, v, f"{key}[{i}]", h)
                      for i, (h, v) in enumerate(zip(elements, value)))
     allowed = (int, float) if hint is float else (hint,)
     if hint in (int, float, str, bool) and type(value) not in allowed:
@@ -187,8 +183,9 @@ def _from_json(hint, value, key: str):
 
 
 def config_from_dict(cls, d: dict, where: str = ""):
-    """The ``cls`` config a ``config_to_dict`` dict describes; omitted keys
-    take the defaults.
+    """The config a ``config_to_dict`` dict describes: ``cls()``, or ``cls``
+    if it is a config, with the given keys replaced, so an omitted key keeps
+    the default at any depth, a nested object's being its enclosing field's.
 
     Raises ValueError, naming the dotted key (``[i]`` for a tuple element), on
     an unknown key at any depth, a non-dict for a nested config, a non-list or
@@ -199,25 +196,13 @@ def config_from_dict(cls, d: dict, where: str = ""):
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where.rstrip('.') or 'config'} must be a JSON object")
-    hints = _field_hints(cls)
-    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    base = cls() if isinstance(cls, type) else cls
+    hints = _field_hints(type(base))
+    unknown = set(d) - {f.name for f in dataclasses.fields(base)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(where + k for k in unknown)}")
-    return cls(**{name: _from_json(hints[name], value, where + name)
-                  for name, value in d.items()})
-
-
-def loss_spec_for(name: str, harmonizer: HarmonizerConfig) -> LossSpec:
-    if name in HARMONIZED_MODES:
-        return LossSpec(kind=name, harmonizer=harmonizer)
-    return LossSpec(kind=name)
-
-
-def _train_config(cfg: ExperimentConfig, spec: LossSpec, seed: int) -> TrainConfig:
-    return TrainConfig(loss_spec=spec, learning_rate=cfg.learning_rate,
-                       epochs=cfg.epochs, batch_size=cfg.batch_size,
-                       steps_per_epoch=cfg.steps_per_epoch, hidden=cfg.hidden,
-                       reg_weight=cfg.reg_weight, seed=seed)
+    return dataclasses.replace(base, **{name: _from_json(
+        hints[name], value, where + name, getattr(base, name)) for name, value in d.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +336,8 @@ def run_single(cfg: ExperimentConfig, loss_name: str, eta: float, fold: int,
     test_scenes = [s for s in scenes if s.scene_id in test_ids]
     corrupted, _ = corrupt_annotations(train_scenes, CorruptionSpec(eta=eta, seed=seed))
     pool = build_pool(corrupted, cfg.corpus.scene_spec, cfg.corpus.seed)
-    spec = loss_spec_for(loss_name, harmonizer or cfg.harmonizer)
-    model, log = train(pool, _train_config(cfg, spec, seed))
+    spec = LossSpec(kind=loss_name, harmonizer=harmonizer or cfg.harmonizer)
+    model, log = train(pool, cfg, spec, seed)
     train_scored = _score_pool(model, pool)
     if not return_model:
         del pool

@@ -1,7 +1,9 @@
 """Smoke tests of the user-facing surface: every README walkthrough in demos/
-and every ``python`` block of README.md runs to completion, and every name
-``dghm`` exports resolves."""
+and every ``python`` block of README.md runs to completion, the README's one
+``json`` block is the default config, and every name ``dghm`` exports
+resolves."""
 
+import json
 import os
 import re
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import dghm
+from dghm.experiments import ExperimentConfig, config_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -115,6 +118,13 @@ def test_readme_blocks_found():
                          ids=[f"block{i}" for i in range(len(README_BLOCKS))])
 def test_readme_block_runs(block, tmp_path):
     assert_python_runs(["-c", block], tmp_path, timeout=60)
+
+
+def test_readme_json_block_is_the_default_config():
+    blocks = re.findall(r"^```json\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    assert json.loads(blocks[0]) == config_to_dict(ExperimentConfig())
 
 
 def test_every_export_resolves():

@@ -275,6 +275,9 @@ def test_validate_rejects_empty_losses():
 def test_validate_accepts_defaults():
     cfg = load({})
     assert cfg == ExperimentConfig()
+    # a nested object keeps its field's default, momentum 0.7, for the keys it leaves out
+    assert load({"harmonizer": {"bin_count": 20}}) == dataclasses.replace(
+        cfg, harmonizer=dataclasses.replace(cfg.harmonizer, bin_count=20))
 
 
 @pytest.mark.parametrize("d, message", [
@@ -304,12 +307,20 @@ def test_validate_accepts_defaults():
     (Py(losses=("bogus",)), "unknown loss kind 'bogus'"),
     (Py(epochs=-1), "^epochs must be >= 0"),
     (Py(batch_size=0), "^batch_size must be >= 1"),
+    (Py(seeds=(1.5,)), r"^seeds\[0\] must be int, got 1.5"),
+    (Py(epochs=2.5), "^epochs must be int, got 2.5"),
+    (Py(batch_size=16.0), "^batch_size must be int, got 16.0"),
+    (Py(hidden=(8.0,)), r"^hidden\[0\] must be int, got 8.0"),
+    (Py(steps_per_epoch=True), "^steps_per_epoch must be int, got True"),
+    (Py(mu_grid=((1.0,),)), "^mu_grid entries must be pairs"),
 ], ids=["eta", "eta_grid", "one_fold", "more_folds_than_scenes", "learning_rate",
         "lambda_grid", "mu_grid", "corpus_seed", "run_seed", "float_seed", "unknown_loss",
         "negative_epochs", "no_steps", "negative_steps", "empty_batch", "negative_batch",
         "python_eta", "python_eta_grid", "python_one_fold", "python_learning_rate",
         "python_lambda_grid", "python_mu_grid", "python_run_seed", "python_unknown_loss",
-        "python_negative_epochs", "python_empty_batch"])
+        "python_negative_epochs", "python_empty_batch", "python_float_seed",
+        "python_float_epochs", "python_float_batch", "python_float_hidden_width",
+        "python_bool_steps", "python_mu_entry_not_a_pair"])
 def test_validate_rejects_values_every_run_rejects(d, message):
     with pytest.raises(ValueError, match=message):
         load(d)

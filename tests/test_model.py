@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dghm import model as model_module
+from dghm.experiments import ExperimentConfig
 from dghm.harmonizer import (
     MODE_PARTITIONS,
     EmaHistograms,
@@ -388,8 +389,8 @@ def tiny_pool(eta=0.0, seed=0):
 
 def test_zero_epochs_returns_initialization():
     pool = tiny_pool()
-    cfg = TrainConfig(epochs=0, steps_per_epoch=2, seed=3)
-    model, log = train(pool, cfg)
+    cfg = TrainConfig(epochs=0, steps_per_epoch=2, batch_size=8, learning_rate=1e-4)
+    model, log = train(pool, cfg, LossSpec(), 3)
     reference = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=3)
     for a, b in zip(model.weights + model.biases,
                     reference.weights + reference.biases):
@@ -400,14 +401,30 @@ def test_zero_epochs_returns_initialization():
 
 def test_training_bit_reproducible():
     pool = tiny_pool(eta=0.4)
-    cfg = TrainConfig(epochs=2, steps_per_epoch=5, batch_size=16,
-                      learning_rate=1e-3, seed=11)
-    m1, log1 = train(pool, cfg)
-    m2, log2 = train(pool, cfg)
+    cfg = TrainConfig(epochs=2, steps_per_epoch=5, batch_size=16, learning_rate=1e-3)
+    m1, log1 = train(pool, cfg, LossSpec(), 11)
+    m2, log2 = train(pool, cfg, LossSpec(), 11)
     for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(log1.mean_loss, log2.mean_loss)
     np.testing.assert_array_equal(log1.epoch_histograms, log2.epoch_histograms)
+
+
+def test_train_reads_only_the_training_settings_of_an_experiment():
+    # an ExperimentConfig is a TrainConfig: train() of one is bit-equal to
+    # train() of the TrainConfig holding only its six training settings
+    pool = tiny_pool(eta=0.4)
+    exp = ExperimentConfig(epochs=3, steps_per_epoch=4, batch_size=16, learning_rate=2e-3,
+                           hidden=(8, 4), reg_weight=1.5, losses=("dghm_c",), seeds=(7,),
+                           harmonizer=HarmonizerConfig(momentum=0.9))
+    settings = TrainConfig(**{f.name: getattr(exp, f.name)
+                              for f in dataclasses.fields(TrainConfig)})
+    assert type(settings) is TrainConfig and settings.hidden == (8, 4)
+    spec = LossSpec(kind="dghm_c", harmonizer=exp.harmonizer)
+    (m1, log1), (m2, log2) = train(pool, exp, spec, 7), train(pool, settings, spec, 7)
+    np.testing.assert_array_equal(m1.params, m2.params)
+    for name in ("mean_loss", "lr", "epoch_histograms"):
+        np.testing.assert_array_equal(getattr(log1, name), getattr(log2, name))
 
 
 def decay_epochs_of(epochs):
@@ -423,8 +440,8 @@ def test_training_learning_rate_schedule():
     drops = {0: [], 1: [], 2: [1], 3: [1, 2], 5: [3, 4], 10: [6, 8], 40: [24, 32]}
     for epochs, epoch_drops in drops.items():
         assert sorted(e for e in decay_epochs_of(epochs) if e < epochs) == epoch_drops
-        _, log = train(pool, TrainConfig(epochs=epochs, steps_per_epoch=1,
-                                         learning_rate=1e-3, seed=0))
+        _, log = train(pool, TrainConfig(epochs=epochs, steps_per_epoch=1, batch_size=8,
+                                         learning_rate=1e-3), LossSpec(), 0)
         lr, expected = 1e-3, []
         for epoch in range(epochs):
             if epoch in epoch_drops:
@@ -436,26 +453,23 @@ def test_training_learning_rate_schedule():
 def test_training_all_loss_kinds_run():
     pool = tiny_pool(eta=0.5)
     for spec in ALL_SPECS:
-        cfg = TrainConfig(loss_spec=spec, epochs=1, steps_per_epoch=3,
-                          batch_size=16, learning_rate=1e-3, seed=1)
-        model, log = train(pool, cfg)
+        cfg = TrainConfig(epochs=1, steps_per_epoch=3, batch_size=16, learning_rate=1e-3)
+        model, log = train(pool, cfg, spec, 1)
         assert log.mean_loss.shape == (1,) and np.isfinite(log.mean_loss[0])
 
 
 def test_training_with_momentum_histograms():
     pool = tiny_pool(eta=0.5)
     spec = LossSpec(kind="dghm_c", harmonizer=HarmonizerConfig(momentum=0.9))
-    cfg = TrainConfig(loss_spec=spec, epochs=1, steps_per_epoch=4,
-                      batch_size=16, learning_rate=1e-3, seed=1)
-    model, log = train(pool, cfg)
+    cfg = TrainConfig(epochs=1, steps_per_epoch=4, batch_size=16, learning_rate=1e-3)
+    model, log = train(pool, cfg, spec, 1)
     assert log.mean_loss.shape == (1,) and np.isfinite(log.mean_loss[0])
 
 
 def test_epoch_histogram_counts_sum_to_examples_seen():
     pool = tiny_pool(eta=0.5)
-    cfg = TrainConfig(epochs=1, steps_per_epoch=4, batch_size=16,
-                      learning_rate=1e-3, seed=2)
-    _, log = train(pool, cfg)
+    cfg = TrainConfig(epochs=1, steps_per_epoch=4, batch_size=16, learning_rate=1e-3)
+    _, log = train(pool, cfg, LossSpec(), 2)
     assert log.epoch_histograms.shape == (1, 2, model_module.EPOCH_BINS)
     assert log.epoch_histograms.dtype == np.int64
     assert int(log.epoch_histograms[0].sum()) == 4 * 16
@@ -467,18 +481,16 @@ def test_divergence_detected(kind):
     # the harmonized ones would otherwise fail binning NaN gradient norms
     pool = tiny_pool()
     pool.features[:, 0] = np.nan
-    cfg = TrainConfig(loss_spec=LossSpec(kind=kind), epochs=2, steps_per_epoch=10,
-                      learning_rate=1e-3, seed=0)
+    cfg = TrainConfig(epochs=2, steps_per_epoch=10, batch_size=8, learning_rate=1e-3)
     with pytest.raises(TrainingDiverged, match="^non-finite feature in pool row 0$"):
-        train(pool, cfg)
+        train(pool, cfg, LossSpec(kind=kind), 0)
 
 
 def test_divergence_names_the_step_of_a_non_finite_gradient(monkeypatch):
     # a NaN in one gradient must stop training before Adam spreads it into
     # the parameters, and the error must name that step
     pool = tiny_pool(eta=0.5)
-    cfg = TrainConfig(epochs=2, steps_per_epoch=3, batch_size=16,
-                      learning_rate=1e-3, seed=0)
+    cfg = TrainConfig(epochs=2, steps_per_epoch=3, batch_size=16, learning_rate=1e-3)
     real_backward = model_module.backward
     calls = []
 
@@ -491,17 +503,17 @@ def test_divergence_names_the_step_of_a_non_finite_gradient(monkeypatch):
 
     monkeypatch.setattr(model_module, "backward", poisoned_backward)
     with pytest.raises(TrainingDiverged, match="gradient at epoch 1, step 4$"):
-        train(pool, cfg)
+        train(pool, cfg, LossSpec(), 0)
 
 
 def test_every_train_call_warns_of_a_short_pool(caplog):
     pool = tiny_pool()
     n_pos = int(np.count_nonzero(pool.p_star == 1))
     cfg = TrainConfig(epochs=1, steps_per_epoch=3, batch_size=4 * (n_pos + 1),
-                      learning_rate=1e-3, seed=0)
+                      learning_rate=1e-3)
     with caplog.at_level(logging.WARNING, logger="dghm.simdata"):
-        train(pool, cfg)
-        train(pool, cfg)
+        train(pool, cfg, LossSpec(), 0)
+        train(pool, cfg, LossSpec(), 0)
     warnings = [r.getMessage() for r in caplog.records]
     assert warnings == [f"only {n_pos} positives available for quota {n_pos + 1}; "
                         "using all"] * 2
@@ -513,8 +525,7 @@ def test_every_train_call_warns_of_a_short_pool(caplog):
 ], ids=lambda s: s.kind)
 def test_train_runs_one_forward_per_step(monkeypatch, spec):
     pool = tiny_pool(eta=0.5)
-    cfg = TrainConfig(loss_spec=spec, epochs=2, steps_per_epoch=3, batch_size=16,
-                      learning_rate=1e-3, seed=1)
+    cfg = TrainConfig(epochs=2, steps_per_epoch=3, batch_size=16, learning_rate=1e-3)
     real_forward = model_module.forward
     calls = []
 
@@ -523,15 +534,14 @@ def test_train_runs_one_forward_per_step(monkeypatch, spec):
         return real_forward(*args)
 
     monkeypatch.setattr(model_module, "forward", counted_forward)
-    train(pool, cfg)
+    train(pool, cfg, spec, 1)
     # one per step, and none over the whole pool
     assert len(calls) == cfg.epochs * cfg.steps_per_epoch
 
 
 def test_train_allocates_its_step_buffers_once(monkeypatch):
     pool = tiny_pool(eta=0.5)
-    cfg = TrainConfig(loss_spec=LossSpec(kind="dghm_c"), epochs=2, steps_per_epoch=3,
-                      batch_size=16, learning_rate=1e-3, seed=1)
+    cfg = TrainConfig(epochs=2, steps_per_epoch=3, batch_size=16, learning_rate=1e-3)
     real_forward, real_backward = model_module.forward, model_module.backward
     real_for_model = StepBuffers.for_model
     caches, grads, made = [], [], []
@@ -552,7 +562,7 @@ def test_train_allocates_its_step_buffers_once(monkeypatch):
     monkeypatch.setattr(model_module, "forward", recorded_forward)
     monkeypatch.setattr(model_module, "backward", recorded_backward)
     monkeypatch.setattr(StepBuffers, "for_model", classmethod(counted_for_model))
-    train(pool, cfg)
+    train(pool, cfg, LossSpec(kind="dghm_c"), 1)
     steps = cfg.epochs * cfg.steps_per_epoch
     assert len(made) == 1  # one StepBuffers per train() call
     assert len(caches) == len(grads) == steps
@@ -604,17 +614,17 @@ def smooth_l1_grad(x):
     return np.where(np.abs(x) < 1.0, x, np.sign(x))
 
 
-def reference_train(pool, cfg):
+def reference_train(pool, cfg, spec, seed):
     """train() as it was before the pool-invariant columns were hoisted: every
     step gathers the labels and scene attributes, re-derives both partition
     codes, the positive mask and the feature check from them, and Adam
     allocates new moments."""
-    model = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
+    model = Predictor.create(pool.features.shape[1], hidden=cfg.hidden, seed=seed)
     m, v = [np.zeros_like(model.params)], [np.zeros_like(model.params)]
-    rng = np.random.default_rng([cfg.seed, 0xD64])
+    rng = np.random.default_rng([seed, 0xD64])
     quota = minibatch_quota(pool, cfg.batch_size)
     lr, t = cfg.learning_rate, 0
-    ema = EmaHistograms(cfg.loss_spec.harmonizer)
+    ema = EmaHistograms(spec.harmonizer)
     losses, epoch_hists = [], []
     for epoch in range(cfg.epochs):
         if epoch in decay_epochs_of(cfg.epochs):
@@ -627,7 +637,7 @@ def reference_train(pool, cfg):
             assert np.all(np.isfinite(features))
             logits, offsets, cache = forward(model, features)
             cls_loss, dlogit, harmonized = reference_classification(
-                logits, p_star, a, cfg.loss_spec, ema)
+                logits, p_star, a, spec, ema)
             n_pos = int(np.count_nonzero(is_positive))
             doffsets = np.zeros_like(offsets)
             reg_loss = 0.0
@@ -704,10 +714,10 @@ def test_train_matches_the_per_step_reference(spec, pool_kind, hidden, reg_weigh
     else:
         pool, batch_size = negative_pool()
         assert not np.any(pool.p_star)
-    cfg = TrainConfig(loss_spec=spec, epochs=3, steps_per_epoch=4, batch_size=batch_size,
-                      hidden=hidden, reg_weight=reg_weight, learning_rate=3e-3, seed=5)
-    model, log = train(pool, cfg)
-    ref_model, ref_losses, ref_hists = reference_train(pool, cfg)
+    cfg = TrainConfig(epochs=3, steps_per_epoch=4, batch_size=batch_size,
+                      hidden=hidden, reg_weight=reg_weight, learning_rate=3e-3)
+    model, log = train(pool, cfg, spec, 5)
+    ref_model, ref_losses, ref_hists = reference_train(pool, cfg, spec, 5)
     np.testing.assert_array_equal(model.params, ref_model.params)
     assert log.mean_loss.tolist() == ref_losses
     np.testing.assert_array_equal(log.epoch_histograms, ref_hists)
@@ -716,9 +726,9 @@ def test_train_matches_the_per_step_reference(spec, pool_kind, hidden, reg_weigh
         np.testing.assert_array_equal(hists, ref)
 
 
-def sampled_steps(pool, cfg):
-    """The row indices each step of train(pool, cfg) draws, in step order."""
-    rng = np.random.default_rng([cfg.seed, 0xD64])
+def sampled_steps(pool, cfg, seed):
+    """The row indices each step of train(pool, cfg, spec, seed) draws, in step order."""
+    rng = np.random.default_rng([seed, 0xD64])
     quota = minibatch_quota(pool, cfg.batch_size)
     return [sample_minibatch(quota, rng) for _ in range(cfg.epochs * cfg.steps_per_epoch)]
 
@@ -735,7 +745,7 @@ def counted_adam(monkeypatch):
     return calls
 
 
-NAN_CFG = TrainConfig(epochs=3, steps_per_epoch=3, batch_size=16, learning_rate=1e-3, seed=0)
+NAN_CFG = TrainConfig(epochs=3, steps_per_epoch=3, batch_size=16, learning_rate=1e-3)
 
 
 def assert_raises_before_the_first_step(monkeypatch, rows, value):
@@ -744,26 +754,26 @@ def assert_raises_before_the_first_step(monkeypatch, rows, value):
     pool.features[rows, 3] = value
     calls = counted_adam(monkeypatch)
     with pytest.raises(TrainingDiverged, match=f"^non-finite feature in pool row {min(rows)}$"):
-        train(pool, NAN_CFG)
+        train(pool, NAN_CFG, LossSpec(), 0)
     assert not calls
 
 
 def test_nan_feature_first_sampled_late_names_its_step(monkeypatch):
     # the error names the row, and no step runs, not even those before the row is drawn
-    steps = sampled_steps(tiny_pool(eta=0.5), NAN_CFG)
+    steps = sampled_steps(tiny_pool(eta=0.5), NAN_CFG, 0)
     step = NAN_CFG.steps_per_epoch + 1  # epoch 1's second step
     late = np.setdiff1d(steps[step], np.concatenate(steps[:step]))[0]  # first drawn there
     assert_raises_before_the_first_step(monkeypatch, [late], np.nan)
 
 
 def test_nan_feature_in_a_row_never_sampled_leaves_the_steps_alone(monkeypatch):
-    steps = sampled_steps(tiny_pool(eta=0.5), NAN_CFG)
+    steps = sampled_steps(tiny_pool(eta=0.5), NAN_CFG, 0)
     never = np.setdiff1d(np.arange(tiny_pool(eta=0.5).size), np.concatenate(steps))[0]
     assert_raises_before_the_first_step(monkeypatch, [never], np.nan)
 
 
 def test_a_non_finite_feature_raises_before_the_first_step(monkeypatch):
-    steps = sampled_steps(tiny_pool(eta=0.5), NAN_CFG)
+    steps = sampled_steps(tiny_pool(eta=0.5), NAN_CFG, 0)
     first = steps[0][0]  # a row the first step draws
     late = np.setdiff1d(steps[4], np.concatenate(steps[:4]))[0]
     never = np.setdiff1d(np.arange(tiny_pool(eta=0.5).size), np.concatenate(steps))[0]
@@ -786,8 +796,8 @@ def test_partition_codes_are_computed_once_per_train_call(monkeypatch, spec):
     counts = []
     for steps in (1, 7):
         calls.clear()
-        train(pool, TrainConfig(loss_spec=spec, epochs=2, steps_per_epoch=steps,
-                                batch_size=16, learning_rate=1e-3, seed=1))
+        train(pool, TrainConfig(epochs=2, steps_per_epoch=steps, batch_size=16,
+                                learning_rate=1e-3), spec, 1)
         counts.append(len(calls))
     # the loss mode's codes (GHM and DGHM* only) and the two-way codes
     assert counts == [2 if spec.harmonizer.mode is not Mode.DGHM else 1] * 2
@@ -799,9 +809,8 @@ def test_sanity_recall_on_separable_corpus():
                                extent=(32.0, 32.0))
     scenes = generate_corpus(spec, 8, 2, seed=6)
     pool = build_pool(scenes, spec, corpus_seed=6)
-    cfg = TrainConfig(epochs=8, steps_per_epoch=30, batch_size=32,
-                      learning_rate=3e-3, seed=6)
-    model, _ = train(pool, cfg)
+    cfg = TrainConfig(epochs=8, steps_per_epoch=30, batch_size=32, learning_rate=3e-3)
+    model, _ = train(pool, cfg, LossSpec(), 6)
     logits, _, _ = forward(model, pool.features)
     p = sigmoid(logits)
     # training-set separation: positives score above negatives
@@ -844,7 +853,15 @@ def test_train_config_validation():
                        ("batch_size", 0), ("batch_size", -4), ("reg_weight", -1.0)]:
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
             TrainConfig(**{field: bad})
+    # built in Python, a non-integer is refused as the JSON loader refuses it
+    for field, bad, key in [("epochs", 2.5, "epochs"), ("batch_size", 16.0, "batch_size"),
+                            ("steps_per_epoch", True, "steps_per_epoch"),
+                            ("hidden", (8.0,), r"hidden\[0\]"),
+                            ("hidden", (8, False), r"hidden\[1\]")]:
+        with pytest.raises(ValueError, match=f"^{key} must be int, got "):
+            TrainConfig(**{field: bad})
     TrainConfig(epochs=0, steps_per_epoch=1, batch_size=1, reg_weight=0.0)
+    TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), hidden=(np.int16(3),))
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +924,8 @@ def test_checkpoint_rejects_layers_that_do_not_chain(tmp_path):
 
 def test_training_log_csv(tmp_path):
     pool = tiny_pool()
-    cfg = TrainConfig(epochs=2, steps_per_epoch=2, learning_rate=1e-3, seed=0)
-    _, log = train(pool, cfg)
+    cfg = TrainConfig(epochs=2, steps_per_epoch=2, batch_size=8, learning_rate=1e-3)
+    _, log = train(pool, cfg, LossSpec(), 0)
     path = tmp_path / "log.csv"
     save_training_log_csv(path, log, histogram_ref="hist.csv")
     lines = path.read_text().splitlines()
