@@ -20,6 +20,7 @@ from dghm.experiments import (
     cmd_compare_losses,
     cmd_export_figures,
     cmd_gen,
+    cmd_sweep_eta,
     cmd_train,
     read_run_rows,
 )
@@ -71,6 +72,14 @@ ABLATE = {
         "41fdd8aa93da2bdb2e078305fda2c38aab4c3acc16e734cbb627c501b24639f6",
     "ablate_lambda_summary.csv":
         "cac064e915356f35638c4a4e4cb743b7e0918cbf72a1d0fc3fb33db0c1294607",
+}
+
+#: the eta sweep of ce and dghm_c over eta 0.2 and 0.7 on the golden config
+SWEEP_ETA = {
+    "sweep_eta_runs.csv":
+        "77f692df44b5ee2e66472fc23b7531647f060e875ae11971ec443e48f4c9a54c",
+    "sweep_eta_summary.csv":
+        "fd592b6d3288f9378f81afb65cb03ed4aa65a593abcac4e7f33a6a220ec9529a",
 }
 
 #: harmonizer settings a training case runs under
@@ -170,6 +179,19 @@ def test_corpus_files_match_golden(tmp_path):
 def test_ablate_csvs_match_golden(tmp_path):
     cmd_ablate(golden_config(), tmp_path)
     assert {name: digest(tmp_path / name) for name in ABLATE} == ABLATE
+
+
+def test_grids_in_two_processes_match_golden(tmp_path):
+    # jobs=2 runs the tasks in a process pool; the rows keep task order
+    cmd_compare_losses(golden_config(), tmp_path, jobs=2)
+    cmd_ablate(golden_config(), tmp_path, jobs=2)
+    expected = COMPARE | ABLATE
+    assert {name: digest(tmp_path / name) for name in expected} == expected
+
+
+def test_sweep_eta_csvs_match_golden(tmp_path):
+    cmd_sweep_eta(golden_config(losses=("ce", "dghm_c"), eta_grid=(0.2, 0.7)), tmp_path)
+    assert {name: digest(tmp_path / name) for name in SWEEP_ETA} == SWEEP_ETA
 
 
 def test_ablation_cells_reach_the_harmonizer(tmp_path, monkeypatch):
