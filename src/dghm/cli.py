@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         elif args.command == "train":
             record = cmd_train(cfg, args.out, loss_name=args.loss, eta=args.eta)
             r = record.report
-            print(f"loss={record.loss} eta={record.eta:g} recall={r.recall:.4f} "
+            print(f"loss={record.task.loss} eta={record.task.eta:g} recall={r.recall:.4f} "
                   f"precision={r.precision:.4f} nfps={_num(r.nfps, '.2f')} "
                   f"froc={_num(r.froc, '.4f')}")
         elif args.command == "compare":

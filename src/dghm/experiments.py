@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import shutil
 import typing
 from dataclasses import dataclass, field
@@ -94,12 +95,12 @@ class ExperimentConfig(TrainConfig):
         for name in self.losses:
             LossSpec(kind=name)
         _check_fold_count(self.folds, self.corpus.n_ap + self.corpus.n_np)
+        for i, seed in enumerate(self.seeds):  # the type only; min() below checks the sign
+            check_int(f"seeds[{i}]", seed, -math.inf)
         if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
             raise ValueError(f"seeds must be nonempty, distinct and non-negative, "
                              f"got {list(self.seeds)}")
-        for i, seed in enumerate(self.seeds):
-            check_int(f"seeds[{i}]", seed, 0)
-        if any(len(pair) != 2 for pair in self.mu_grid):
+        if any(not isinstance(pair, tuple) or len(pair) != 2 for pair in self.mu_grid):
             raise ValueError(f"mu_grid entries must be pairs, got {list(self.mu_grid)}")
         cells = _ablation_cells(self)
         # each grid entry is one summary row, keyed by its label: none may repeat
@@ -114,13 +115,22 @@ class ExperimentConfig(TrainConfig):
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass
-class RunRecord:
-    config_hash: str
+class Task(typing.NamedTuple):
+    """One run of a grid: ``run_single``'s arguments, which ``run_single(*task)``
+    takes as they are."""
+
+    cfg: ExperimentConfig
     loss: str
     eta: float
     fold: int
     seed: int
+    harmonizer: HarmonizerConfig | None = None  # None runs cfg.harmonizer
+
+
+@dataclass
+class RunRecord:
+    task: Task
+    config_hash: str
     report: M.MetricsReport
 
 
@@ -131,8 +141,8 @@ def config_to_dict(obj, hint=None):
     """A config dataclass as JSON-ready values: dicts, lists and scalars.
 
     An int in a ``float`` position is written as a float, as
-    ``config_from_dict`` stores it, so a config hashes alike however its
-    floats were written.
+    ``config_from_dict`` stores it, and a numpy integer as an int, so a
+    config hashes alike however its numbers were written.
     """
     if dataclasses.is_dataclass(obj):
         hints = _field_hints(type(obj))
@@ -145,6 +155,8 @@ def config_to_dict(obj, hint=None):
         return [config_to_dict(v, h) for v, h in zip(obj, elements, strict=True)]
     if isinstance(obj, Mode):
         return obj.value
+    if isinstance(obj, np.integer):
+        obj = int(obj)
     return float(obj) if hint is float and type(obj) is int else obj
 
 
@@ -343,26 +355,22 @@ def run_single(cfg: ExperimentConfig, loss_name: str, eta: float, fold: int,
         del pool
     report = evaluate_model(model, train_scored, corrupted, test_scenes,
                             cfg.corpus.scene_spec, cfg.corpus.seed)
-    record = RunRecord(config_hash=cfg.config_hash(), loss=loss_name, eta=eta,
-                       fold=fold, seed=seed, report=report)
+    record = RunRecord(Task(cfg, loss_name, eta, fold, seed, harmonizer),
+                       cfg.config_hash(), report)
     if return_model:
         return record, model, log, pool
     return record
 
 
-def _run_single_star(args):
-    return run_single(*args)
-
-
 def run_many(tasks, jobs: int = 1):
-    """Run (cfg, loss, eta, fold, seed, harmonizer) tuples, optionally parallel."""
+    """The records of ``Task``s, in task order, run in ``jobs`` processes."""
     if jobs <= 1:
-        return [run_single(*t) for t in tasks]
+        return [run_single(*task) for task in tasks]
     # imported here: only this branch needs it, and a serial run skips its import
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_single_star, tasks))
+        return list(pool.map(run_single, *zip(*tasks)))  # one iterable per field
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +395,9 @@ def write_run_rows(path, records):
         writer = csv.writer(fh)
         writer.writerow(RUN_COLUMNS)
         for rec in records:
-            r = rec.report
-            writer.writerow([rec.config_hash, rec.loss, _fmt(rec.eta), rec.fold,
-                             rec.seed, _fmt(r.precision), _fmt(r.nfps), _fmt(r.recall),
+            t, r = rec.task, rec.report
+            writer.writerow([rec.config_hash, t.loss, _fmt(t.eta), t.fold,
+                             t.seed, _fmt(r.precision), _fmt(r.nfps), _fmt(r.recall),
                              _fmt(r.froc), _fmt(r.t_recall), _fmt(r.r_recall),
                              _fmt(r.threshold), ";".join(r.flags)])
 
@@ -399,39 +407,33 @@ def read_run_rows(path):
         return list(csv.DictReader(fh))
 
 
-def summarize(records, group_key):
-    """Mean and std per group of the four headline metrics.
+SUMMARY_METRICS = ("precision", "nfps", "recall", "froc", "t_recall", "r_recall")
+
+
+def summarize(groups):
+    """Mean and std of the four headline metrics for each group of a
+    {label: records} dict, one row per label in the dict's order.
 
     Raises when records carry mixed config hashes: aggregation across different
     configs is an error.
     """
-    hashes = {rec.config_hash for rec in records}
+    hashes = {rec.config_hash for recs in groups.values() for rec in recs}
     if len(hashes) > 1:
         raise ValueError(f"refusing to aggregate mixed configs: {sorted(hashes)}")
-    groups: dict = {}
-    for rec in records:
-        groups.setdefault(group_key(rec), []).append(rec)
     rows = []
-    for key in sorted(groups, key=str):
-        recs = groups[key]
+    for key, recs in groups.items():
         row = {"group": key, "n": len(recs)}
-        for metric in ("precision", "nfps", "recall", "froc", "t_recall", "r_recall"):
+        for metric in SUMMARY_METRICS:
             vals = [getattr(r.report, metric) for r in recs]
             vals = [v for v in vals if v is not None]
-            if not vals:
-                row[f"{metric}_mean"] = None
-                row[f"{metric}_std"] = None
-            else:
-                row[f"{metric}_mean"] = float(np.mean(vals))
-                row[f"{metric}_std"] = float(np.std(vals)) if len(vals) > 1 else None
+            row[f"{metric}_mean"] = float(np.mean(vals)) if vals else None
+            row[f"{metric}_std"] = float(np.std(vals)) if len(vals) > 1 else None
         rows.append(row)
     return rows
 
 
 def write_summary_rows(path, rows):
-    metrics_cols = []
-    for metric in ("precision", "nfps", "recall", "froc", "t_recall", "r_recall"):
-        metrics_cols += [f"{metric}_mean", f"{metric}_std"]
+    metrics_cols = [f"{metric}_{stat}" for metric in SUMMARY_METRICS for stat in ("mean", "std")]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "n"] + metrics_cols)
@@ -481,21 +483,31 @@ def cmd_train(cfg: ExperimentConfig, out_dir, loss_name: str | None = None,
     return record
 
 
+def _run_grid(out_dir, name: str, tasks, labels, order, jobs: int):
+    """Run the tasks; write ``<name>_runs.csv``, a row per task in task order,
+    and ``<name>_summary.csv``, a row per label of ``order`` over the runs whose
+    task has that label in ``labels`` (one per task).  Returns records and rows."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    records = run_many(tasks, jobs=jobs)
+    write_run_rows(out_dir / f"{name}_runs.csv", records)
+    groups = {key: [] for key in order}
+    for key, rec in zip(labels, records, strict=True):
+        groups[key].append(rec)
+    rows = summarize(groups)
+    write_summary_rows(out_dir / f"{name}_summary.csv", rows)
+    return records, rows
+
+
 def cmd_compare_losses(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     """Per-(loss, fold, seed) metric rows plus mean/std summary per loss."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     losses = list(cfg.losses)
     if cfg.include_dghm_star and "dghm_c_star" not in losses:
         losses.append("dghm_c_star")
-    tasks = [(cfg, loss, cfg.eta, fold, seed)
+    tasks = [Task(cfg, loss, cfg.eta, fold, seed)
              for loss in losses
              for fold in range(cfg.folds)
              for seed in cfg.seeds]
-    records = run_many(tasks, jobs=jobs)
-    write_run_rows(out_dir / "compare_runs.csv", records)
-    rows = summarize(records, lambda r: r.loss)
-    write_summary_rows(out_dir / "compare_summary.csv", rows)
-    return records, rows
+    return _run_grid(out_dir, "compare", tasks, [t.loss for t in tasks], sorted(losses), jobs)
 
 
 def _ablation_cells(cfg: ExperimentConfig):
@@ -513,42 +525,26 @@ def _ablation_cells(cfg: ExperimentConfig):
     return mu_cells, lam_cells
 
 
-def _ablation_grid(cfg: ExperimentConfig, out_dir, name: str, cells, jobs: int):
-    """Run dghm_c for each (label, harmonizer) cell and seed; write the grid's CSVs.
-
-    The summary has one row per cell, in grid order.
-    """
-    tasks = [(cfg, "dghm_c", cfg.eta, 0, seed, h) for _, h in cells for seed in cfg.seeds]
-    records = run_many(tasks, jobs=jobs)
-    write_run_rows(out_dir / f"ablate_{name}_runs.csv", records)
-    n = len(cfg.seeds)
-    rows = [row for i, (label, _) in enumerate(cells)
-            for row in summarize(records[i * n:(i + 1) * n], lambda r, lab=label: lab)]
-    write_summary_rows(out_dir / f"ablate_{name}_summary.csv", rows)
-    return records
-
-
 def cmd_ablate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
-    """Two grids: (mu_n, mu_c) at fixed lambda, and lambda at fixed (mu_n, mu_c)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mu_cells, lam_cells = _ablation_cells(cfg)
-    mu_records = _ablation_grid(cfg, out_dir, "mu", mu_cells, jobs)
-    lam_records = _ablation_grid(cfg, out_dir, "lambda", lam_cells, jobs)
-    return mu_records, lam_records
+    """Two grids, (mu_n, mu_c) at fixed lambda and lambda at fixed (mu_n, mu_c):
+    dghm_c for each (label, harmonizer) cell and seed, summarized in grid order."""
+    grids = []
+    for name, cells in zip(("mu", "lambda"), _ablation_cells(cfg)):
+        tasks = [Task(cfg, "dghm_c", cfg.eta, 0, seed, h) for _, h in cells for seed in cfg.seeds]
+        labels = [label for label, _ in cells for _ in cfg.seeds]
+        grids.append(_run_grid(out_dir, f"ablate_{name}", tasks, labels,
+                               [label for label, _ in cells], jobs)[0])
+    return tuple(grids)
 
 
 def cmd_sweep_eta(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     """Controlled annotation-drop sweep: rows per (loss, eta), seeds averaged."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(cfg, loss, eta, 0, seed)
+    tasks = [Task(cfg, loss, eta, 0, seed)
              for loss in cfg.losses
              for eta in cfg.eta_grid
              for seed in cfg.seeds]
-    records = run_many(tasks, jobs=jobs)
-    write_run_rows(out_dir / "sweep_eta_runs.csv", records)
-    rows = summarize(records, lambda r: f"{r.loss}@eta={r.eta:g}")
-    write_summary_rows(out_dir / "sweep_eta_summary.csv", rows)
-    return records, rows
+    labels = [f"{t.loss}@eta={t.eta:g}" for t in tasks]
+    return _run_grid(out_dir, "sweep_eta", tasks, labels, sorted(set(labels)), jobs)
 
 
 def cmd_export_figures(run_dir, out_dir, harmonizer: HarmonizerConfig | None = None):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from dghm.experiments import ExperimentConfig, cmd_compare_losses, run_many, run_single
+from dghm.experiments import ExperimentConfig, Task, cmd_compare_losses, run_many, run_single
 from dghm.harmonizer import (
     HarmonizerConfig,
     LossSpec,
@@ -302,21 +302,29 @@ def trend_runs():
     """Per-seed (FROC, R-recall) lists keyed by (loss, eta), and the elapsed time."""
     cfg = ExperimentConfig()
     start = time.perf_counter()
-    tasks = [(cfg, loss, 0.7, 0, seed)
+    tasks = [Task(cfg, loss, 0.7, 0, seed)
              for loss in TREND_LOSSES for seed in cfg.seeds]
-    tasks += [(cfg, loss, 0.2, 0, seed)
+    tasks += [Task(cfg, loss, 0.2, 0, seed)
               for loss in ("ce", "dghm_c") for seed in cfg.seeds]
     records = run_many(tasks, jobs=1)
     elapsed = time.perf_counter() - start
     per_seed = {}
     for r in records:
-        per_seed.setdefault((r.loss, r.eta), []).append(
+        per_seed.setdefault((r.task.loss, r.task.eta), []).append(
             (r.report.froc, r.report.r_recall))
     return per_seed, elapsed
 
 
 def _mean(per_seed, loss, eta, column):
     return float(np.mean([v[column] for v in per_seed[loss, eta]]))
+
+
+def _paired_se(per_seed, hi, lo, column):
+    """Standard error of the mean eta=0.7 gap hi - lo: the SD of the per-seed
+    gaps over sqrt(n).  A seed's runs share its corruption, so the gaps pair."""
+    gaps = [a[column] - b[column]
+            for a, b in zip(per_seed[hi, 0.7], per_seed[lo, 0.7], strict=True)]
+    return float(np.std(gaps, ddof=1) / np.sqrt(len(gaps)))
 
 
 def test_criterion_6_trend_reproduction(trend_runs):
@@ -326,9 +334,9 @@ def test_criterion_6_trend_reproduction(trend_runs):
     froc_std = {loss: float(np.std([v[0] for v in per_seed[loss, 0.7]]))
                 for loss in TREND_LOSSES}
     ranked = ("dghm_c", "ghm_c", "ce", "focal")
-    gaps = {f"{hi}-{lo}": froc_of[hi] - froc_of[lo]
+    gaps = {f"{hi}-{lo}": (froc_of[hi] - froc_of[lo], _paired_se(per_seed, hi, lo, 0))
             for hi, lo in zip(ranked, ranked[1:])}
-    order = all(gap > 0 for gap in gaps.values())
+    order = all(gap > 0 for gap, _ in gaps.values())
     d_froc = froc_of["dghm_c"] - froc_of["ce"]
     d_rrec = rrec_of["dghm_c"] - rrec_of["ce"]
     ok = order and d_froc >= 0.10 and d_rrec >= 0.15 and elapsed < 900.0
@@ -338,10 +346,12 @@ def test_criterion_6_trend_reproduction(trend_runs):
              ok,
              "froc " + " ".join(f"{l}={froc_of[l]:.3f}(sd {froc_std[l]:.3f})"
                                 for l in TREND_LOSSES)
-             + f"; dFROC={d_froc:+.3f} dRrec={d_rrec:+.3f} {elapsed:.0f}s"
+             + f"; dFROC={d_froc:+.3f}(se {_paired_se(per_seed, 'dghm_c', 'ce', 0):.3f})"
+             + f" dRrec={d_rrec:+.3f}(se {_paired_se(per_seed, 'dghm_c', 'ce', 1):.3f})"
+             + f" {elapsed:.0f}s"
              + f"; margins dFROC-0.10={d_froc - 0.10:+.3f}"
              + f" dRrec-0.15={d_rrec - 0.15:+.3f} "
-             + " ".join(f"{k}={v:+.3f}" for k, v in gaps.items())
+             + " ".join(f"{k}={gap:+.3f}(se {se:.3f})" for k, (gap, se) in gaps.items())
              + f" 900s-elapsed={900.0 - elapsed:+.0f}s")
 
 

@@ -25,6 +25,7 @@ from dghm.experiments import (
     CorpusConfig,
     ExperimentConfig,
     RunRecord,
+    Task,
     cmd_ablate,
     cmd_compare_losses,
     cmd_export_figures,
@@ -239,6 +240,16 @@ def test_float_positions_hash_alike_however_the_config_was_built():
     assert sizes == [12.0, 7.0, 5.5] and all(type(size) is float for size in sizes)
 
 
+def test_numpy_integers_hash_as_ints():
+    # the checks accept numpy integers, so the hash must write them
+    assert ExperimentConfig(epochs=np.int64(2)).config_hash() == \
+        ExperimentConfig(epochs=2).config_hash()
+    assert ExperimentConfig(eta=np.int64(1)).config_hash() == "0ed531ca5b920e6c"
+    assert config_to_dict(ExperimentConfig(hidden=(np.int32(32),))) == \
+        config_to_dict(ExperimentConfig())
+    assert ExperimentConfig().config_hash() == "d383204e89746613"
+
+
 def test_validate_rejects_duplicate_seeds():
     for d in ({"seeds": [1, 1]}, Py(seeds=(1, 1)), Py(seeds=())):
         with pytest.raises(ValueError, match="seeds"):
@@ -313,6 +324,8 @@ def test_validate_accepts_defaults():
     (Py(hidden=(8.0,)), r"^hidden\[0\] must be int, got 8.0"),
     (Py(steps_per_epoch=True), "^steps_per_epoch must be int, got True"),
     (Py(mu_grid=((1.0,),)), "^mu_grid entries must be pairs"),
+    (Py(seeds=("a", 1)), r"^seeds\[0\] must be int, got 'a'"),
+    (Py(mu_grid=(1.0,)), "^mu_grid entries must be pairs"),
 ], ids=["eta", "eta_grid", "one_fold", "more_folds_than_scenes", "learning_rate",
         "lambda_grid", "mu_grid", "corpus_seed", "run_seed", "float_seed", "unknown_loss",
         "negative_epochs", "no_steps", "negative_steps", "empty_batch", "negative_batch",
@@ -320,7 +333,8 @@ def test_validate_accepts_defaults():
         "python_lambda_grid", "python_mu_grid", "python_run_seed", "python_unknown_loss",
         "python_negative_epochs", "python_empty_batch", "python_float_seed",
         "python_float_epochs", "python_float_batch", "python_float_hidden_width",
-        "python_bool_steps", "python_mu_entry_not_a_pair"])
+        "python_bool_steps", "python_mu_entry_not_a_pair", "python_str_seed",
+        "python_mu_entry_a_scalar"])
 def test_validate_rejects_values_every_run_rejects(d, message):
     with pytest.raises(ValueError, match=message):
         load(d)
@@ -405,15 +419,14 @@ def test_a_config_that_loads_runs_each_of_its_losses(d):
 
 
 def fake_record(loss, seed, froc, r_recall=0.5, config_hash="abc"):
-    return RunRecord(config_hash=config_hash, loss=loss, eta=0.7, fold=0, seed=seed,
-                     report=MetricsReport(recall=0.5, precision=0.4, nfps=99.0,
-                                          froc=froc, t_recall=0.6,
-                                          r_recall=r_recall, threshold=0.5))
+    return RunRecord(Task(ExperimentConfig(), loss, 0.7, 0, seed), config_hash,
+                     MetricsReport(recall=0.5, precision=0.4, nfps=99.0, froc=froc,
+                                   t_recall=0.6, r_recall=r_recall, threshold=0.5))
 
 
 def test_summary_mean_matches_recomputation():
     records = [fake_record("ce", s, froc=0.4 + 0.01 * s) for s in range(5)]
-    rows = summarize(records, lambda r: r.loss)
+    rows = summarize({"ce": records})
     assert rows[0]["froc_mean"] == pytest.approx(np.mean([0.4 + 0.01 * s
                                                           for s in range(5)]))
     assert rows[0]["froc_std"] == pytest.approx(np.std([0.4 + 0.01 * s
@@ -422,7 +435,7 @@ def test_summary_mean_matches_recomputation():
 
 
 def test_summary_single_run_has_no_std():
-    rows = summarize([fake_record("ce", 0, froc=0.4)], lambda r: r.loss)
+    rows = summarize({"ce": [fake_record("ce", 0, froc=0.4)]})
     assert rows[0]["froc_std"] is None
 
 
@@ -430,7 +443,7 @@ def test_summary_rejects_mixed_configs():
     records = [fake_record("ce", 0, 0.4, config_hash="a"),
                fake_record("ce", 1, 0.4, config_hash="b")]
     with pytest.raises(ValueError, match="mixed configs"):
-        summarize(records, lambda r: r.loss)
+        summarize({"ce": records})
 
 
 def test_run_rows_round_trip(tmp_path):
@@ -634,7 +647,7 @@ def test_fold_without_normal_scenes_has_undefined_nfps_and_froc(tmp_path):
     write_run_rows(tmp_path / "runs.csv", [no_np, with_np])
     row = read_run_rows(tmp_path / "runs.csv")[0]
     assert (row["nfps"], row["froc"]) == ("undefined", "undefined")
-    summary = summarize([no_np, with_np], lambda rec: rec.loss)[0]
+    summary = summarize({"ce": [no_np, with_np]})[0]
     assert (summary["nfps_mean"], summary["froc_mean"]) == (with_np.report.nfps,
                                                             with_np.report.froc)
 
@@ -670,7 +683,7 @@ def test_cmd_train_exports(tmp_path):
     assert (tmp_path / "gradient_hist_three_way.csv").exists()
     assert (tmp_path / "training_log.csv").exists()
     assert (tmp_path / "report.txt").exists()
-    assert record.loss == "ce"
+    assert record.task.loss == "ce"
 
 
 def test_cmd_compare_and_summary_recompute(tmp_path):
@@ -721,7 +734,7 @@ def test_cmd_sweep_eta(tmp_path):
     cfg = tiny_config(losses=("ce",), eta_grid=(0.0, 0.5))
     records, rows = cmd_sweep_eta(cfg, tmp_path)
     assert len(records) == 2
-    eta0 = [r for r in records if r.eta == 0.0]
+    eta0 = [r for r in records if r.task.eta == 0.0]
     assert all("r_recall_undefined" in r.report.flags for r in eta0)
     groups = {row["group"] for row in rows}
     assert groups == {"ce@eta=0", "ce@eta=0.5"}
